@@ -437,24 +437,27 @@ fn parallel_diff_threads_emits_stats() {
     version[120_000] ^= 0x2a;
     std::fs::write(p("old"), &reference).unwrap();
     std::fs::write(p("new"), &version).unwrap();
-    let out = p("diff-stats.json");
-    run(&s(&[
-        "diff",
-        &p("old"),
-        &p("new"),
-        &p("d"),
-        "--threads",
-        "2",
-        "--stats-out",
-        &out,
-    ]))
-    .unwrap();
-    // The parallel delta must apply back to the version file.
-    run(&s(&["apply", &p("old"), &p("d"), &p("rebuilt")])).unwrap();
-    assert_eq!(std::fs::read(p("rebuilt")).unwrap(), version);
-
-    let raw = std::fs::read_to_string(&out).unwrap();
-    let v = ipr_trace::json::parse(&raw).expect("stats output is valid JSON");
+    let diff_stats = |threads: &str| {
+        let out = p(&format!("diff-stats-{threads}.json"));
+        run(&s(&[
+            "diff",
+            &p("old"),
+            &p("new"),
+            &p("d"),
+            "--threads",
+            threads,
+            "--stats-out",
+            &out,
+        ]))
+        .unwrap();
+        // The parallel delta must apply back to the version file.
+        run(&s(&["apply", &p("old"), &p("d"), &p("rebuilt")])).unwrap();
+        assert_eq!(std::fs::read(p("rebuilt")).unwrap(), version);
+        let raw = std::fs::read_to_string(&out).unwrap();
+        let v = ipr_trace::json::parse(&raw).expect("stats output is valid JSON");
+        (raw, v)
+    };
+    let (raw, v) = diff_stats("2");
     let spans = v.get("spans").unwrap();
     for name in ["diff", "diff.index_build", "diff.scan", "diff.stitch"] {
         let span = spans
@@ -462,21 +465,34 @@ fn parallel_diff_threads_emits_stats() {
             .unwrap_or_else(|| panic!("span {name} missing in {raw}"));
         assert_eq!(span.get("count").unwrap().as_u64(), Some(1), "{name}");
     }
-    let counter = |name: &str| {
+    let counter = |v: &ipr_trace::json::Value, name: &str| {
         v.get("counters")
             .and_then(|c| c.get(name))
             .and_then(|c| c.as_u64())
             .unwrap_or_else(|| panic!("counter {name} missing in {raw}"))
     };
     // Cross-checks: the counters must agree with the input files.
-    assert_eq!(counter("diff.reference_bytes"), reference.len() as u64);
-    assert_eq!(counter("diff.version_bytes"), version.len() as u64);
-    assert_eq!(counter("diff.chunks"), 3);
-    let gauge = v
-        .get("gauges")
-        .and_then(|g| g.get("diff.threads"))
-        .and_then(|g| g.as_u64());
-    assert_eq!(gauge, Some(2), "diff.threads gauge in {raw}");
+    assert_eq!(counter(&v, "diff.reference_bytes"), reference.len() as u64);
+    assert_eq!(counter(&v, "diff.version_bytes"), version.len() as u64);
+    assert_eq!(counter(&v, "diff.chunks"), 3);
+    let gauge = |name: &str| {
+        v.get("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(|g| g.as_u64())
+    };
+    assert_eq!(
+        gauge("diff.threads"),
+        Some(2),
+        "diff.threads gauge in {raw}"
+    );
+    assert!(gauge("diff.index_bytes").is_some_and(|b| b > 0), "{raw}");
+    // The scan workers' counters reach the report, and the scan does the
+    // same work at every thread count.
+    let (_, serial) = diff_stats("1");
+    for name in ["diff.probes", "diff.extend_bytes"] {
+        assert!(counter(&v, name) > 0, "{name} in {raw}");
+        assert_eq!(counter(&v, name), counter(&serial, name), "{name}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -18,9 +18,10 @@
 //! Each engine also implements [`IndexedDiffer`], splitting differencing
 //! into *build a shared reference index* and *scan a version range
 //! against it*. [`ParallelDiffer`] exploits that split: the index is
-//! built once (construction itself sharded across scoped threads), the
-//! version scan is partitioned into chunks diffed concurrently, and a
-//! serial stitcher re-extends matches across chunk seams. Output is
+//! built once (the footprint tables' construction sharded across scoped
+//! threads), the version scan is partitioned into chunks diffed
+//! concurrently, and a serial stitcher re-extends matches across chunk
+//! seams. Output is
 //! deterministic — identical for every thread count, including 1.
 //! Per-call working storage lives in a reusable [`DiffScratch`] arena,
 //! so steady-state diffing performs no table or buffer allocations.
@@ -43,7 +44,7 @@ pub use greedy::{GreedyDiffer, GreedyIndex};
 pub use onepass::OnePassDiffer;
 pub use parallel::{FootprintIndex, IndexedDiffer, ParallelDiffer, DEFAULT_CHUNK_BYTES};
 pub use rolling::{hash_of, RollingHash};
-pub use scratch::{DiffScratch, GreedyShard, IndexScratch, Seg};
+pub use scratch::{DiffScratch, IndexScratch, Seg};
 pub use windowed::WindowedDiffer;
 
 use crate::command::Command;

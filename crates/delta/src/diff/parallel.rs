@@ -5,21 +5,25 @@
 //! locks and no `unsafe`. The phases:
 //!
 //! 1. **Index build** (`diff.index_build` span) — one immutable index over
-//!    the reference, construction partitioned across scoped threads. The
-//!    footprint family shards the build by *slot range* (each worker owns
-//!    a disjoint slice of the table, scans the whole reference and keeps
-//!    only its slots — re-rolling the hash is a few arithmetic ops per
-//!    byte, while the random table stores that dominate the build now hit
-//!    a per-worker slice that fits lower in the cache hierarchy). The
-//!    greedy family shards by *hash* (each worker owns a deterministic
-//!    subset of the seed-hash space and builds complete chains for it).
-//!    Both schemes produce bit-identical indexes for any worker count.
+//!    the reference. The footprint family shards the build by *slot
+//!    range* across scoped threads (each worker owns a disjoint slice of
+//!    the table, scans the whole reference and keeps only its slots —
+//!    re-rolling the hash is a few arithmetic ops per byte, while the
+//!    random table stores that dominate the build now hit a per-worker
+//!    slice that fits lower in the cache hierarchy), which yields the
+//!    same table for any worker count. The greedy family builds serially:
+//!    it sorts every reference offset by seed hash with a radix partition
+//!    and per-partition counting sorts that stay in L2, so it has no
+//!    random table stores to spread across workers. The
+//!    `diff.index_bytes` gauge reports what the arena holds afterwards.
 //! 2. **Chunked scan** (`diff.scan` span) — the version file is cut into
 //!    fixed-size chunks (a function of the version length only, never of
 //!    the thread count, so output is identical for every `--threads`
 //!    value) and chunks are scanned concurrently against the shared
 //!    index, each emitting compact [`Seg`] runs into its own reused
-//!    buffer. Matches are truncated at the chunk boundary.
+//!    buffer. Matches are truncated at the chunk boundary. Workers
+//!    re-install the caller's trace recorder, so their probe counters
+//!    reach the same report at every thread count.
 //! 3. **Seam stitching** (`diff.stitch` span) — a serial pass merges the
 //!    per-chunk segments into one script: the last copy before a seam is
 //!    re-extended forward across the boundary (recovering matches the
@@ -73,9 +77,9 @@ pub trait IndexedDiffer: Differ + Sync {
     /// Seed (minimum match) length.
     fn seed_len(&self) -> usize;
 
-    /// Builds the reference index into `scratch`, partitioning
-    /// construction across up to `shards` scoped threads. The resulting
-    /// index must not depend on `shards`.
+    /// Builds the reference index into `scratch`, optionally
+    /// partitioning construction across up to `shards` scoped threads.
+    /// The resulting index must not depend on `shards`.
     fn build_index<'s>(
         &self,
         reference: &[u8],
@@ -188,6 +192,7 @@ pub(crate) fn build_footprint_index<'s>(
             });
         }
     }
+    scratch.record_bytes();
     FootprintIndex {
         firsts: &scratch.firsts,
         lasts: &scratch.lasts,
@@ -377,9 +382,15 @@ impl<D: IndexedDiffer> ParallelDiffer<D> {
                 let idx = &idx;
                 let inner = &self.inner;
                 let chunk_range = &chunk_range;
+                // Recorders are installed per thread: each worker
+                // re-installs the caller's so its counters reach the same
+                // report.
+                let recorder = ipr_trace::installed();
                 std::thread::scope(|s| {
                     for (t, bufs) in segs[..nchunks].chunks_mut(per).enumerate() {
+                        let recorder = recorder.clone();
                         s.spawn(move || {
+                            let _guard = recorder.map(ipr_trace::install);
                             for (j, buf) in bufs.iter_mut().enumerate() {
                                 let k = t * per + j;
                                 inner.scan_chunk(idx, reference, version, chunk_range(k), buf);

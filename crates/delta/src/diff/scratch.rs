@@ -2,13 +2,14 @@
 //! steady-state diffing.
 //!
 //! Every differ needs per-call working storage — footprint tables for the
-//! constant-space family, hash-sharded chains for the greedy family, and
-//! per-chunk segment buffers for the parallel scan. Allocating those on
-//! every `diff` call puts the allocator on the critical path of the
-//! pipeline's dominant phase (differencing is ~97% of end-to-end time in
-//! `results/BENCH_phase_breakdown.json`). A [`DiffScratch`] owns all of
-//! it and is reused across calls: buffers are `clear()`ed, never freed,
-//! so a warmed-up arena performs no table or buffer allocations at all.
+//! constant-space family, the sorted seed-hash index for the greedy
+//! family, and per-chunk segment buffers for the parallel scan.
+//! Allocating those on every `diff` call puts the allocator on the
+//! critical path of the pipeline's dominant phase (differencing is ~97%
+//! of end-to-end time in `results/BENCH_phase_breakdown.json`). A
+//! [`DiffScratch`] owns all of it and is reused across calls: buffers
+//! are cleared or overwritten, never freed, so a warmed-up arena
+//! performs no table or buffer allocations at all.
 //!
 //! Callers can hold an explicit arena and pass it to
 //! [`ParallelDiffer::diff_with`](super::ParallelDiffer::diff_with); the
@@ -17,189 +18,8 @@
 
 use std::cell::RefCell;
 
-/// Sentinel for an empty footprint-table slot or chain end.
+/// Sentinel for an empty footprint-table slot.
 pub(crate) const EMPTY: u32 = u32::MAX;
-
-/// One entry of a greedy hash chain: a reference offset plus the index of
-/// the previous node with the same seed hash (newest first).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ChainNode {
-    pub(crate) offset: u32,
-    pub(crate) prev: u32,
-}
-
-/// One slot of the flat greedy head table: the full seed hash plus the
-/// newest chain-node index for it, side by side so one probe is one
-/// 16-byte load (a quarter of a cache line).
-#[derive(Clone, Copy, Debug)]
-struct FlatSlot {
-    hash: u64,
-    head: u32,
-}
-
-/// Smallest table a non-empty [`FlatHeads`] allocates.
-const FLAT_MIN_SLOTS: usize = 64;
-
-/// Occupancy numerator/denominator: grow past 7/8 full.
-const FLAT_LOAD_NUM: usize = 7;
-const FLAT_LOAD_DEN: usize = 8;
-
-/// Maps a seed hash to its starting probe slot. The Karp-Rabin hashes
-/// are polynomial remainders, well mixed low but structured high, and
-/// the shard map (`shard_of` in `greedy.rs`) already consumes the high
-/// bits of one remix — so the slot index comes from an independent
-/// full-avalanche finalizer (splitmix64), keeping slot and shard choice
-/// uncorrelated.
-#[inline]
-fn slot_of(hash: u64, mask: usize) -> usize {
-    let mut z = hash;
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z as usize) & mask
-}
-
-/// Open-addressed hash → chain-head table for the greedy index.
-///
-/// Replaces the former `FxHashMap<u64, u32>`: the map put a generic
-/// hasher invocation plus SwissTable control-byte probing on both hot
-/// paths (one insert per reference offset, one lookup per version
-/// position). Here a probe is `splitmix64(hash) & mask` into one flat
-/// power-of-two slot array with linear probing; the full 64-bit hash is
-/// stored in the slot and compared exactly.
-///
-/// Storing the *full* hash (not a fragment tag) is load-bearing for
-/// determinism: the parallel index build shards the hash space, so with
-/// different shard counts different hash subsets share one table. A tag
-/// table would merge distinct hashes' chains whenever their tags and
-/// slots collide — which hashes collide would then depend on the shard
-/// count, and the diff output with it. Exact keys keep chains identical
-/// to the serial single-map index for any shard count.
-///
-/// Vacancy is signalled by `head == EMPTY`, never stored for a live
-/// chain (a present key's head always points at a real node). Entries
-/// are never deleted; [`FlatHeads::clear`] resets the whole table and
-/// keeps the allocation, preserving the arena's zero-allocation steady
-/// state.
-#[derive(Debug, Default)]
-pub(crate) struct FlatHeads {
-    slots: Vec<FlatSlot>,
-    mask: usize,
-    len: usize,
-}
-
-impl FlatHeads {
-    /// Marks every slot vacant; capacity is retained.
-    pub(crate) fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.head = EMPTY;
-        }
-        self.len = 0;
-    }
-
-    /// Grows the table so `entries` keys fit without triggering a
-    /// mid-build rehash. Never shrinks.
-    pub(crate) fn reserve(&mut self, entries: usize) {
-        let needed = (entries * FLAT_LOAD_DEN).div_ceil(FLAT_LOAD_NUM).max(1);
-        if needed > self.slots.len() {
-            self.rehash(needed.next_power_of_two().max(FLAT_MIN_SLOTS));
-        }
-    }
-
-    /// The chain head stored for `hash`, or [`EMPTY`].
-    #[inline]
-    pub(crate) fn get(&self, hash: u64) -> u32 {
-        if self.slots.is_empty() {
-            return EMPTY;
-        }
-        let mut i = slot_of(hash, self.mask);
-        loop {
-            let slot = self.slots[i];
-            if slot.head == EMPTY {
-                return EMPTY;
-            }
-            if slot.hash == hash {
-                return slot.head;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Stores `head` as the newest chain head for `hash`, returning the
-    /// previous head ([`EMPTY`] if the hash is new).
-    #[inline]
-    pub(crate) fn upsert(&mut self, hash: u64, head: u32) -> u32 {
-        if (self.len + 1) * FLAT_LOAD_DEN > self.slots.len() * FLAT_LOAD_NUM {
-            self.rehash((self.slots.len() * 2).max(FLAT_MIN_SLOTS));
-        }
-        let mut i = slot_of(hash, self.mask);
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.head == EMPTY {
-                *slot = FlatSlot { hash, head };
-                self.len += 1;
-                return EMPTY;
-            }
-            if slot.hash == hash {
-                return std::mem::replace(&mut slot.head, head);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Re-buckets every live entry into a table of `new_len` slots
-    /// (a power of two). Keys in the old table are unique, so reinsertion
-    /// probes for vacancies only.
-    fn rehash(&mut self, new_len: usize) {
-        debug_assert!(new_len.is_power_of_two() && new_len > self.slots.len());
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![
-                FlatSlot {
-                    hash: 0,
-                    head: EMPTY
-                };
-                new_len
-            ],
-        );
-        self.mask = new_len - 1;
-        for slot in old {
-            if slot.head == EMPTY {
-                continue;
-            }
-            let mut i = slot_of(slot.hash, self.mask);
-            while self.slots[i].head != EMPTY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = slot;
-        }
-    }
-}
-
-/// One hash shard of the greedy reference index.
-///
-/// A shard owns a deterministic subset of the seed-hash space: every
-/// reference offset whose seed hash maps to the shard is chained here, in
-/// offset order, regardless of how many shards exist. Chains are therefore
-/// identical to the serial single-map index restricted to those hashes,
-/// which is what makes the parallel build bit-compatible with the serial
-/// one.
-#[derive(Debug, Default)]
-pub struct GreedyShard {
-    /// Seed hash → index of the newest [`ChainNode`] for that hash.
-    pub(crate) heads: FlatHeads,
-    /// Backing storage for the intrusive chains.
-    pub(crate) nodes: Vec<ChainNode>,
-}
-
-impl GreedyShard {
-    pub(crate) fn clear(&mut self) {
-        self.heads.clear();
-        self.nodes.clear();
-    }
-}
 
 /// Storage backing the shared reference index (all differ families).
 #[derive(Debug, Default)]
@@ -209,8 +29,48 @@ pub struct IndexScratch {
     /// Footprint table: most recent reference offset per slot (the
     /// correcting differ's second candidate; left empty otherwise).
     pub(crate) lasts: Vec<u32>,
-    /// Hash-sharded greedy chains.
-    pub(crate) shards: Vec<GreedyShard>,
+    /// Greedy index: every offset's mixed seed hash, in ascending order.
+    pub(crate) keys: Vec<u64>,
+    /// Greedy index: the reference offset of each key, descending within
+    /// a run of equal keys.
+    pub(crate) offsets: Vec<u32>,
+    /// Greedy index: bucket `b` holds entries `starts[b]..starts[b + 1]`.
+    pub(crate) starts: Vec<u32>,
+    /// Greedy index: per bucket, a filter of the key bits present in it.
+    pub(crate) filters: Vec<u16>,
+    /// Greedy build scratch: one partition's keys while it is
+    /// counting-sorted into buckets.
+    pub(crate) part_keys: Vec<u64>,
+    /// Greedy build scratch: the offsets of `part_keys`.
+    pub(crate) part_offsets: Vec<u32>,
+    /// Greedy build scratch: partition and bucket cursors.
+    pub(crate) counts: Vec<u32>,
+}
+
+impl IndexScratch {
+    /// Heap bytes the arena retains for reference indexes, build scratch
+    /// included (the `diff.index_bytes` gauge).
+    pub(crate) fn retained_bytes(&self) -> u64 {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let total = bytes(&self.firsts)
+            + bytes(&self.lasts)
+            + bytes(&self.keys)
+            + bytes(&self.offsets)
+            + bytes(&self.starts)
+            + bytes(&self.filters)
+            + bytes(&self.part_keys)
+            + bytes(&self.part_offsets)
+            + bytes(&self.counts);
+        total as u64
+    }
+
+    /// Publishes [`IndexScratch::retained_bytes`] as the
+    /// `diff.index_bytes` gauge; every index build ends with this.
+    pub(crate) fn record_bytes(&self) {
+        ipr_trace::with(|r| r.gauge("diff.index_bytes", self.retained_bytes()));
+    }
 }
 
 /// One segment of a chunk scan, relative to a running version offset.
@@ -350,49 +210,6 @@ mod tests {
         push_lit(&mut segs, 1);
         push_copy(&mut segs, 4, 4);
         assert_eq!(segs.len(), 3);
-    }
-
-    #[test]
-    fn flat_heads_upsert_chains_like_a_map() {
-        let mut heads = FlatHeads::default();
-        assert_eq!(heads.get(42), EMPTY);
-        assert_eq!(heads.upsert(42, 0), EMPTY);
-        assert_eq!(heads.upsert(42, 1), 0);
-        assert_eq!(heads.upsert(42, 2), 1);
-        assert_eq!(heads.get(42), 2);
-        assert_eq!(heads.get(43), EMPTY);
-        heads.clear();
-        assert_eq!(heads.get(42), EMPTY);
-    }
-
-    #[test]
-    fn flat_heads_survive_growth() {
-        // Enough distinct keys to force several rehashes; check against a
-        // reference map afterwards.
-        let mut heads = FlatHeads::default();
-        let mut model = std::collections::HashMap::new();
-        let mut key = 0x9e37_79b9u64;
-        for i in 0..10_000u32 {
-            key = key.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let hash = key >> 16 << 3; // clustered keys stress probing
-            let prev = heads.upsert(hash, i);
-            let model_prev = model.insert(hash, i).unwrap_or(EMPTY);
-            assert_eq!(prev, model_prev, "key {hash:#x}");
-        }
-        for (&hash, &head) in &model {
-            assert_eq!(heads.get(hash), head);
-        }
-    }
-
-    #[test]
-    fn flat_heads_reserve_prevents_rehash() {
-        let mut heads = FlatHeads::default();
-        heads.reserve(1000);
-        let cap = heads.slots.len();
-        for i in 0..1000u32 {
-            heads.upsert(u64::from(i) * 0x1234_5677, i);
-        }
-        assert_eq!(heads.slots.len(), cap, "reserve must pre-size the table");
     }
 
     #[test]

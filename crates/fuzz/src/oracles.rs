@@ -22,13 +22,16 @@
 //! * [`check_diff_case`] — the parallel diff engine, wrapped around
 //!   every differ family, produces scripts that apply back to the
 //!   version file and are deterministic: repeated runs and *different
-//!   thread counts* must emit identical command sequences.
+//!   thread counts* must emit identical command sequences, and the
+//!   `diff.probes` work counter must match across thread counts and stay
+//!   within the per-position candidate limit times the version length.
 //! * [`check_engine_case`] — the session-layer
 //!   [`Engine`](ipr_pipeline::Engine) one-call path
 //!   (diff through owned arenas → pooled conversion → checked encoding →
 //!   wave-parallel apply) is byte-identical to the legacy free-function
 //!   pipeline, including on the second run of the *same* engine, whose
-//!   arenas now hold recycled storage from the first.
+//!   arenas now hold recycled storage from the first; every conversion
+//!   also keeps Lemma 1 (CRWI edges ≤ version length).
 //! * [`check_remote_case`] — the signature-based streaming generator:
 //!   `apply(generate_delta(sign(r), v), r) == v` byte for byte across a
 //!   salt-swept set of fixed block sizes and CDC parameters, with the
@@ -592,7 +595,7 @@ const DIFF_CHUNKS: [usize; 5] = [1, 3, 17, 64, 256];
 ///
 /// The generated reference/version pair is diffed with [`ParallelDiffer`]
 /// around each differ family at a salt-chosen chunk size and thread
-/// count. Three properties must hold for each engine:
+/// count. Four properties must hold for each engine:
 ///
 /// 1. **correctness** — the emitted script applies back to the version
 ///    file (`apply(diff(r, v), r) == v`);
@@ -601,20 +604,43 @@ const DIFF_CHUNKS: [usize; 5] = [1, 3, 17, 64, 256];
 /// 3. **thread independence** — a different thread count emits the *same*
 ///    command sequence (chunk boundaries depend only on input length, so
 ///    output is invariant across thread counts, a stronger guarantee
-///    than per-thread-count determinism).
+///    than per-thread-count determinism);
+/// 4. **bounded work** — the `diff.probes` counter, recorded under the
+///    oracle's own [`ipr_trace::StatsRecorder`], is the same at both
+///    thread counts and at most the engine's per-position candidate
+///    limit times the version length (`max_probes × |V|` for greedy).
 pub fn check_diff_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let version = scratch_apply(case)?;
     let chunk = DIFF_CHUNKS[(salt % DIFF_CHUNKS.len() as u64) as usize];
     let threads = 1 + (salt / DIFF_CHUNKS.len() as u64 % 4) as usize;
+    let greedy = GreedyDiffer::new(4).with_max_probes(GREEDY_MAX_PROBES);
+    let (one_pass, correcting) = (OnePassDiffer::new(4, 10), CorrectingDiffer::new(4, 10));
 
-    check_diff_engine(GreedyDiffer::new(4), case, &version, chunk, threads)?;
-    check_diff_engine(OnePassDiffer::new(4, 10), case, &version, chunk, threads)?;
-    check_diff_engine(CorrectingDiffer::new(4, 10), case, &version, chunk, threads)
+    check_diff_engine(greedy, GREEDY_MAX_PROBES, case, &version, chunk, threads)?;
+    check_diff_engine(one_pass, 1, case, &version, chunk, threads)?;
+    check_diff_engine(correcting, 2, case, &version, chunk, threads)
 }
 
-/// Runs the three diff-oracle properties for one wrapped differ.
+/// The greedy differ's candidate limit in the diff oracle (its default).
+const GREEDY_MAX_PROBES: usize = 64;
+
+/// Runs `diff` under a fresh stats recorder, returning its script and
+/// the `diff.probes` count it recorded.
+fn diff_probes(diff: impl FnOnce() -> DeltaScript) -> (DeltaScript, u64) {
+    let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
+    let script = {
+        let _guard = ipr_trace::install(stats.clone());
+        diff()
+    };
+    let probes = stats.report().counter("diff.probes").unwrap_or(0);
+    (script, probes)
+}
+
+/// Runs the four diff-oracle properties for one wrapped differ, which
+/// verifies at most `max_probes` candidates per version position.
 fn check_diff_engine<D: IndexedDiffer + Clone>(
     inner: D,
+    max_probes: usize,
     case: &FuzzCase,
     version: &[u8],
     chunk: usize,
@@ -624,7 +650,7 @@ fn check_diff_engine<D: IndexedDiffer + Clone>(
         .with_threads(threads)
         .with_chunk_bytes(chunk);
     let name = differ.name();
-    let script = differ.diff(&case.reference, version);
+    let (script, probes) = diff_probes(|| differ.diff(&case.reference, version));
 
     let applied = ipr_delta::apply(&script, &case.reference)
         .map_err(|e| format!("{name}(chunk={chunk},threads={threads}): apply failed: {e}"))?;
@@ -642,14 +668,29 @@ fn check_diff_engine<D: IndexedDiffer + Clone>(
     }
 
     let other_threads = threads % 4 + 1;
-    let cross = ParallelDiffer::new(inner)
-        .with_threads(other_threads)
-        .with_chunk_bytes(chunk)
-        .diff(&case.reference, version);
+    let (cross, cross_probes) = diff_probes(|| {
+        ParallelDiffer::new(inner)
+            .with_threads(other_threads)
+            .with_chunk_bytes(chunk)
+            .diff(&case.reference, version)
+    });
     if cross.commands() != script.commands() {
         return fail(format!(
             "{name}(chunk={chunk}): {threads} and {other_threads} threads emitted \
              different commands"
+        ));
+    }
+    if cross_probes != probes {
+        return fail(format!(
+            "{name}(chunk={chunk}): {threads} threads counted {probes} probes, \
+             {other_threads} threads {cross_probes}"
+        ));
+    }
+    let bound = max_probes as u64 * version.len() as u64;
+    if probes > bound {
+        return fail(format!(
+            "{name}(chunk={chunk},threads={threads}): {probes} probes exceed \
+             {max_probes} per version byte ({bound})"
         ));
     }
     Ok(())
@@ -670,7 +711,8 @@ const ENGINE_FORMATS: [Format; 3] = [Format::InPlace, Format::Improved, Format::
 /// second run exercises recycled arenas — exactly the commands, wire
 /// bytes and applied buffer of the legacy free-function pipeline
 /// (`ParallelDiffer::diff` → [`convert_to_in_place`] →
-/// [`encode_checked`] → [`apply_in_place_parallel`]).
+/// [`encode_checked`] → [`apply_in_place_parallel`]), and its conversion
+/// report must keep Lemma 1: at most one CRWI edge per version byte.
 pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let version = scratch_apply(case)?;
     let policy = if salt.is_multiple_of(2) {
@@ -730,6 +772,14 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
             return fail(format!(
                 "{tag} round {round}: conversion reports differ: {:?} vs {:?}",
                 delta.report, legacy.report
+            ));
+        }
+        // Lemma 1: the CRWI digraph has at most one edge per version byte.
+        if delta.report.edges > version.len() {
+            return fail(format!(
+                "{tag} round {round}: {} CRWI edges exceed the {}-byte version (Lemma 1)",
+                delta.report.edges,
+                version.len()
             ));
         }
         let mut buf = in_place_buf(case, &delta.script);
