@@ -1,4 +1,4 @@
-//! Differencing throughput: serial vs wave-parallel shared-index diff.
+//! Differencing throughput: serial vs parallel shared-index diff.
 //!
 //! Differencing dominates the pipeline (~97% of end-to-end time in
 //! `results/BENCH_phase_breakdown.json`), so this benchmark tracks the

@@ -1,7 +1,7 @@
 //! Per-phase pipeline breakdown via the `ipr-trace` observability layer.
 //!
-//! Drives the full pipeline — diff → encode → decode → convert → plan →
-//! serial apply → parallel apply — over the experiment corpus with a
+//! Drives the full pipeline — diff → encode → decode → convert → in-place
+//! apply — over the experiment corpus with a
 //! [`ipr_trace::StatsRecorder`] installed, then reports where the time
 //! went. Unlike the other experiment binaries, nothing here is timed by
 //! hand: every number comes from the same spans and counters that
@@ -21,10 +21,7 @@
 //! tripping it. The baseline file is left untouched in this mode.
 
 use ipr_bench::{experiment_corpus, pct, Table};
-use ipr_core::{
-    apply_in_place, apply_schedule_parallel, convert_to_in_place, required_capacity,
-    ConversionConfig, ParallelConfig, ParallelSchedule,
-};
+use ipr_core::{apply_in_place, convert_to_in_place, required_capacity, ConversionConfig};
 use ipr_delta::codec::{decode, encode, Format};
 use ipr_delta::diff::{Differ, GreedyDiffer};
 use std::sync::Arc;
@@ -57,13 +54,11 @@ fn main() {
     let recorder = Arc::new(ipr_trace::StatsRecorder::new());
     let _guard = ipr_trace::install(recorder.clone());
 
-    // Recorded so readers of the JSON can judge the parallel-apply rows:
-    // speedups above the host's core count are not physically possible.
+    // Recorded so readers of the JSON know the host the shares came from.
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     ipr_trace::gauge("host.parallelism", host as u64);
 
     let differ = GreedyDiffer::default();
-    let config = ParallelConfig::default();
     for pair in &corpus {
         let script = differ.diff(&pair.reference, &pair.version);
         let wire = encode(&script, Format::InPlace).expect("encodable script");
@@ -74,13 +69,10 @@ fn main() {
             &ConversionConfig::default(),
         )
         .expect("conversion cannot fail");
-        let plan = ParallelSchedule::plan(&out.script).expect("converted script is safe");
         let cap = usize::try_from(required_capacity(&out.script)).expect("fits usize");
         let mut buf = vec![0u8; cap];
         buf[..pair.reference.len()].copy_from_slice(&pair.reference);
         apply_in_place(&out.script, &mut buf).expect("serial apply");
-        buf[..pair.reference.len()].copy_from_slice(&pair.reference);
-        apply_schedule_parallel(&out.script, &plan, &mut buf, &config).expect("parallel apply");
     }
 
     let report = recorder.report();
@@ -91,9 +83,7 @@ fn main() {
         ("codec.encode", "encode"),
         ("codec.decode", "decode"),
         ("convert", "convert"),
-        ("schedule.plan", "plan"),
-        ("apply.serial", "serial apply"),
-        ("apply.parallel", "parallel apply"),
+        ("apply.serial", "apply"),
     ];
     let total_ns: u64 = phases
         .iter()

@@ -2,8 +2,9 @@
 //! traffic over a version chain.
 //!
 //! The [`Engine`] exists to amortize per-update
-//! overhead — diff index arenas, CRWI adjacency/interval buffers,
-//! schedule scratch, script/payload storage — across many updates. This
+//! overhead — diff index arenas, CRWI adjacency/interval buffers, the
+//! Equation 2 check's write buffer, script/payload storage — across many
+//! updates. This
 //! benchmark measures exactly that, over a 100-hop release chain
 //! (`IPR_BENCH_HOPS` hops of `IPR_BENCH_CHAIN_BYTES` bytes each):
 //!
@@ -15,12 +16,14 @@
 //! * **stages_steady** — a third pass driving the stage methods
 //!   ([`diff`](ipr_pipeline::Engine::diff) →
 //!   [`convert`](ipr_pipeline::Engine::convert) →
-//!   [`plan`](ipr_pipeline::Engine::plan) → encode) separately, so
-//!   allocator traffic is attributed per stage.
+//!   [`apply_in_place`](ipr_pipeline::Engine::apply_in_place) → encode)
+//!   separately, so allocator traffic is attributed per stage. The apply
+//!   stage is the engine's checked serial applier run on the converted
+//!   script, into a buffer prepared outside the measured region.
 //!
 //! Allocations are counted by a `#[global_allocator]` wrapper around the
 //! system allocator. The contract: at steady state **every** stage —
-//! diff, convert, schedule and encode — performs **zero** heap
+//! diff, convert, apply and encode — performs **zero** heap
 //! allocations per update. The encode stage draws its wire buffer from
 //! the engine's pool ([`Engine::encode`]) and [`Engine::recycle`]
 //! returns it, so even the caller-visible payload costs nothing once
@@ -33,7 +36,7 @@
 //! With `--compare <baseline.json>` the run gates instead of writing:
 //!
 //! * **steady-stage allocations** — any allocation in the steady-state
-//!   diff/convert/schedule/encode stages fails the run (an absolute,
+//!   diff/convert/apply/encode stages fails the run (an absolute,
 //!   within-run gate: it holds on any host and any chain size);
 //! * **allocator traffic** — steady-state allocations per update may not
 //!   exceed the baseline's by more than [`ALLOC_TOLERANCE`] (counts are
@@ -42,6 +45,7 @@
 //! Absolute times are printed but never gated. The baseline file is left
 //! untouched in this mode.
 
+use ipr_core::required_capacity;
 use ipr_pipeline::{Engine, EngineConfig, InPlaceDelta};
 use ipr_workloads::chain::{ChainPattern, VersionChain};
 use ipr_workloads::content::ContentKind;
@@ -191,9 +195,11 @@ fn main() {
 
     // Stage attribution at steady state: drive the stages separately so
     // each one's allocator traffic is measured on its own. Two passes —
-    // `update` never plans, so the first pass grows the schedule scratch
-    // to its high-water mark; only the second is steady state.
+    // `update` never applies, so the first pass grows the Equation 2
+    // check's buffer to its high-water mark; only the second is steady
+    // state. The in-place buffer is refilled outside the measured region.
     let mut stages = [Measure::default(); 4];
+    let mut buf = Vec::new();
     for _pass in 0..2 {
         stages = [Measure::default(); 4];
         for (reference, version) in chain.hops() {
@@ -203,11 +209,19 @@ fn main() {
                     .convert(script, reference)
                     .expect("conversion succeeds")
             });
-            let (_, m_plan) = measured(|| {
+            buf.clear();
+            buf.extend_from_slice(reference);
+            buf.resize(required_capacity(&outcome.script) as usize, 0);
+            let (_, m_apply) = measured(|| {
                 engine
-                    .plan(&outcome.script)
-                    .expect("converted script is safe");
+                    .apply_in_place(&outcome.script, &mut buf)
+                    .expect("converted script applies");
             });
+            assert_eq!(
+                &buf[..version.len()],
+                version,
+                "apply stage rebuilt the version"
+            );
             let (payload, m_encode) = measured(|| {
                 engine
                     .encode(&outcome.script, version)
@@ -219,12 +233,15 @@ fn main() {
                 report: outcome.report,
                 version_len: version.len() as u64,
             });
-            for (slot, m) in stages.iter_mut().zip([m_diff, m_convert, m_plan, m_encode]) {
+            for (slot, m) in stages
+                .iter_mut()
+                .zip([m_diff, m_convert, m_apply, m_encode])
+            {
                 slot.add(m);
             }
         }
     }
-    let [diff, convert, schedule, encode] = stages;
+    let [diff, convert, apply, encode] = stages;
 
     let per_update = |m: &Measure| m.allocs as f64 / hops as f64;
     let speedup = cold.total_ns as f64 / warm_steady.total_ns.max(1) as f64;
@@ -258,7 +275,7 @@ fn main() {
     for (label, m) in [
         ("diff", &diff),
         ("convert", &convert),
-        ("schedule", &schedule),
+        ("apply", &apply),
         ("encode", &encode),
     ] {
         println!(
@@ -271,15 +288,7 @@ fn main() {
     }
 
     if let Some(path) = baseline_path {
-        let breaches = gate(
-            &path,
-            &warm_steady,
-            &diff,
-            &convert,
-            &schedule,
-            &encode,
-            hops,
-        );
+        let breaches = gate(&path, &warm_steady, &diff, &convert, &apply, &encode, hops);
         if breaches > 0 {
             eprintln!("\n{breaches} regression(s) past the gates");
             std::process::exit(1);
@@ -307,7 +316,7 @@ fn main() {
     let stage_rows = [
         ("diff", &diff),
         ("convert", &convert),
-        ("schedule", &schedule),
+        ("apply", &apply),
         ("encode", &encode),
     ];
     for (i, (key, m)) in stage_rows.iter().enumerate() {
@@ -329,7 +338,7 @@ fn gate(
     warm_steady: &Measure,
     diff: &Measure,
     convert: &Measure,
-    schedule: &Measure,
+    apply: &Measure,
     encode: &Measure,
     hops: usize,
 ) -> usize {
@@ -340,14 +349,14 @@ fn gate(
     let mut breaches = 0;
 
     println!(
-        "\nComparison against {path} (gates: zero steady diff/convert/schedule/encode \
+        "\nComparison against {path} (gates: zero steady diff/convert/apply/encode \
          allocations, steady allocs/update ≤ {ALLOC_TOLERANCE}x baseline)\n"
     );
     // Absolute within-run gate: the acceptance contract of the engine.
     for (label, m) in [
         ("diff", diff),
         ("convert", convert),
-        ("schedule", schedule),
+        ("apply", apply),
         ("encode", encode),
     ] {
         let status = if m.allocs > 0 {

@@ -193,7 +193,7 @@ fn main() {
                 "{name}/{loss}: high water {} exceeds bound {buffer_bound}",
                 report.buffered_high_water
             );
-            let download_ns = duration_ns(channel.simulate_transfer(wire_len, mtu).time);
+            let download_ns = duration_ns(channel.simulate_transfer(0, wire_len, mtu).time);
             let ttfb_ns = duration_ns(
                 report
                     .time_to_first_byte

@@ -84,8 +84,8 @@ fn main() {
     let mut t = Table::new(vec!["frame loss", "full image", "in-place delta", "saved"]);
     for loss in [0.0f64, 0.05, 0.2] {
         let ch = ipr_device::LossyChannel::new(Channel::dialup(), loss, 1998);
-        let full = ch.simulate_transfer(total_full, 576).time;
-        let delta = ch.simulate_transfer(total_delta, 576).time;
+        let full = ch.simulate_transfer(0, total_full, 576).time;
+        let delta = ch.simulate_transfer(0, total_delta, 576).time;
         t.row(vec![
             pct(loss),
             fmt_duration(full),

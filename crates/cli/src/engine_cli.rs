@@ -5,7 +5,7 @@
 //! leftovers are reported, and builds its [`Engine`] session from the
 //! collected configuration.
 
-use ipr_core::{CyclePolicy, ReadMode};
+use ipr_core::CyclePolicy;
 use ipr_delta::codec::{self, DecodedDelta, Format};
 use ipr_delta::diff::{GreedyDiffer, IndexedDiffer};
 use ipr_delta::remote::{BlockSize, CdcParams, Chunking, DEFAULT_SIGNATURE_BUDGET};
@@ -107,19 +107,6 @@ impl EngineCli {
             self.config.conversion.policy = p;
         }
         Ok(policy)
-    }
-
-    /// `--read-mode M`: recorded as the engine's applier read strategy.
-    pub fn take_read_mode(&mut self) -> Result<Option<ReadMode>, String> {
-        let mode = self.take_with("read-mode", |v| match v {
-            "snapshot" => Ok(ReadMode::Snapshot),
-            "zero-copy" => Ok(ReadMode::ZeroCopy),
-            _ => Err(format!("unknown read mode `{v}` (snapshot|zero-copy)")),
-        })?;
-        if let Some(m) = mode {
-            self.config.read_mode = m;
-        }
-        Ok(mode)
     }
 
     /// `--block N` / `--cdc MIN:AVG:MAX` / `--block-size N|auto[:BYTES]`:
@@ -300,20 +287,16 @@ mod tests {
             "improved",
             "--policy",
             "constant",
-            "--read-mode",
-            "snapshot",
         ]))
         .unwrap();
         assert_eq!(cli.take_threads().unwrap(), Some(3));
         assert_eq!(cli.take_format().unwrap(), Some(Format::Improved));
         assert_eq!(cli.take_policy().unwrap(), Some(CyclePolicy::ConstantTime));
-        assert_eq!(cli.take_read_mode().unwrap(), Some(ReadMode::Snapshot));
         cli.finish_options().unwrap();
         let config = cli.config();
         assert_eq!(config.threads, 3);
         assert_eq!(config.format, Format::Improved);
         assert_eq!(config.conversion.policy, CyclePolicy::ConstantTime);
-        assert_eq!(config.read_mode, ReadMode::Snapshot);
         assert_eq!(cli.engine().config().threads, 3);
     }
 
@@ -330,8 +313,6 @@ mod tests {
     fn bad_option_values_are_reported() {
         let mut cli = EngineCli::parse(&s(&["--threads", "lots"])).unwrap();
         assert!(cli.take_threads().is_err());
-        let mut cli = EngineCli::parse(&s(&["--read-mode", "psychic"])).unwrap();
-        assert!(cli.take_read_mode().is_err());
     }
 
     #[test]

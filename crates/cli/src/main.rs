@@ -6,7 +6,6 @@
 //! ipr convert <reference> <delta> <out>       post-process for in-place
 //! ipr apply <reference> <delta> <out>         scratch-space apply
 //! ipr apply-in-place <file> <delta>           rebuild <file> in place
-//!                    [--threads N] [--read-mode snapshot|zero-copy]
 //! ipr info <delta>                            print header and statistics
 //! ipr verify <delta>                          check Equation 2 safety
 //! ipr install <image> <delta> [--stream]      simulated OTA install with
@@ -161,7 +160,7 @@ fn print_usage() {
          \x20      auto sizes blocks so the signature fits a byte budget, default 512 KiB)\n\
          \x20 convert <reference> <delta> <out>   [--policy constant|local-min] [--format F]\n\
          \x20 apply <reference> <delta> <out>\n\
-         \x20 apply-in-place <file> <delta>  [--threads N] [--read-mode snapshot|zero-copy]\n\
+         \x20 apply-in-place <file> <delta>\n\
          \x20 info <delta>\n\
          \x20 compose <delta-1-2> <delta-2-3> <out>  [--format F]\n\
          \x20 stats <delta> [--dot <file>]   (CRWI conflict-graph analysis)\n\
@@ -360,29 +359,17 @@ fn cmd_apply(args: &[String]) -> CliResult {
 }
 
 fn cmd_apply_in_place(args: &[String]) -> CliResult {
-    let mut cli = EngineCli::parse(args)?;
-    let threads = cli.take_threads()?;
-    cli.take_read_mode()?;
+    let cli = EngineCli::parse(args)?;
     cli.finish_options()?;
-    let [file_path, delta_path] =
-        cli.positional("usage: ipr apply-in-place <file> <delta> [--threads N] [--read-mode M]")?;
+    let [file_path, delta_path] = cli.positional("usage: ipr apply-in-place <file> <delta>")?;
     let decoded = EngineCli::read_delta(delta_path)?;
+    // One script per process, so the reference verifier's allocation
+    // costs nothing; its error names the clobbered read.
     check_in_place_safe(&decoded.script)?;
     let mut buf = std::fs::read(file_path)?;
     let needed = ipr_core::required_capacity(&decoded.script) as usize;
     buf.resize(buf.len().max(needed), 0);
-    match threads {
-        // Serial applier stays the default: a single thread needs none of
-        // the wave planning.
-        None | Some(1) => ipr_core::apply_in_place(&decoded.script, &mut buf)?,
-        Some(_) => {
-            let report = cli.engine().apply_in_place(&decoded.script, &mut buf)?;
-            eprintln!(
-                "parallel apply: {} waves ({} fanned out), {} threads, {} B snapshotted",
-                report.waves, report.parallel_waves, report.threads, report.snapshot_bytes
-            );
-        }
-    }
+    ipr_core::apply_in_place(&decoded.script, &mut buf)?;
     buf.truncate(decoded.script.target_len() as usize);
     if let Some(crc) = decoded.target_crc {
         let actual = ipr_delta::checksum::crc32(&buf);
@@ -476,15 +463,6 @@ fn cmd_stats(args: &[String]) -> CliResult {
         println!(
             "=> cycle breaking will convert at most {} copies ({} B)",
             stats.vertices_on_cycles, stats.bytes_at_risk
-        );
-    }
-    let mut engine = cli.engine();
-    if let Some(plan) = engine.plan(&decoded.script) {
-        println!(
-            "parallel waves: {} (critical path) over {} commands, {:.1}x parallelism",
-            plan.wave_count(),
-            decoded.script.len(),
-            plan.parallelism()
         );
     }
     Ok(())

@@ -199,46 +199,28 @@ fn end_to_end_through_tempdir() {
     run(&s(&["apply-in-place", &p("inplace"), &p("delta-ip")])).unwrap();
     assert_eq!(std::fs::read(p("inplace")).unwrap(), version);
 
-    // Parallel apply path, both read modes.
-    std::fs::copy(p("old"), p("inplace-par")).unwrap();
-    run(&s(&[
+    // apply-in-place takes no options: `--threads` is reported as
+    // unknown before the file is touched.
+    std::fs::copy(p("old"), p("inplace-opt")).unwrap();
+    let err = run(&s(&[
         "apply-in-place",
-        &p("inplace-par"),
-        &p("delta-ip"),
-        "--threads",
-        "4",
-    ]))
-    .unwrap();
-    assert_eq!(std::fs::read(p("inplace-par")).unwrap(), version);
-    std::fs::copy(p("old"), p("inplace-snap")).unwrap();
-    run(&s(&[
-        "apply-in-place",
-        &p("inplace-snap"),
+        &p("inplace-opt"),
         &p("delta-ip"),
         "--threads",
         "2",
-        "--read-mode",
-        "snapshot",
     ]))
-    .unwrap();
-    assert_eq!(std::fs::read(p("inplace-snap")).unwrap(), version);
-    // Bad option values are reported, not panicked.
-    assert!(run(&s(&[
-        "apply-in-place",
-        &p("inplace-snap"),
-        &p("delta-ip"),
-        "--threads",
-        "lots",
-    ]))
-    .is_err());
-    assert!(run(&s(&[
-        "apply-in-place",
-        &p("inplace-snap"),
-        &p("delta-ip"),
-        "--read-mode",
-        "psychic",
-    ]))
-    .is_err());
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("unknown option --threads"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(p("inplace-opt")).unwrap(), reference);
+    // An unconverted delta fails the Equation 2 check with the clobbered
+    // read named, and leaves the file untouched.
+    std::fs::copy(p("old"), p("inplace-raw")).unwrap();
+    let err = run(&s(&["apply-in-place", &p("inplace-raw"), &p("delta")])).unwrap_err();
+    assert!(err.to_string().contains("already written"), "{err}");
+    assert_eq!(std::fs::read(p("inplace-raw")).unwrap(), reference);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,10 +14,9 @@
 //!   convert deleted copies to adds, move adds last (§4);
 //! * [`apply_in_place`] / [`apply_in_place_buffered`] rebuild the version
 //!   serially in a single buffer (§4.1's directional overlapped copies);
-//! * [`ParallelSchedule`] layers the conflict DAG into waves and
-//!   [`apply_in_place_parallel`] executes them on worker threads with
-//!   disjoint `&mut` slices — no locks, no `unsafe`;
-//! * [`check_in_place_safe`] verifies the paper's Equation 2.
+//! * [`check_in_place_safe`] verifies the paper's Equation 2, and
+//!   [`check_in_place_safe_with`] gives the same verdict through a
+//!   reusable buffer, for callers that check every script they apply.
 //!
 //! # Example
 //!
@@ -47,9 +46,7 @@ mod analysis;
 mod apply;
 mod convert;
 mod crwi;
-mod parallel;
 mod policy;
-mod schedule;
 mod toposort;
 mod verify;
 
@@ -57,25 +54,18 @@ pub mod resumable;
 pub mod spill;
 
 pub use analysis::CrwiStats;
-pub use schedule::ParallelSchedule;
-
 pub use apply::{apply_in_place, apply_in_place_buffered, required_capacity, InPlaceApplyError};
 pub use convert::{
     convert_in_place_pooled, convert_to_in_place, diff_in_place, ConversionConfig,
     ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
 };
 pub use crwi::CrwiGraph;
-pub use parallel::{
-    apply_in_place_parallel, apply_schedule_parallel, ParallelApplyError, ParallelApplyReport,
-    ParallelConfig, ReadMode,
-};
 pub use policy::CyclePolicy;
-pub use schedule::ScheduleScratch;
 pub use toposort::{
     is_valid_outcome, sort_breaking_cycles, sort_breaking_cycles_into, SortOutcome, SortScratch,
     SortStats,
 };
 pub use verify::{
-    check_in_place_safe, count_wr_conflicts, is_in_place_safe, list_wr_conflicts, Conflict,
-    WrViolation,
+    check_in_place_safe, check_in_place_safe_with, count_wr_conflicts, is_in_place_safe,
+    list_wr_conflicts, Conflict, WrViolation,
 };

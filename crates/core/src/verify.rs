@@ -85,6 +85,74 @@ pub fn check_in_place_safe(script: &DeltaScript) -> Result<(), WrViolation> {
     Ok(())
 }
 
+/// [`check_in_place_safe`] through a reusable buffer: the same result,
+/// violation included, with no allocation once `writes` has grown to the
+/// script's command count. Appliers that take scripts from outside run
+/// this before writing a byte.
+///
+/// Write intervals are pairwise disjoint (a [`DeltaScript`] invariant),
+/// so sorting them by start sorts their ends too, and the writes a read
+/// overlaps are one binary search and a short walk away. `writes` is
+/// overwritten.
+///
+/// # Errors
+///
+/// Returns the first [`WrViolation`], exactly as [`check_in_place_safe`]
+/// reports it.
+///
+/// # Example
+///
+/// ```
+/// use ipr_delta::{Command, DeltaScript};
+/// use ipr_core::{check_in_place_safe, check_in_place_safe_with};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let swap = DeltaScript::new(16, 16, vec![
+///     Command::copy(8, 0, 8),
+///     Command::copy(0, 8, 8),
+/// ])?;
+/// let mut writes = Vec::new();
+/// assert_eq!(
+///     check_in_place_safe_with(&swap, &mut writes),
+///     check_in_place_safe(&swap),
+/// );
+/// # Ok(())
+/// # }
+/// ```
+pub fn check_in_place_safe_with(
+    script: &DeltaScript,
+    writes: &mut Vec<(u64, u64, usize)>,
+) -> Result<(), WrViolation> {
+    writes.clear();
+    writes.extend(script.commands().iter().enumerate().map(|(i, cmd)| {
+        let w = cmd.write_interval();
+        (w.start(), w.end(), i)
+    }));
+    writes.sort_unstable();
+    for (reader, cmd) in script.commands().iter().enumerate() {
+        let Some(read) = cmd.read_interval() else {
+            continue;
+        };
+        // The first write that can overlap is the first ending past the
+        // read's start.
+        let first = writes.partition_point(|&(_, end, _)| end <= read.start());
+        let clobbered_bytes: u64 = writes[first..]
+            .iter()
+            .take_while(|&&(start, _, _)| start < read.end())
+            .filter(|&&(_, _, writer)| writer < reader)
+            .map(|&(start, end, _)| end.min(read.end()) - start.max(read.start()))
+            .sum();
+        if clobbered_bytes > 0 {
+            return Err(WrViolation {
+                reader,
+                read,
+                clobbered_bytes,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Whether the script satisfies Equation 2 (see [`check_in_place_safe`]).
 #[must_use]
 pub fn is_in_place_safe(script: &DeltaScript) -> bool {
@@ -336,6 +404,62 @@ mod tests {
         }
         assert_eq!(list_wr_conflicts(&s, 2).len(), 2);
         assert!(list_wr_conflicts(&chain_script(&[0, 1]), 10).is_empty());
+    }
+
+    #[test]
+    fn scratch_safety_check_matches_verifier() {
+        // The allocation-free check must report exactly what
+        // `check_in_place_safe` reports on safe, unsafe and
+        // add-clobbering scripts alike, through one reused buffer.
+        use crate::convert::{convert_to_in_place, ConversionConfig};
+        use ipr_delta::diff::{Differ, GreedyDiffer};
+
+        let reference: Vec<u8> = (0..4_000u32).map(|i| (i * 7 % 233) as u8).collect();
+        let mut version = reference.clone();
+        version.rotate_left(321);
+        let diffed = GreedyDiffer::default().diff(&reference, &version);
+        let converted = convert_to_in_place(&diffed, &reference, &ConversionConfig::default())
+            .unwrap()
+            .script;
+        let mut scripts = vec![
+            diffed,
+            converted,
+            DeltaScript::new(4, 0, vec![]).unwrap(),
+            DeltaScript::new(16, 16, vec![Command::copy(0, 8, 8), Command::copy(8, 0, 8)]).unwrap(),
+            // An add clobbering a later read.
+            DeltaScript::new(
+                8,
+                12,
+                vec![Command::add(0, vec![1; 4]), Command::copy(0, 4, 8)],
+            )
+            .unwrap(),
+            // A copy whose own read and write overlap: not a violation.
+            DeltaScript::new(8, 6, vec![Command::copy(2, 0, 6)]).unwrap(),
+            // One read crossing three earlier writes: all bytes counted.
+            DeltaScript::new(
+                12,
+                20,
+                vec![
+                    Command::add(0, vec![1; 4]),
+                    Command::add(4, vec![2; 4]),
+                    Command::add(8, vec![3; 4]),
+                    Command::copy(2, 12, 8),
+                ],
+            )
+            .unwrap(),
+        ];
+        // Adversarial permutations of the converted script.
+        let safe = scripts[1].clone();
+        let order: Vec<usize> = (0..safe.len()).rev().collect();
+        scripts.push(safe.permuted(&order));
+        let mut writes = Vec::new();
+        for script in &scripts {
+            assert_eq!(
+                check_in_place_safe_with(script, &mut writes),
+                check_in_place_safe(script),
+                "results diverge on {script:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Edge-case coverage for conversion, scheduling and resumable apply that
-//! the unit tests do not reach.
+//! Edge-case coverage for conversion and resumable apply that the unit
+//! tests do not reach.
 
 use ipr_core::resumable::{resume_in_place, Journal, Progress};
 use ipr_core::{
     apply_in_place, convert_to_in_place, count_wr_conflicts, is_in_place_safe, required_capacity,
-    ConversionConfig, CrwiGraph, CyclePolicy, ParallelSchedule,
+    ConversionConfig, CrwiGraph, CyclePolicy,
 };
 use ipr_delta::codec::Format;
 use ipr_delta::{Command, Copy, DeltaScript};
@@ -94,28 +94,6 @@ fn conflicts_eliminated_not_just_reduced() {
         apply_in_place(&out.script, &mut buf).unwrap();
         assert_eq!(buf, expected, "{policy}");
     }
-}
-
-#[test]
-fn schedule_of_quadratic_graph_is_two_waves() {
-    // Fig. 3 construction (inlined to avoid a cyclic dev-dependency on
-    // ipr-workloads): all big copies read what the 1-byte commands write —
-    // after conversion the big copies form wave 1, the small ones wave 2.
-    // Dense edges, tiny critical path.
-    let b = 32u64;
-    let mut commands = Vec::new();
-    for i in 0..b {
-        commands.push(Command::copy(i, i, 1));
-    }
-    for blk in 1..b {
-        commands.push(Command::copy(0, blk * b, b));
-    }
-    let script = DeltaScript::new(b * b, b * b, commands).unwrap();
-    let reference: Vec<u8> = (0..b * b).map(|i| (i % 251) as u8).collect();
-    let out = convert_to_in_place(&script, &reference, &ConversionConfig::default()).unwrap();
-    let plan = ParallelSchedule::plan(&out.script).unwrap();
-    assert_eq!(plan.wave_count(), 2);
-    assert!(plan.parallelism() > 10.0);
 }
 
 #[test]

@@ -217,16 +217,6 @@ fn sift_down(keys: &mut [u64], offsets: &mut [u32], mut root: usize, end: usize)
     }
 }
 
-/// How many of a reference's `positions` seed offsets the index holds.
-///
-/// Offsets and bucket starts are `u32`, so a reference with more than
-/// `u32::MAX` positions is indexed up to the first offset whose count no
-/// longer fits, instead of wrapping. Candidates are verified against the
-/// bytes, so stopping early only costs compression.
-fn indexed_len(positions: usize) -> usize {
-    u32::try_from(positions).map_or(u32::MAX as usize, |_| positions)
-}
-
 /// Calls `f(key, offset)` for the first `n` seed offsets of `reference`,
 /// in offset order. Re-rolling the hash is cheaper than storing every key
 /// and reading it back, so each build pass that needs the keys rolls.
@@ -260,7 +250,7 @@ impl IndexedDiffer for GreedyDiffer {
         scratch: &'s mut IndexScratch,
     ) -> GreedyIndex<'s> {
         let seed_len = self.seed_len;
-        let n = indexed_len((reference.len() + 1).saturating_sub(seed_len));
+        let n = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
         // About n/4 buckets (a power of two in (n/6, n/3]), in
         // partitions of 16–32 Ki entries; each partition owns
         // `1 << local_bits` consecutive buckets.
@@ -597,17 +587,6 @@ mod tests {
         reference[20_000..60_000].fill(0);
         reference.splice(90_000..90_000, periodic(b"xyz", 30_000));
         matches_model(&mut IndexScratch::default(), &reference, 16, 1).unwrap();
-    }
-
-    #[test]
-    fn index_length_stops_where_offsets_stop_fitting() {
-        assert_eq!(indexed_len(0), 0);
-        assert_eq!(indexed_len(12_345), 12_345);
-        assert_eq!(indexed_len(u32::MAX as usize), u32::MAX as usize);
-        if let Some(past) = (u32::MAX as usize).checked_add(1) {
-            assert_eq!(indexed_len(past), u32::MAX as usize);
-            assert_eq!(indexed_len(usize::MAX), u32::MAX as usize);
-        }
     }
 
     /// The index with its build scratch: 12 B of entries per offset,

@@ -1,8 +1,6 @@
-//! Wave-parallel differencing over a shared immutable reference index.
-//!
-//! Mirrors the architecture of the parallel applier (`ipr-core`'s
-//! `apply_in_place_parallel`): scoped threads, disjoint `&mut` slices, no
-//! locks and no `unsafe`. The phases:
+//! Parallel differencing over a shared immutable reference index:
+//! scoped threads, disjoint `&mut` slices, no locks and no `unsafe`.
+//! The phases:
 //!
 //! 1. **Index build** (`diff.index_build` span) — one immutable index over
 //!    the reference. The footprint family shards the build by *slot
@@ -148,13 +146,15 @@ pub(crate) fn build_footprint_index<'s>(
     if with_lasts {
         scratch.lasts.resize(size, EMPTY);
     }
-    if reference.len() >= seed_len {
-        let last = reference.len() - seed_len;
+    // Offsets are u32 below the EMPTY sentinel: a reference past 4 GiB is
+    // indexed up to the last offset that fits.
+    let n = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
+    if n > 0 {
         let shards = shards.clamp(1, size);
         let fill = |slot_lo: usize, firsts: &mut [u32], mut lasts: Option<&mut [u32]>| {
             let slot_hi = slot_lo + firsts.len();
             let mut h = RollingHash::new(&reference[..seed_len]);
-            for i in 0..=last {
+            for (i, offset) in (0..n).zip(0u32..) {
                 if i > 0 {
                     h.roll(reference[i - 1], reference[i + seed_len - 1]);
                 }
@@ -163,10 +163,10 @@ pub(crate) fn build_footprint_index<'s>(
                     continue;
                 }
                 if firsts[slot - slot_lo] == EMPTY {
-                    firsts[slot - slot_lo] = i as u32;
+                    firsts[slot - slot_lo] = offset;
                 }
                 if let Some(lasts) = lasts.as_deref_mut() {
-                    lasts[slot - slot_lo] = i as u32;
+                    lasts[slot - slot_lo] = offset;
                 }
             }
         };

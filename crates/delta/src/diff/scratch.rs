@@ -21,6 +21,18 @@ use std::cell::RefCell;
 /// Sentinel for an empty footprint-table slot.
 pub(crate) const EMPTY: u32 = u32::MAX;
 
+/// How many of a reference's `positions` seed offsets an index holds.
+///
+/// Stored offsets (and the greedy index's bucket starts) are `u32`, so a
+/// reference with more than `u32::MAX` positions is indexed up to the
+/// first offset whose count no longer fits, instead of wrapping. The
+/// largest stored offset is then `u32::MAX - 1`, below [`EMPTY`].
+/// Candidates are verified against the bytes, so stopping early only
+/// costs compression.
+pub(crate) fn indexed_len(positions: usize) -> usize {
+    u32::try_from(positions).map_or(u32::MAX as usize, |_| positions)
+}
+
 /// Storage backing the shared reference index (all differ families).
 #[derive(Debug, Default)]
 pub struct IndexScratch {
@@ -178,6 +190,28 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut DiffScratch) -> R) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_length_stops_where_offsets_stop_fitting() {
+        assert_eq!(indexed_len(0), 0);
+        assert_eq!(indexed_len(12_345), 12_345);
+        assert_eq!(indexed_len(u32::MAX as usize), u32::MAX as usize);
+        let mut lengths = vec![1, 12_345, u32::MAX as usize];
+        if let Some(past) = (u32::MAX as usize).checked_add(1) {
+            assert_eq!(indexed_len(past), u32::MAX as usize);
+            assert_eq!(indexed_len(usize::MAX), u32::MAX as usize);
+            lengths.extend([past, usize::MAX]);
+        }
+        // Offsets run 0..indexed_len(n): the largest one fits a u32 and
+        // never collides with the empty-slot sentinel.
+        for positions in lengths {
+            let largest = u32::try_from(indexed_len(positions) - 1).expect("fits u32");
+            assert!(
+                largest < EMPTY,
+                "{positions} positions store offset {largest}"
+            );
+        }
+    }
 
     #[test]
     fn literal_segments_coalesce() {

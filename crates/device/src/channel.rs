@@ -116,8 +116,8 @@ impl fmt::Display for Channel {
 /// use std::time::Duration;
 ///
 /// let base = Channel::new(56_000, Duration::from_millis(100));
-/// let lossless = LossyChannel::new(base, 0.0, 1).simulate_transfer(14_000, 1400);
-/// let lossy = LossyChannel::new(base, 0.2, 1).simulate_transfer(14_000, 1400);
+/// let lossless = LossyChannel::new(base, 0.0, 1).simulate_transfer(0, 14_000, 1400);
+/// let lossy = LossyChannel::new(base, 0.2, 1).simulate_transfer(0, 14_000, 1400);
 /// assert_eq!(lossless.retransmissions, 0);
 /// assert!(lossy.time > lossless.time);
 /// ```
@@ -176,36 +176,35 @@ impl LossyChannel {
         self.seed
     }
 
-    /// Simulates delivering `bytes` of payload in `mtu`-byte frames under
+    /// Simulates delivering `bytes` of payload, starting at byte
+    /// `wire_offset` of the sender's wire, in `mtu`-byte frames under
     /// stop-and-wait ARQ: each attempt costs one round trip plus frame
-    /// serialization; lost frames (deterministically drawn from the seed)
-    /// are retried until delivered.
+    /// serialization; lost frames are retried until delivered. Callers
+    /// that send a whole payload pass `wire_offset` 0.
+    ///
+    /// Each attempt's loss is drawn from a hash of (seed, `wire_offset`,
+    /// frame, attempt), so the chunks of one streamed payload see
+    /// independent losses, while a resumed transfer that re-requests the
+    /// same offset sees the same losses again.
     ///
     /// # Panics
     ///
     /// Panics if `mtu == 0`.
     #[must_use]
-    pub fn simulate_transfer(&self, bytes: u64, mtu: usize) -> TransferReport {
+    pub fn simulate_transfer(&self, wire_offset: u64, bytes: u64, mtu: usize) -> TransferReport {
         assert!(mtu > 0, "mtu must be positive");
         let frames = bytes.div_ceil(mtu as u64);
         let mut time = Duration::ZERO;
         let mut retransmissions = 0u64;
-        // Deterministic splitmix64 stream.
-        let mut state = self.seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) as f64 / u64::MAX as f64
-        };
+        let transfer = mix(mix(self.seed) ^ wire_offset);
         let mut remaining = bytes;
-        for _ in 0..frames {
-            let frame = remaining.min(mtu as u64);
-            remaining -= frame;
-            loop {
-                time += self.base.transfer_time(frame); // latency + serialization
-                if next() >= self.loss_rate {
+        for frame in 0..frames {
+            let len = remaining.min(mtu as u64);
+            remaining -= len;
+            let frame_key = mix(transfer ^ frame);
+            for attempt in 0.. {
+                time += self.base.transfer_time(len); // latency + serialization
+                if unit_draw(mix(frame_key ^ attempt)) >= self.loss_rate {
                     break;
                 }
                 retransmissions += 1;
@@ -222,6 +221,20 @@ impl LossyChannel {
             retransmissions,
         }
     }
+}
+
+/// splitmix64's finalizer over `z` plus its increment: a bijective
+/// 64-bit mix, chained to hash the tuple that keys one loss draw.
+fn mix(z: u64) -> u64 {
+    let mut z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Maps a hash to a uniform draw in `[0, 1)` from its top 53 bits.
+fn unit_draw(hash: u64) -> f64 {
+    (hash >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -276,7 +289,7 @@ mod tests {
     #[test]
     fn lossless_channel_never_retransmits() {
         let c = LossyChannel::new(Channel::isdn(), 0.0, 42);
-        let r = c.simulate_transfer(100_000, 1400);
+        let r = c.simulate_transfer(0, 100_000, 1400);
         assert_eq!(r.retransmissions, 0);
         assert_eq!(r.frames, 100_000u64.div_ceil(1400));
     }
@@ -286,7 +299,7 @@ mod tests {
         let base = Channel::new(128_000, Duration::from_millis(50));
         let mut previous = Duration::ZERO;
         for loss in [0.0, 0.1, 0.3, 0.6] {
-            let r = LossyChannel::new(base, loss, 7).simulate_transfer(200_000, 1400);
+            let r = LossyChannel::new(base, loss, 7).simulate_transfer(0, 200_000, 1400);
             assert!(r.time > previous, "loss {loss}");
             previous = r.time;
         }
@@ -295,10 +308,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let base = Channel::dialup();
-        let a = LossyChannel::new(base, 0.25, 9).simulate_transfer(50_000, 576);
-        let b = LossyChannel::new(base, 0.25, 9).simulate_transfer(50_000, 576);
+        let a = LossyChannel::new(base, 0.25, 9).simulate_transfer(0, 50_000, 576);
+        let b = LossyChannel::new(base, 0.25, 9).simulate_transfer(0, 50_000, 576);
         assert_eq!(a, b);
-        let c = LossyChannel::new(base, 0.25, 10).simulate_transfer(50_000, 576);
+        let c = LossyChannel::new(base, 0.25, 10).simulate_transfer(0, 50_000, 576);
         assert!(a != c || a.retransmissions == c.retransmissions);
     }
 
@@ -306,15 +319,30 @@ mod tests {
     fn retransmission_rate_tracks_loss_rate() {
         let base = Channel::cellular();
         let loss = 0.2;
-        let r = LossyChannel::new(base, loss, 3).simulate_transfer(10_000_000, 1400);
+        let r = LossyChannel::new(base, loss, 3).simulate_transfer(0, 10_000_000, 1400);
         // Expected retransmissions per frame = p/(1-p) = 0.25.
         let per_frame = r.retransmissions as f64 / r.frames as f64;
         assert!((per_frame - 0.25).abs() < 0.03, "rate {per_frame}");
     }
 
     #[test]
+    fn draws_are_keyed_by_wire_offset() {
+        let c = LossyChannel::new(Channel::dialup(), 0.3, 5);
+        // A re-request of the same offset replays the same losses...
+        assert_eq!(
+            c.simulate_transfer(4096, 20_000, 576),
+            c.simulate_transfer(4096, 20_000, 576)
+        );
+        // ...while other offsets draw their own.
+        let counts: std::collections::BTreeSet<u64> = (0..16)
+            .map(|k| c.simulate_transfer(k * 1024, 20_000, 576).retransmissions)
+            .collect();
+        assert!(counts.len() > 1, "every offset drew {counts:?}");
+    }
+
+    #[test]
     fn empty_payload_costs_nothing() {
-        let r = LossyChannel::new(Channel::dialup(), 0.5, 1).simulate_transfer(0, 1400);
+        let r = LossyChannel::new(Channel::dialup(), 0.5, 1).simulate_transfer(0, 0, 1400);
         assert_eq!(r.frames, 0);
         assert_eq!(r.time, Duration::ZERO);
     }

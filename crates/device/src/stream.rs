@@ -488,7 +488,8 @@ pub enum StreamProgress {
 
 /// Runs one power cycle of a streaming install: pulls chunks from
 /// `stream` through [`LossyChannel::simulate_transfer`] (frame drops
-/// retransmit inside a chunk; they never restart the stream), applies
+/// retransmit inside a chunk; they never restart the stream, and each
+/// chunk draws its losses at its own wire offset), applies
 /// commands as they complete, and — if `kill_after_chunks` is set —
 /// simulates a power cut after that many chunk transfers.
 ///
@@ -560,7 +561,7 @@ pub fn stream_install(
                 let Some(chunk) = stream.chunk_at(offset) else {
                     return Err(InstallError::Decode(DecodeError::Truncated));
                 };
-                let frames = channel.simulate_transfer(chunk.len() as u64, mtu);
+                let frames = channel.simulate_transfer(offset, chunk.len() as u64, mtu);
                 time += frames.time;
                 retransmissions += frames.retransmissions;
                 chunks += 1;
@@ -629,12 +630,13 @@ pub fn stream_install(
                 checkpoint: Some(checkpoint),
             });
         }
-        let Some(chunk) = stream.chunk_at(install.wire_offset()) else {
+        let offset = install.wire_offset();
+        let Some(chunk) = stream.chunk_at(offset) else {
             // Wire exhausted before the declared command count: let
             // commit report the truncation.
             break;
         };
-        let frames = channel.simulate_transfer(chunk.len() as u64, mtu);
+        let frames = channel.simulate_transfer(offset, chunk.len() as u64, mtu);
         time += frames.time;
         retransmissions += frames.retransmissions;
         chunks += 1;

@@ -29,7 +29,7 @@
 //!   encoding and the version streamed at hostile read granularities;
 //! * **engine** ([`oracles::check_engine_case`]): the session-layer
 //!   [`Engine`](ipr_pipeline::Engine) path — diff through its arenas,
-//!   pooled conversion, checked encoding, wave-parallel apply — emits
+//!   pooled conversion, checked encoding, checked serial apply — emits
 //!   byte-identical commands, wire bytes and applied buffers to the
 //!   legacy free-function pipeline, over a seed-driven sweep of cycle
 //!   policies, thread counts and wire formats, and stays identical when

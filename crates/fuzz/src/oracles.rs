@@ -14,11 +14,13 @@
 //!   are caught and reported as violations.
 //! * [`check_convert_case`] — scratch-space application is the ground
 //!   truth; conversion under every cycle policy must reproduce it via
-//!   the serial, parallel, resumable (including a simulated mid-chunk
-//!   power cut with a torn write), and spilled engines.
+//!   the serial, resumable (including a simulated mid-chunk power cut
+//!   with a torn write), and spilled engines.
 //! * [`check_crwi_case`] — the independent Equation 2 checker
-//!   ([`crate::check`]) agrees with `ipr_core`'s verifier on random
-//!   permutations, and safety implies in-place application correctness.
+//!   ([`crate::check`]) agrees with both of `ipr_core`'s verifiers on
+//!   random permutations, the engine's checked applier rejects exactly
+//!   the unsafe orders without writing, and safety implies in-place
+//!   application correctness.
 //! * [`check_diff_case`] — the parallel diff engine, wrapped around
 //!   every differ family, produces scripts that apply back to the
 //!   version file and are deterministic: repeated runs and *different
@@ -28,7 +30,7 @@
 //! * [`check_engine_case`] — the session-layer
 //!   [`Engine`](ipr_pipeline::Engine) one-call path
 //!   (diff through owned arenas → pooled conversion → checked encoding →
-//!   wave-parallel apply) is byte-identical to the legacy free-function
+//!   checked serial apply) is byte-identical to the legacy free-function
 //!   pipeline, including on the second run of the *same* engine, whose
 //!   arenas now hold recycled storage from the first; every conversion
 //!   also keeps Lemma 1 (CRWI edges ≤ version length).
@@ -49,8 +51,8 @@ use crate::gen::FuzzCase;
 use ipr_core::resumable::{resume_in_place_observed, Journal, Progress};
 use ipr_core::spill::{convert_with_spill, SpillConfig};
 use ipr_core::{
-    apply_in_place, apply_in_place_parallel, check_in_place_safe, convert_to_in_place,
-    required_capacity, ConversionConfig, CyclePolicy, ParallelConfig, ParallelSchedule, ReadMode,
+    apply_in_place, check_in_place_safe, check_in_place_safe_with, convert_to_in_place,
+    required_capacity, ConversionConfig, CyclePolicy,
 };
 use ipr_delta::codec::stream::StreamDecoder;
 use ipr_delta::codec::{decode, encode, encode_checked, DecodeError, EncodeError, Format};
@@ -344,26 +346,6 @@ pub fn check_convert_case(case: &FuzzCase, salt: u64) -> CheckResult {
             return fail(format!("{policy}: serial in-place output differs"));
         }
 
-        // Parallel engine, both read modes, forced fan-out.
-        if ParallelSchedule::plan(script).is_none() {
-            return fail(format!(
-                "{policy}: wave planner rejected a script the verifier accepted"
-            ));
-        }
-        for read_mode in [ReadMode::Snapshot, ReadMode::ZeroCopy] {
-            let pconfig = ParallelConfig {
-                threads: 2,
-                read_mode,
-                serial_wave_bytes: 0,
-            };
-            let mut buf = in_place_buf(case, script);
-            apply_in_place_parallel(script, &mut buf, &pconfig)
-                .map_err(|e| format!("{policy}/{read_mode:?}: parallel apply: {e}"))?;
-            if buf[..expected.len()] != expected[..] {
-                return fail(format!("{policy}/{read_mode:?}: parallel output differs"));
-            }
-        }
-
         check_resumable(case, script, &expected, salt).map_err(|e| format!("{policy}: {e}"))?;
         check_spilled(case, &config, &expected).map_err(|e| format!("{policy}: {e}"))?;
     }
@@ -527,11 +509,15 @@ const CRWI_TRIALS: usize = 8;
 
 /// Checks the CRWI oracle on one valid case.
 ///
-/// The independent Equation 2 checker must agree with `ipr_core`'s
-/// verifier on random command orders, and whenever both call an order
-/// safe, applying it in place must reproduce the scratch-space output —
-/// Eq. 2 is not just an invariant, it is *the* condition under which
-/// in-place application is correct.
+/// On random command orders, the independent Equation 2 checker must
+/// agree with `ipr_core`'s verifier, and the allocation-free
+/// [`check_in_place_safe_with`] must report exactly what
+/// [`check_in_place_safe`] reports.
+/// [`Engine::apply_in_place`](ipr_pipeline::Engine::apply_in_place) must
+/// reject exactly the unsafe orders with the verifier's violation,
+/// leaving the buffer byte-identical, and must rebuild the scratch-space
+/// output on the safe ones — Eq. 2 is not just an invariant, it is
+/// *the* condition under which in-place application is correct.
 pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let expected = scratch_apply(case)?;
     let mut rng = crate::gen::rng_for(salt ^ 0x43525749); // "CRWI"
@@ -543,6 +529,8 @@ pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
         orders.push(case.script.permuted(&perm));
     }
 
+    let mut engine = ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig::with_threads(1));
+    let mut writes = Vec::new();
     for (trial, script) in orders.iter().enumerate() {
         let ours = check::eq2_violation(script);
         let theirs = check_in_place_safe(script);
@@ -559,22 +547,35 @@ pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
             }
             _ => {}
         }
-        // The planner must accept exactly the safe orders.
-        let planned = ParallelSchedule::plan(script).is_some();
-        if planned != ours.is_none() {
+        let scratch = check_in_place_safe_with(script, &mut writes);
+        if scratch != theirs {
             return fail(format!(
-                "trial {trial}: wave planner {} an order the checkers call {}",
-                if planned { "accepted" } else { "rejected" },
-                if ours.is_none() { "safe" } else { "unsafe" },
+                "trial {trial}: allocation-free check gave {scratch:?}, \
+                 check_in_place_safe gave {theirs:?}"
             ));
         }
-        if ours.is_none() {
-            let mut buf = in_place_buf(case, script);
-            apply_in_place(script, &mut buf)
-                .map_err(|e| format!("trial {trial}: safe order failed to apply: {e}"))?;
-            if buf[..expected.len()] != expected[..] {
+        // The engine's checked applier rejects exactly the unsafe
+        // orders, before writing a byte.
+        let mut buf = in_place_buf(case, script);
+        let before = buf.clone();
+        match (engine.apply_in_place(script, &mut buf), theirs) {
+            (Ok(()), Ok(())) => {
+                if buf[..expected.len()] != expected[..] {
+                    return fail(format!(
+                        "trial {trial}: order passed Eq. 2 but in-place output differs"
+                    ));
+                }
+            }
+            (Err(ipr_pipeline::EngineError::Unsafe(got)), Err(want)) if got == want => {
+                if buf != before {
+                    return fail(format!(
+                        "trial {trial}: engine rejected an unsafe order but wrote to the buffer"
+                    ));
+                }
+            }
+            (got, want) => {
                 return fail(format!(
-                    "trial {trial}: order passed Eq. 2 but in-place output differs"
+                    "trial {trial}: engine apply gave {got:?} where the verifier gave {want:?}"
                 ));
             }
         }
@@ -711,7 +712,7 @@ const ENGINE_FORMATS: [Format; 3] = [Format::InPlace, Format::Improved, Format::
 /// second run exercises recycled arenas — exactly the commands, wire
 /// bytes and applied buffer of the legacy free-function pipeline
 /// (`ParallelDiffer::diff` → [`convert_to_in_place`] →
-/// [`encode_checked`] → [`apply_in_place_parallel`]), and its conversion
+/// [`encode_checked`] → [`apply_in_place`]), and its conversion
 /// report must keep Lemma 1: at most one CRWI edge per version byte.
 pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let version = scratch_apply(case)?;
@@ -1083,7 +1084,10 @@ const STREAMING_LOSS: [f64; 4] = [0.0, 0.01, 0.05, 0.3];
 ///
 /// 1. **uninterrupted** — a streaming install over the lossy channel
 ///    reconstructs the offline bytes exactly, with its embedded CRC
-///    verified;
+///    verified, and the decoder never buffers more than one maximal
+///    command frame plus one chunk: `buffered_high_water ≤ largest add
+///    literal on the wire + 31 + chunk` (31 = tag + three ten-byte
+///    varints);
 /// 2. **kill + resume** — the install killed at a salt-chosen chunk
 ///    boundary and resumed from its checkpoint (round-tripped through
 ///    [`ipr_device::InstallCheckpoint::encode`]) converges to the same
@@ -1111,6 +1115,19 @@ pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
         .stream_update(&case.reference, &version, chunk)
         .map_err(|e| format!("{tag}: stream_update failed: {e}"))?;
     let capacity = case.reference.len().max(version.len());
+    let wire = decode(stream.payload())
+        .map_err(|e| format!("{tag}: streamed wire does not decode: {e}"))?;
+    let max_literal = wire
+        .script
+        .commands()
+        .iter()
+        .map(|c| match c {
+            Command::Add(a) => a.len(),
+            Command::Copy(_) => 0,
+        })
+        .max()
+        .unwrap_or(0);
+    let buffer_bound = max_literal + 31 + chunk as u64;
 
     let fresh_device = || -> Result<Device, String> {
         let mut device = Device::new(capacity);
@@ -1144,6 +1161,13 @@ pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
                     "{tag}: received {} wire bytes, stream has {}",
                     report.received_bytes,
                     stream.wire_len()
+                ));
+            }
+            if report.buffered_high_water > buffer_bound {
+                return fail(format!(
+                    "{tag}: decoder buffered {} bytes, over the {buffer_bound}-byte bound \
+                     (largest literal {max_literal} + 31 + chunk)",
+                    report.buffered_high_water
                 ));
             }
         }

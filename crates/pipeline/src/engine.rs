@@ -2,9 +2,8 @@
 
 use crate::error::EngineError;
 use ipr_core::{
-    apply_schedule_parallel, convert_in_place_pooled, required_capacity, ConversionConfig,
-    ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome, ParallelApplyError,
-    ParallelApplyReport, ParallelConfig, ParallelSchedule, ReadMode, ScheduleScratch,
+    apply_in_place, check_in_place_safe_with, convert_in_place_pooled, required_capacity,
+    ConversionConfig, ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
 };
 use ipr_delta::codec::{self, Format};
 use ipr_delta::compose_chain;
@@ -21,18 +20,14 @@ pub struct EngineConfig {
     pub conversion: ConversionConfig,
     /// Wire format updates are encoded in.
     pub format: Format,
-    /// Worker count for the parallel diff scan and the wave applier;
-    /// `0` means [`std::thread::available_parallelism`].
+    /// Worker count for the parallel diff scan; `0` means
+    /// [`std::thread::available_parallelism`]. Application is always
+    /// serial, in the script's order (the paper's §4.1).
     pub threads: usize,
     /// Version-chunk size for the parallel diff scan (must be positive;
     /// chunking depends only on the version length, never on `threads`,
     /// so output is thread-count invariant).
     pub chunk_bytes: usize,
-    /// Read strategy of the wave applier.
-    pub read_mode: ReadMode,
-    /// Waves moving fewer payload bytes than this run inline on the
-    /// calling thread.
-    pub serial_wave_bytes: usize,
     /// Block chunking for [`Engine::sign`] — the remote-differencing
     /// signature path (docs/REMOTE.md).
     pub chunking: Chunking,
@@ -45,14 +40,11 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let parallel = ParallelConfig::default();
         Self {
             conversion: ConversionConfig::default(),
             format: Format::InPlace,
             threads: 0,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
-            read_mode: parallel.read_mode,
-            serial_wave_bytes: parallel.serial_wave_bytes,
             chunking: Chunking::default(),
             block_size: None,
         }
@@ -66,16 +58,6 @@ impl EngineConfig {
         Self {
             threads,
             ..Self::default()
-        }
-    }
-
-    /// The applier-side view of this config.
-    #[must_use]
-    pub fn parallel(&self) -> ParallelConfig {
-        ParallelConfig {
-            threads: self.threads,
-            read_mode: self.read_mode,
-            serial_wave_bytes: self.serial_wave_bytes,
         }
     }
 }
@@ -111,21 +93,12 @@ impl InPlaceDelta {
     }
 }
 
-/// Result of [`Engine::apply_chain`]: the per-stage reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ApplyOutcome {
-    /// Measurements from converting the (composed) script.
-    pub conversion: ConversionReport,
-    /// Measurements from the wave-parallel application.
-    pub apply: ParallelApplyReport,
-}
-
 /// A reusable pipeline session: owns every scratch arena of the
-/// diff → convert → schedule → apply pipeline and exposes the stages as
-/// methods (see the [crate docs](crate) for the storage inventory).
+/// diff → convert → apply pipeline and exposes the stages as methods
+/// (see the [crate docs](crate) for the storage inventory).
 ///
-/// One engine is single-threaded state (`&mut self` methods) — the
-/// *stages* fan out across worker threads internally per
+/// One engine is single-threaded state (`&mut self` methods) — only the
+/// diff scan fans out across worker threads, per
 /// [`EngineConfig::threads`]. Create one engine per pipeline thread.
 #[derive(Debug)]
 pub struct Engine<D: IndexedDiffer = GreedyDiffer> {
@@ -133,7 +106,9 @@ pub struct Engine<D: IndexedDiffer = GreedyDiffer> {
     config: EngineConfig,
     diff_scratch: DiffScratch,
     convert_scratch: ConvertScratch,
-    schedule_scratch: ScheduleScratch,
+    /// Sorted write intervals for the Equation 2 check of
+    /// [`Engine::apply_in_place`].
+    safety_writes: Vec<(u64, u64, usize)>,
 }
 
 impl Default for Engine<GreedyDiffer> {
@@ -176,7 +151,7 @@ impl<D: IndexedDiffer> Engine<D> {
             config,
             diff_scratch: DiffScratch::new(),
             convert_scratch: ConvertScratch::new(),
-            schedule_scratch: ScheduleScratch::new(),
+            safety_writes: Vec::new(),
         }
     }
 
@@ -253,13 +228,6 @@ impl<D: IndexedDiffer> Engine<D> {
         )
     }
 
-    /// Stage 3: plans wave-parallel application of a converted script.
-    /// Returns `None` when `script` violates Equation 2. The borrow is
-    /// valid until the engine's next scheduling call; clone to keep it.
-    pub fn plan(&mut self, script: &DeltaScript) -> Option<&ParallelSchedule> {
-        self.schedule_scratch.plan(script)
-    }
-
     /// Encodes a script into a pool-drawn wire buffer, verifying it
     /// rebuilds `version`. The stage-method twin of the encode inside
     /// [`Engine::update`]: return the buffer through
@@ -275,25 +243,27 @@ impl<D: IndexedDiffer> Engine<D> {
         Ok(payload)
     }
 
-    /// Stage 4: applies a converted script to `buf` in place with
-    /// wave-parallel execution (schedule planned through the engine's
-    /// scratch and discarded).
+    /// Stage 3: applies a converted script to `buf` in place. The
+    /// script is first checked against Equation 2 through an
+    /// engine-owned buffer ([`ipr_core::check_in_place_safe_with`]), so
+    /// a script from outside cannot corrupt `buf`; it is then applied
+    /// serially, in its own order ([`ipr_core::apply_in_place`]). A warm
+    /// engine allocates nothing here.
     ///
     /// # Errors
     ///
-    /// As [`ipr_core::apply_in_place_parallel`].
+    /// [`EngineError::Unsafe`] when `script` violates Equation 2,
+    /// [`EngineError::Apply`] when `buf` cannot hold both versions.
+    /// `buf` is unmodified on either error.
     pub fn apply_in_place(
         &mut self,
         script: &DeltaScript,
         buf: &mut [u8],
-    ) -> Result<ParallelApplyReport, ParallelApplyError> {
+    ) -> Result<(), EngineError> {
         let _span = ipr_trace::span("engine.apply");
-        let parallel = self.config.parallel();
-        let plan = self
-            .schedule_scratch
-            .plan(script)
-            .ok_or(ParallelApplyError::UnsafeScript)?;
-        apply_schedule_parallel(script, plan, buf, &parallel)
+        check_in_place_safe_with(script, &mut self.safety_writes).map_err(EngineError::Unsafe)?;
+        apply_in_place(script, buf)?;
+        Ok(())
     }
 
     /// One-call server path: diff, convert and encode — everything a
@@ -388,25 +358,26 @@ impl<D: IndexedDiffer> Engine<D> {
     /// Applies a chain of consecutive deltas to `buf` in place,
     /// composing them first ([`ipr_delta::compose_chain`]) so the buffer
     /// is rewritten once instead of once per hop. The composed script is
-    /// converted against the current buffer contents, applied
-    /// wave-parallel, and `buf` is resized to the final version.
+    /// converted against the current buffer contents, applied serially
+    /// (the conversion just made it Equation 2 safe, so it is not
+    /// checked again), and `buf` is resized to the final version.
     ///
-    /// An empty chain is a no-op returning default reports.
+    /// Returns the conversion's measurements; an empty chain is a no-op
+    /// returning a default report.
     ///
     /// # Errors
     ///
     /// [`EngineError::Compose`] when the chain is not consecutive,
     /// [`EngineError::Convert`] when the first hop does not start from
-    /// `buf`'s length, [`EngineError::Apply`] from the final stage. `buf`
-    /// is unmodified on composition and conversion errors.
+    /// `buf`'s length. `buf` is unmodified on either error.
     pub fn apply_chain(
         &mut self,
         scripts: &[DeltaScript],
         buf: &mut Vec<u8>,
-    ) -> Result<ApplyOutcome, EngineError> {
+    ) -> Result<ConversionReport, EngineError> {
         let _span = ipr_trace::span("engine.chain");
         if scripts.is_empty() {
-            return Ok(ApplyOutcome::default());
+            return Ok(ConversionReport::default());
         }
         let composed = if scripts.len() == 1 {
             scripts[0].clone()
@@ -420,19 +391,13 @@ impl<D: IndexedDiffer> Engine<D> {
             &mut self.convert_scratch,
             self.diff_scratch.pool_mut(),
         )?;
-        let conversion = outcome.report;
         let target_len = usize::try_from(outcome.script.target_len()).expect("length fits usize");
         let needed = usize::try_from(required_capacity(&outcome.script)).expect("fits usize");
         buf.resize(needed, 0);
-        let parallel = self.config.parallel();
-        let plan = self
-            .schedule_scratch
-            .plan_trusted(&outcome.script)
-            .ok_or(ParallelApplyError::UnsafeScript)?;
-        let apply = apply_schedule_parallel(&outcome.script, plan, buf, &parallel)?;
+        apply_in_place(&outcome.script, buf)?;
         buf.truncate(target_len);
         self.diff_scratch.pool_mut().recycle(outcome.script);
-        Ok(ApplyOutcome { conversion, apply })
+        Ok(outcome.report)
     }
 
     /// Composes a chain of consecutive deltas into one equivalent

@@ -1,6 +1,6 @@
 //! The engine's single error type.
 
-use ipr_core::{ConvertError, ParallelApplyError};
+use ipr_core::{ConvertError, InPlaceApplyError, WrViolation};
 use ipr_delta::codec::EncodeError;
 use ipr_delta::ComposeError;
 use std::fmt;
@@ -15,8 +15,12 @@ pub enum EngineError {
     Encode(EncodeError),
     /// A delta chain was not consecutive.
     Compose(ComposeError),
-    /// Wave-parallel application failed.
-    Apply(ParallelApplyError),
+    /// In-place application failed.
+    Apply(InPlaceApplyError),
+    /// The script violates Equation 2 (some command reads bytes an
+    /// earlier command wrote), so applying it in place would corrupt the
+    /// buffer; nothing was written. Convert it first.
+    Unsafe(WrViolation),
 }
 
 impl fmt::Display for EngineError {
@@ -26,6 +30,10 @@ impl fmt::Display for EngineError {
             EngineError::Encode(e) => write!(f, "encoding failed: {e}"),
             EngineError::Compose(e) => write!(f, "composition failed: {e}"),
             EngineError::Apply(e) => write!(f, "application failed: {e}"),
+            EngineError::Unsafe(v) => write!(
+                f,
+                "script violates Equation 2 ({v}); convert before applying in place"
+            ),
         }
     }
 }
@@ -37,6 +45,7 @@ impl std::error::Error for EngineError {
             EngineError::Encode(e) => Some(e),
             EngineError::Compose(e) => Some(e),
             EngineError::Apply(e) => Some(e),
+            EngineError::Unsafe(v) => Some(v),
         }
     }
 }
@@ -59,8 +68,8 @@ impl From<ComposeError> for EngineError {
     }
 }
 
-impl From<ParallelApplyError> for EngineError {
-    fn from(e: ParallelApplyError) -> Self {
+impl From<InPlaceApplyError> for EngineError {
+    fn from(e: InPlaceApplyError) -> Self {
         EngineError::Apply(e)
     }
 }

@@ -1,19 +1,19 @@
 //! The reusable pipeline session layer: one [`Engine`] owning every
-//! scratch arena of the diff → convert → schedule → apply pipeline.
+//! scratch arena of the diff → convert → apply pipeline.
 //!
 //! The lower crates expose each stage as a free function plus an optional
 //! scratch-based core (`ParallelDiffer::diff_with`,
 //! [`convert_in_place_pooled`](ipr_core::convert_in_place_pooled),
-//! [`ScheduleScratch::plan`](ipr_core::ScheduleScratch::plan),
-//! [`apply_schedule_parallel`](ipr_core::apply_schedule_parallel)). The
+//! [`check_in_place_safe_with`](ipr_core::check_in_place_safe_with)
+//! ahead of the serial [`apply_in_place`](ipr_core::apply_in_place)). The
 //! engine composes those cores around long-lived storage — the
 //! [`DiffScratch`](ipr_delta::diff::DiffScratch) arena with its
 //! [`ScriptPool`](ipr_delta::ScriptPool), the CRWI/toposort buffers of
-//! [`ConvertScratch`](ipr_core::ConvertScratch), the wave buffers of
-//! [`ScheduleScratch`](ipr_core::ScheduleScratch) — so a
-//! server preparing many updates (or a patch tool applying a chain of
-//! them) touches the allocator only while the arenas warm up, and not at
-//! all in steady state.
+//! [`ConvertScratch`](ipr_core::ConvertScratch), the sorted write
+//! intervals of the Equation 2 check — so a server preparing many
+//! updates (or a patch tool applying a chain of them) touches the
+//! allocator only while the arenas warm up, and not at all in steady
+//! state.
 //!
 //! Stage outputs are byte-identical to the legacy free-function pipeline:
 //! the free functions *are* thin wrappers over the same cores with
@@ -46,6 +46,6 @@ mod engine;
 mod error;
 mod stream;
 
-pub use engine::{ApplyOutcome, Engine, EngineConfig, InPlaceDelta};
+pub use engine::{Engine, EngineConfig, InPlaceDelta};
 pub use error::EngineError;
 pub use stream::DeltaStream;

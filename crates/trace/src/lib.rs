@@ -8,7 +8,8 @@
 //!   recorder can reconstruct the tree.
 //! * [`add`] / [`gauge`] — named monotonic counters and last-value gauges.
 //! * [`observe`] — bounded power-of-two histograms (64 buckets, fixed
-//!   memory regardless of sample count), used for per-wave latencies.
+//!   memory regardless of sample count), for latency or size
+//!   distributions.
 //!
 //! Instrumentation is routed through a pluggable [`Recorder`] installed
 //! per thread with [`install`]. When **no recorder is installed** — the
@@ -24,8 +25,8 @@
 //!
 //! [`StatsRecorder`] is the built-in aggregating recorder behind the
 //! CLI's `--stats[=json]` flag and the bench per-phase breakdowns. It is
-//! thread-safe: worker threads of the wave-parallel applier install a
-//! clone of the same handle and their counters aggregate into one report.
+//! thread-safe: worker threads of the parallel diff scan install a clone
+//! of the same handle and their counters aggregate into one report.
 //!
 //! # Example
 //!
@@ -74,7 +75,7 @@ thread_local! {
 /// Instrumentation is per thread by design: the guard pattern lets tests
 /// and CLI commands scope their collection precisely, and code that fans
 /// out to worker threads re-installs a clone of the handle obtained from
-/// [`installed`] inside each worker (see the wave-parallel applier).
+/// [`installed`] inside each worker (see the parallel diff scan).
 pub fn install(recorder: Arc<dyn Recorder>) -> RecorderGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(recorder));
     // The new recorder never saw the spans currently on this thread's

@@ -4,7 +4,7 @@
 ///
 /// All methods have empty default bodies, so a recorder implements only
 /// what it cares about. Implementations must be thread-safe: the
-/// wave-parallel applier installs one shared handle on every worker
+/// parallel diff scan installs one shared handle on every worker
 /// thread, and counters from all of them must aggregate.
 ///
 /// Event names are `&'static str` on purpose: the set of span, counter,

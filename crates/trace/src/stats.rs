@@ -113,7 +113,7 @@ struct Inner {
 /// counters, gauges and histograms, all keyed by name, and snapshots
 /// them into a [`StatsReport`].
 ///
-/// Thread-safe via a single mutex; events are phase- or wave-grained in
+/// Thread-safe via a single mutex; events are phase- or chunk-grained in
 /// this codebase, so contention is negligible. Maps are ordered
 /// (`BTreeMap`) so reports — and their JSON — are deterministic and
 /// diffable.

@@ -1,7 +1,7 @@
 //! The facade's unified error type: one enum wrapping every per-module
 //! error of the workspace, tagged with pipeline-stage provenance.
 
-use ipr_core::{ConvertError, InPlaceApplyError, ParallelApplyError};
+use ipr_core::{ConvertError, InPlaceApplyError};
 use ipr_delta::codec::{DecodeError, EncodeError};
 use ipr_delta::{ApplyError, ComposeError, ScriptError};
 use ipr_pipeline::EngineError;
@@ -21,8 +21,8 @@ pub enum Stage {
     Composition,
     /// In-place conversion (CRWI build, cycle-breaking sort, emission).
     Conversion,
-    /// Applying a script (scratch-space, serial in-place, or
-    /// wave-parallel).
+    /// Applying a script (scratch-space or in place), including the
+    /// Equation 2 check that guards in-place application.
     Application,
 }
 
@@ -72,8 +72,6 @@ pub enum Error {
     Convert(ConvertError),
     /// Serial in-place application failed ([`InPlaceApplyError`]).
     InPlaceApply(InPlaceApplyError),
-    /// Wave-parallel application failed ([`ParallelApplyError`]).
-    ParallelApply(ParallelApplyError),
     /// An [`Engine`](ipr_pipeline::Engine) entry point failed
     /// ([`EngineError`]).
     Engine(EngineError),
@@ -90,14 +88,12 @@ impl Error {
             Error::Decode(_) => Stage::Decoding,
             Error::Compose(_) => Stage::Composition,
             Error::Convert(_) => Stage::Conversion,
-            Error::Apply(_) | Error::InPlaceApply(_) | Error::ParallelApply(_) => {
-                Stage::Application
-            }
+            Error::Apply(_) | Error::InPlaceApply(_) => Stage::Application,
             Error::Engine(e) => match e {
                 EngineError::Convert(_) => Stage::Conversion,
                 EngineError::Encode(_) => Stage::Encoding,
                 EngineError::Compose(_) => Stage::Composition,
-                EngineError::Apply(_) => Stage::Application,
+                EngineError::Apply(_) | EngineError::Unsafe(_) => Stage::Application,
             },
         }
     }
@@ -114,7 +110,6 @@ impl fmt::Display for Error {
             Error::Compose(e) => write!(f, "{stage} failed: {e}"),
             Error::Convert(e) => write!(f, "{stage} failed: {e}"),
             Error::InPlaceApply(e) => write!(f, "{stage} failed: {e}"),
-            Error::ParallelApply(e) => write!(f, "{stage} failed: {e}"),
             Error::Engine(e) => write!(f, "{stage} failed: {e}"),
         }
     }
@@ -130,7 +125,6 @@ impl std::error::Error for Error {
             Error::Compose(e) => Some(e),
             Error::Convert(e) => Some(e),
             Error::InPlaceApply(e) => Some(e),
-            Error::ParallelApply(e) => Some(e),
             Error::Engine(e) => Some(e),
         }
     }
@@ -154,6 +148,5 @@ impl_from!(
     Compose(ComposeError),
     Convert(ConvertError),
     InPlaceApply(InPlaceApplyError),
-    ParallelApply(ParallelApplyError),
     Engine(EngineError),
 );

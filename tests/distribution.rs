@@ -45,9 +45,9 @@ fn archive_release_installs_over_every_transport() {
     // Lossy-channel accounting: the delta wins harder as loss grows.
     let lossy = LossyChannel::new(Channel::dialup(), 0.1, 5);
     let delta_t = lossy
-        .simulate_transfer(update.payload.len() as u64, 576)
+        .simulate_transfer(0, update.payload.len() as u64, 576)
         .time;
-    let full_t = lossy.simulate_transfer(pair.new.len() as u64, 576).time;
+    let full_t = lossy.simulate_transfer(0, pair.new.len() as u64, 576).time;
     assert!(delta_t * 3 < full_t);
 }
 

@@ -3,8 +3,9 @@
 //! exactly like a fresh engine built per call, across heterogeneous
 //! input sequences, for every cycle policy and thread count.
 
-use ipr::core::{required_capacity, CyclePolicy};
+use ipr::core::{check_in_place_safe, required_capacity, CyclePolicy};
 use ipr::pipeline::{Engine, EngineConfig, EngineError};
+use ipr::Stage;
 use proptest::prelude::*;
 
 /// Cycle policies the reuse property is checked under.
@@ -194,4 +195,40 @@ proptest! {
         engine.apply_chain(&scripts, &mut buf).expect("chain applies");
         prop_assert_eq!(&buf, versions.last().unwrap());
     }
+}
+
+/// `Engine::apply_in_place` checks Equation 2 before writing: a
+/// write-ordered script that clobbers one of its own later reads is
+/// rejected with the verifier's violation and the buffer is left
+/// byte-identical; the converted script then rebuilds the version.
+#[test]
+fn apply_in_place_rejects_unsafe_script_untouched() {
+    let mut state = 0x1234_5678u32;
+    let reference: Vec<u8> = (0..16_384)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (state >> 24) as u8
+        })
+        .collect();
+    let mut version = reference.clone();
+    version.rotate_left(4_096); // a block move: write order reads what it wrote
+    let mut engine = Engine::with_config(EngineConfig::with_threads(1));
+    let diffed = engine.diff(&reference, &version);
+    let violation = check_in_place_safe(&diffed).expect_err("write order conflicts");
+
+    let mut buf = reference.clone();
+    buf.resize(required_capacity(&diffed) as usize, 0);
+    let before = buf.clone();
+    let err = engine
+        .apply_in_place(&diffed, &mut buf)
+        .expect_err("unsafe script rejected");
+    assert_eq!(err, EngineError::Unsafe(violation));
+    assert_eq!(buf, before, "a rejected script wrote to the buffer");
+    assert_eq!(ipr::Error::from(err).stage(), Stage::Application);
+
+    let converted = engine.convert(diffed, &reference).expect("converts");
+    engine
+        .apply_in_place(&converted.script, &mut buf)
+        .expect("converted script applies");
+    assert_eq!(&buf[..version.len()], &version[..]);
 }

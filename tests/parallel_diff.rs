@@ -1,4 +1,4 @@
-//! Property tests for the wave-parallel shared-index diff engine:
+//! Property tests for the parallel shared-index diff engine:
 //! scripts from [`ParallelDiffer`] must apply back to the version file
 //! for every differ family, thread count and chunk size (down to one
 //! byte), emit identical commands regardless of thread count, and stay

@@ -280,42 +280,6 @@ proptest! {
         }
     }
 
-    /// Wave-parallel schedules cover every command exactly once and the
-    /// snapshot-concurrent application matches serial application.
-    #[test]
-    fn parallel_schedule_exact((reference, version) in edited_pair()) {
-        use ipr::core::ParallelSchedule;
-        let script = GreedyDiffer::new(8).diff(&reference, &version);
-        let out = convert_to_in_place(&script, &reference, &ConversionConfig::default()).unwrap();
-        let plan = ParallelSchedule::plan(&out.script).expect("converted script is safe");
-        let mut seen = vec![false; out.script.len()];
-        let capacity = required_capacity(&out.script) as usize;
-        let mut buf = reference.clone();
-        buf.resize(capacity, 0);
-        for wave in plan.waves() {
-            // All reads of a wave observe the pre-wave buffer.
-            let mut writes: Vec<(usize, Vec<u8>)> = Vec::new();
-            for &i in wave {
-                prop_assert!(!seen[i]);
-                seen[i] = true;
-                match &out.script.commands()[i] {
-                    ipr::delta::Command::Copy(c) => writes.push((
-                        c.to as usize,
-                        buf[c.read_interval().as_usize_range()].to_vec(),
-                    )),
-                    ipr::delta::Command::Add(a) => {
-                        writes.push((a.to as usize, a.data.clone()));
-                    }
-                }
-            }
-            for (to, data) in writes {
-                buf[to..to + data.len()].copy_from_slice(&data);
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-        prop_assert_eq!(&buf[..version.len()], &version[..]);
-    }
-
     /// The windowed differ is exact for any window/margin geometry.
     #[test]
     fn windowed_differ_exact(

@@ -38,15 +38,15 @@ fn lossy_channel_is_deterministic_per_seed() {
     let base = Channel::dialup();
     for loss in [0.0, 0.1, 0.4] {
         for seed in [0u64, 7, 0xdead_beef] {
-            let a = LossyChannel::new(base, loss, seed).simulate_transfer(100_000, 576);
-            let b = LossyChannel::new(base, loss, seed).simulate_transfer(100_000, 576);
+            let a = LossyChannel::new(base, loss, seed).simulate_transfer(0, 100_000, 576);
+            let b = LossyChannel::new(base, loss, seed).simulate_transfer(0, 100_000, 576);
             assert_eq!(a, b, "loss {loss} seed {seed}");
         }
     }
     // Different seeds explore different loss patterns (at a rate where
     // at least one retransmission is effectively certain).
-    let a = LossyChannel::new(base, 0.4, 1).simulate_transfer(1_000_000, 576);
-    let b = LossyChannel::new(base, 0.4, 2).simulate_transfer(1_000_000, 576);
+    let a = LossyChannel::new(base, 0.4, 1).simulate_transfer(0, 1_000_000, 576);
+    let b = LossyChannel::new(base, 0.4, 2).simulate_transfer(0, 1_000_000, 576);
     assert_ne!(
         (a.time, a.retransmissions),
         (b.time, b.retransmissions),
@@ -63,7 +63,7 @@ fn retransmission_accounting_matches_the_report() {
     let mtu = 500usize;
     let bytes = 50_000u64; // 100 full frames
     for (loss, seed) in [(0.0, 1u64), (0.05, 2), (0.25, 3), (0.6, 4)] {
-        let report = LossyChannel::new(base, loss, seed).simulate_transfer(bytes, mtu);
+        let report = LossyChannel::new(base, loss, seed).simulate_transfer(0, bytes, mtu);
         assert_eq!(report.frames, bytes / mtu as u64, "loss {loss}");
         let per_frame = base.transfer_time(mtu as u64);
         assert_eq!(
@@ -75,6 +75,53 @@ fn retransmission_accounting_matches_the_report() {
             assert_eq!(report.retransmissions, 0);
         }
     }
+}
+
+#[test]
+fn streamed_install_retransmissions_track_the_loss_rate() {
+    // Each chunk draws its losses at its own wire offset, so over a
+    // whole streamed install the frames are lost independently and the
+    // retransmissions per frame track stop-and-wait's p/(1-p).
+    let mut state = 0x2545_f491u32;
+    let mut noise = |len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 24) as u8
+            })
+            .collect()
+    };
+    let v1 = noise(16_384);
+    let v2 = noise(160_000); // unrelated bytes: the wire is mostly literals
+    let (chunk, mtu, loss) = (512usize, 128usize, 0.05);
+    let stream = prepared(&v1, &v2, chunk);
+    let channel = LossyChannel::new(Channel::dialup(), loss, 11);
+    let mut device = flashed(&v1, &v2);
+    let stats = std::sync::Arc::new(ipr::trace::StatsRecorder::new());
+    let progress = {
+        let _guard = ipr::trace::install(stats.clone());
+        stream_install(&mut device, &stream, channel, mtu, None, None).expect("install")
+    };
+    let StreamProgress::Complete(report) = progress else {
+        panic!("no kill requested");
+    };
+    assert_eq!(device.image(), &v2[..]);
+    let counters = stats.report();
+    let frames = counters.counter("device.channel.frames").expect("frames");
+    assert!(frames >= 1_000, "only {frames} frames");
+    assert_eq!(
+        counters.counter("device.channel.retransmissions"),
+        Some(report.retransmissions)
+    );
+    let expected = loss / (1.0 - loss);
+    let rate = report.retransmissions as f64 / frames as f64;
+    assert!(
+        (0.5 * expected..=2.0 * expected).contains(&rate),
+        "{} retransmissions over {frames} frames in {} chunks: {rate:.4} per frame, \
+         expected about {expected:.4}",
+        report.retransmissions,
+        report.chunks
+    );
 }
 
 #[test]
@@ -121,7 +168,7 @@ fn streaming_beats_download_then_apply_to_first_byte() {
     else {
         panic!("no kill requested");
     };
-    let download_then_apply = channel.simulate_transfer(stream.wire_len(), 576).time;
+    let download_then_apply = channel.simulate_transfer(0, stream.wire_len(), 576).time;
     let ttfb = report.time_to_first_byte.expect("commands were applied");
     assert!(
         ttfb < download_then_apply,
