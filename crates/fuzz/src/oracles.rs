@@ -959,8 +959,8 @@ pub fn check_remote_case(case: &FuzzCase, salt: u64) -> CheckResult {
 /// every step:
 ///
 /// 1. **round-trip** — after every `put`, `get` of *every* version so
-///    far is byte-identical to the in-memory copy (reads through
-///    `Engine::apply_chain` over the stored delta chain);
+///    far is byte-identical to the in-memory copy (reads compose the
+///    stored delta chain and apply it out of place);
 /// 2. **dedup** — re-putting an existing version is a no-op that
 ///    commits nothing;
 /// 3. **fsck-clean** — after every mutation batch (all puts, then

@@ -2,14 +2,12 @@
 
 use crate::error::EngineError;
 use ipr_core::{
-    apply_in_place, check_in_place_safe_with, convert_in_place_pooled, required_capacity,
-    ConversionConfig, ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
+    apply_in_place, check_in_place_safe_with, convert_in_place_pooled, ConversionConfig,
+    ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
 };
 use ipr_delta::codec::{self, Format};
 use ipr_delta::compose_chain;
-use ipr_delta::diff::{
-    DiffScratch, GreedyDiffer, IndexedDiffer, ParallelDiffer, DEFAULT_CHUNK_BYTES,
-};
+use ipr_delta::diff::{DiffScratch, GreedyDiffer, IndexedDiffer, ParallelDiffer};
 use ipr_delta::remote::{self, BlockSize, Chunking, Signature, SignatureError};
 use ipr_delta::DeltaScript;
 
@@ -24,10 +22,6 @@ pub struct EngineConfig {
     /// [`std::thread::available_parallelism`]. Application is always
     /// serial, in the script's order (the paper's §4.1).
     pub threads: usize,
-    /// Version-chunk size for the parallel diff scan (must be positive;
-    /// chunking depends only on the version length, never on `threads`,
-    /// so output is thread-count invariant).
-    pub chunk_bytes: usize,
     /// Block chunking for [`Engine::sign`] — the remote-differencing
     /// signature path (docs/REMOTE.md).
     pub chunking: Chunking,
@@ -44,7 +38,6 @@ impl Default for EngineConfig {
             conversion: ConversionConfig::default(),
             format: Format::InPlace,
             threads: 0,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
             chunking: Chunking::default(),
             block_size: None,
         }
@@ -125,10 +118,6 @@ impl Engine<GreedyDiffer> {
     }
 
     /// An engine with the default (greedy) differ and `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.chunk_bytes == 0`.
     #[must_use]
     pub fn with_config(config: EngineConfig) -> Self {
         Self::with_differ(GreedyDiffer::default(), config)
@@ -136,16 +125,14 @@ impl Engine<GreedyDiffer> {
 }
 
 impl<D: IndexedDiffer> Engine<D> {
-    /// An engine differencing with `differ` under `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.chunk_bytes == 0`.
+    /// An engine differencing with `differ` under `config`. The diff
+    /// scan cuts the version into
+    /// [`DEFAULT_CHUNK_BYTES`](ipr_delta::diff::DEFAULT_CHUNK_BYTES)
+    /// chunks, so its output depends only on the version length, never
+    /// on `threads`.
     #[must_use]
     pub fn with_differ(differ: D, config: EngineConfig) -> Self {
-        let differ = ParallelDiffer::new(differ)
-            .with_threads(config.threads)
-            .with_chunk_bytes(config.chunk_bytes);
+        let differ = ParallelDiffer::new(differ).with_threads(config.threads);
         Self {
             differ,
             config,
@@ -355,57 +342,11 @@ impl<D: IndexedDiffer> Engine<D> {
         Ok(deltas)
     }
 
-    /// Applies a chain of consecutive deltas to `buf` in place,
-    /// composing them first ([`ipr_delta::compose_chain`]) so the buffer
-    /// is rewritten once instead of once per hop. The composed script is
-    /// converted against the current buffer contents, applied serially
-    /// (the conversion just made it Equation 2 safe, so it is not
-    /// checked again), and `buf` is resized to the final version.
-    ///
-    /// Returns the conversion's measurements; an empty chain is a no-op
-    /// returning a default report.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Compose`] when the chain is not consecutive,
-    /// [`EngineError::Convert`] when the first hop does not start from
-    /// `buf`'s length. `buf` is unmodified on either error.
-    pub fn apply_chain(
-        &mut self,
-        scripts: &[DeltaScript],
-        buf: &mut Vec<u8>,
-    ) -> Result<ConversionReport, EngineError> {
-        let _span = ipr_trace::span("engine.chain");
-        if scripts.is_empty() {
-            return Ok(ConversionReport::default());
-        }
-        let composed = if scripts.len() == 1 {
-            scripts[0].clone()
-        } else {
-            compose_chain(scripts)?
-        };
-        let outcome = convert_in_place_pooled(
-            composed,
-            buf,
-            &self.config.conversion,
-            &mut self.convert_scratch,
-            self.diff_scratch.pool_mut(),
-        )?;
-        let target_len = usize::try_from(outcome.script.target_len()).expect("length fits usize");
-        let needed = usize::try_from(required_capacity(&outcome.script)).expect("fits usize");
-        buf.resize(needed, 0);
-        apply_in_place(&outcome.script, buf)?;
-        buf.truncate(target_len);
-        self.diff_scratch.pool_mut().recycle(outcome.script);
-        Ok(outcome.report)
-    }
-
     /// Composes a chain of consecutive deltas into one equivalent
-    /// script ([`ipr_delta::compose_chain`]) without applying it. This
-    /// is the storage-side dual of [`Engine::apply_chain`]: the object
-    /// store's compaction uses it to collapse a deep reconstruction
-    /// chain into a single delta while readers keep using
-    /// `apply_chain`.
+    /// script ([`ipr_delta::compose_chain`]) without applying it. The
+    /// object store uses it on both sides of a chain: compaction
+    /// collapses a deep reconstruction chain into a single delta, and a
+    /// read composes its chain before one scratch-space apply.
     ///
     /// # Panics
     ///

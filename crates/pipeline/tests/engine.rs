@@ -110,8 +110,11 @@ fn update_many_walks_the_chain_hop_by_hop() {
     }
 }
 
+/// `Engine::compose` returns exactly what `compose_chain` does, and the
+/// composed script rebuilds the chain's last version from its first
+/// under scratch-space application.
 #[test]
-fn apply_chain_matches_sequential_application() {
+fn compose_matches_compose_chain() {
     let v0: Vec<u8> = (0..12_000u32).map(|i| (i * 29 % 253) as u8).collect();
     let mut v1 = v0.clone();
     v1.rotate_left(900);
@@ -120,39 +123,22 @@ fn apply_chain_matches_sequential_application() {
     v2[40] = 0xFF;
 
     let differ = GreedyDiffer::default();
-    let d01 = differ.diff(&v0, &v1);
-    let d12 = differ.diff(&v1, &v2);
-
-    // Ground truth through scratch-space composition.
-    let composed = compose_chain(&[d01.clone(), d12.clone()]).unwrap();
-    assert_eq!(apply(&composed, &v0).unwrap(), v2);
-
+    let chain = [differ.diff(&v0, &v1), differ.diff(&v1, &v2)];
     let mut engine = Engine::new();
-    let mut buf = v0.clone();
-    let report = engine.apply_chain(&[d01, d12], &mut buf).unwrap();
-    assert_eq!(buf, v2);
-    assert!(report.input_copies > 0);
-
-    // Empty chain: no-op.
-    let before = buf.clone();
-    engine.apply_chain(&[], &mut buf).unwrap();
-    assert_eq!(buf, before);
+    let composed = engine.compose(&chain).unwrap();
+    assert_eq!(composed, compose_chain(&chain).unwrap());
+    assert_eq!(apply(&composed, &v0).unwrap(), v2);
+    // A one-hop chain composes to the hop itself.
+    assert_eq!(engine.compose(&chain[..1]).unwrap(), chain[0]);
 }
 
 #[test]
-fn apply_chain_rejects_non_consecutive_deltas() {
+fn compose_rejects_non_consecutive_deltas() {
     let (a, b) = corpus_pair(2_000, 100);
-    let differ = GreedyDiffer::default();
-    let d = differ.diff(&a, &b);
-    let unrelated = differ.diff(&b, &a);
+    let d = GreedyDiffer::default().diff(&a, &b);
     let mut engine = Engine::new();
-    let mut buf = a.clone();
-    let err = engine.apply_chain(&[d.clone(), d], &mut buf).unwrap_err();
+    let err = engine.compose(&[d.clone(), d]).unwrap_err();
     assert!(matches!(err, EngineError::Compose(_)), "{err}");
-    assert_eq!(buf, a, "buffer untouched on error");
-    // Wrong starting image → conversion-stage mismatch.
-    let err = engine.apply_chain(&[unrelated], &mut buf).unwrap_err();
-    assert!(matches!(err, EngineError::Convert(_)), "{err}");
     assert!(!err.to_string().is_empty());
     assert!(std::error::Error::source(&err).is_some());
 }

@@ -17,10 +17,9 @@
 //!
 //! After the structural checks, a clean store gets a full
 //! reconstruction sweep: every version is rebuilt through
-//! [`Engine::apply_chain`](ipr_pipeline::Engine::apply_chain) and
-//! checked against its recorded length and CRC — the strongest
-//! statement `fsck` can make, and the one the crash-injection CI gate
-//! relies on.
+//! [`Store::get`], the store's own read path, and checked against its
+//! recorded length and CRC — the strongest statement `fsck` can make,
+//! and the one the crash-injection CI gate relies on.
 //!
 //! Findings render deterministically (fixed check order, sorted
 //! directory listings), so two sweeps of the same store — or the same

@@ -1,9 +1,9 @@
 //! # ipr-store — a versioned, crash-safe delta object store
 //!
-//! The paper's delta algebra (diff, in-place conversion, composition)
-//! makes a version history cheap to *store*: keep one full image and a
-//! chain of deltas, rebuild any version by applying the chain. This
-//! crate turns that into a durable on-disk artifact:
+//! The paper's delta algebra (diff and composition) makes a version
+//! history cheap to *store*: keep one full image and a chain of deltas,
+//! rebuild any version by applying the chain. This crate turns that
+//! into a durable on-disk artifact:
 //!
 //! * **Content addressing** — every object (full version or encoded
 //!   delta) is named by the 128-bit strong hash of its bytes
@@ -77,7 +77,7 @@ pub enum StoreError {
     Encode(ipr_delta::codec::EncodeError),
     /// A stored delta failed to decode.
     Decode(ipr_delta::codec::DecodeError),
-    /// The engine failed to compose, convert or apply a chain.
+    /// The engine failed to compose a delta chain.
     Engine(ipr_pipeline::EngineError),
 }
 

@@ -2,12 +2,17 @@
 //!
 //! A [`Store`] is a directory holding a version history as
 //! content-addressed objects: each version is either a **full** image
-//! or a **delta** edge over an earlier version, reconstructed on read
-//! by [`Engine::apply_chain`]. Writes go through the transaction
-//! protocol in [`txn`]; [`Store::compact`] keeps every
+//! or a **delta** edge over an earlier version. Writes go through the
+//! transaction protocol in [`txn`]; [`Store::compact`] keeps every
 //! reconstruction chain no deeper than the store's depth cap by
 //! collapsing long chains with [`Engine::compose`] — delta composition,
 //! the same algebra the paper's in-place conversion builds on.
+//!
+//! Reads rebuild out of place. The store runs on the server, which holds
+//! a version's base and the rebuilt version at once, so the paper's
+//! in-place conversion has nothing to save there: [`Store::get`]
+//! composes the chain with the same [`Engine::compose`] and applies the
+//! result to the base with the scratch-space [`ipr_delta::apply`].
 
 use crate::manifest::{EdgeRecord, Manifest, ObjectKind, ObjectRecord, VersionRecord};
 use crate::oid::Oid;
@@ -22,8 +27,8 @@ use std::path::{Path, PathBuf};
 pub const DEFAULT_DEPTH_CAP: u32 = 8;
 
 /// Wire format stored delta objects use. Write-ordered varint codewords:
-/// the most compact of the repo's formats, converted to in-place form at
-/// read time by the engine.
+/// the most compact of the repo's formats. Stored deltas are applied as
+/// written, out of place; nothing is converted at read time.
 pub const STORE_FORMAT: Format = Format::Ordered;
 
 /// An open store session. Holds the committed manifest in memory and an
@@ -240,9 +245,11 @@ impl Store {
         })
     }
 
-    /// Reconstructs a version's bytes, walking its delta chain from the
-    /// base full object through [`Engine::apply_chain`], and verifies
-    /// length and CRC against the version record.
+    /// Reconstructs a version's bytes out of place: reads the base full
+    /// object, decodes the delta chain, composes a chain of two or more
+    /// hops into one script ([`Engine::compose`]) and applies it to the
+    /// base with the scratch-space [`ipr_delta::apply`]. The result is
+    /// verified against the version record's length and CRC.
     ///
     /// # Errors
     ///
@@ -279,10 +286,22 @@ impl Store {
                 )?;
                 scripts.push(codec::decode(&bytes)?.script);
             }
-            self.engine.apply_chain(&scripts, &mut buf)?;
-            for script in scripts {
-                self.engine.recycle_script(script);
-            }
+            let script = if scripts.len() == 1 {
+                scripts.pop().expect("one hop")
+            } else {
+                let composed = self.engine.compose(&scripts);
+                for script in scripts {
+                    self.engine.recycle_script(script);
+                }
+                composed?
+            };
+            let rebuilt = ipr_delta::apply(&script, &buf);
+            self.engine.recycle_script(script);
+            // The manifest validated, so a chain that does not fit its
+            // base can only mean damage.
+            buf = rebuilt.map_err(|e| {
+                StoreError::Corrupt(format!("delta chain of {oid} does not apply: {e}"))
+            })?;
         }
         if buf.len() as u64 != version.len || ipr_delta::checksum::crc32(&buf) != version.crc {
             return Err(StoreError::Corrupt(format!(
@@ -529,6 +548,13 @@ mod tests {
         out
     }
 
+    fn put_all(store: &mut Store, history: &[Vec<u8>]) -> Vec<Oid> {
+        history
+            .iter()
+            .map(|v| store.put(v, None).unwrap().oid)
+            .collect()
+    }
+
     fn temp_store(tag: &str, depth_cap: u32) -> Store {
         let dir = scratch_dir(&std::env::temp_dir(), tag);
         Store::init(&dir, depth_cap).unwrap()
@@ -647,6 +673,51 @@ mod tests {
         for (oid, want) in oids.iter().zip(&history) {
             assert_eq!(&reopened.get(*oid).unwrap(), want);
         }
+        destroy(store);
+    }
+
+    /// Reads rebuild out of place: no get converts, and each get of a
+    /// chain two or more hops deep composes it exactly once, before and
+    /// after compaction.
+    #[test]
+    fn reads_rebuild_out_of_place() {
+        let mut store = temp_store("outofplace", 4);
+        let history = versions(12);
+        let oids = put_all(&mut store, &history);
+        let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
+        let mut composing_gets = 0;
+        for compacted in [false, true] {
+            if compacted {
+                assert!(store.compact().unwrap().collapsed > 0);
+            }
+            let _guard = ipr_trace::install(stats.clone());
+            for (oid, want) in oids.iter().zip(&history) {
+                assert_eq!(&store.get(*oid).unwrap(), want, "compacted={compacted}");
+                composing_gets += u64::from(store.manifest().depth(*oid).unwrap() >= 2);
+            }
+        }
+        let report = stats.report();
+        let composes = report.span("engine.compose").map_or(0, |s| s.count);
+        assert!(report.span("convert").is_none(), "a read converted");
+        assert_eq!(report.span("store.get").unwrap().count, 24);
+        assert_eq!(composes, composing_gets);
+        destroy(store);
+    }
+
+    /// A chain whose first hop does not fit its base is damage, not an
+    /// engine failure: the read names the version as corrupt.
+    #[test]
+    fn chain_that_does_not_fit_its_base_is_corrupt() {
+        let mut store = temp_store("misfit", 8);
+        let oids = put_all(&mut store, &versions(3));
+        // Re-point the newest edge at the first version, whose length
+        // differs from the one its delta was computed against.
+        store.manifest.edges.get_mut(&oids[2]).unwrap().from = oids[0];
+        let err = store.get(oids[2]).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains(&oids[2].to_string())),
+            "{err}"
+        );
         destroy(store);
     }
 

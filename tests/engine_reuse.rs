@@ -4,6 +4,7 @@
 //! input sequences, for every cycle policy and thread count.
 
 use ipr::core::{check_in_place_safe, required_capacity, CyclePolicy};
+use ipr::delta::apply;
 use ipr::pipeline::{Engine, EngineConfig, EngineError};
 use ipr::Stage;
 use proptest::prelude::*;
@@ -170,17 +171,18 @@ proptest! {
         }
     }
 
-    /// `apply_chain` on a warm engine rebuilds the final version of the
-    /// chain its own `diff` stage produced.
+    /// A warm engine's `compose` of the chain its own `diff` stage
+    /// produced rebuilds the chain's final version from the reference
+    /// under scratch-space application — the object store's read path.
     #[test]
-    fn apply_chain_rebuilds_final_version(
+    fn composed_chain_rebuilds_final_version(
         reference in proptest::collection::vec(any::<u8>(), 0..512),
         versions in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..512), 1..4),
     ) {
         let config = config_for(CyclePolicy::LocallyMinimum, 1);
         let mut engine = Engine::with_config(config);
-        // Warm the engine up first so apply_chain sees reused arenas.
+        // Warm the engine up first so compose sees reused arenas.
         for version in &versions {
             let delta = engine.update(&reference, version).expect("update succeeds");
             engine.recycle(delta);
@@ -191,9 +193,9 @@ proptest! {
             scripts.push(engine.diff(prev, version));
             prev = version;
         }
-        let mut buf = reference.clone();
-        engine.apply_chain(&scripts, &mut buf).expect("chain applies");
-        prop_assert_eq!(&buf, versions.last().unwrap());
+        let composed = engine.compose(&scripts).expect("chain is consecutive");
+        let rebuilt = apply(&composed, &reference).expect("composed chain applies");
+        prop_assert_eq!(&rebuilt, versions.last().unwrap());
     }
 }
 
