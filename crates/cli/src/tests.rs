@@ -287,6 +287,26 @@ fn error_paths_reported_not_panicked() {
     std::fs::write(p("other"), b"completely unrelated bytes!!").unwrap();
     run(&s(&["diff", &p("other"), &p("old"), &p("d2")])).unwrap();
     assert!(run(&s(&["compose", &p("d"), &p("d2"), &p("dc")])).is_err());
+    // Installing onto a truncated image is a wrong base image, offline
+    // and streamed: the error names both lengths and the image file is
+    // left byte-identical.
+    run(&s(&[
+        "convert",
+        &p("old"),
+        &p("d"),
+        &p("d.ip"),
+        "--format",
+        "in-place",
+    ]))
+    .unwrap();
+    for stream in [None, Some("--stream")] {
+        std::fs::write(p("short"), &old[..200]).unwrap();
+        let mut args = s(&["install", &p("short"), &p("d.ip")]);
+        args.extend(stream.map(String::from));
+        let err = run(&args).unwrap_err().to_string();
+        assert!(err.contains("256 B") && err.contains("200 B"), "{err}");
+        assert_eq!(std::fs::read(p("short")).unwrap(), &old[..200]);
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -60,6 +60,7 @@ pub use convert::{
     ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
 };
 pub use crwi::CrwiGraph;
+pub use ipr_digraph::{Interval, IntervalSet};
 pub use policy::CyclePolicy;
 pub use toposort::{
     is_valid_outcome, sort_breaking_cycles, sort_breaking_cycles_into, SortOutcome, SortScratch,

@@ -5,8 +5,11 @@
 //! fixed-capacity storage region and *no* scratch buffer — and adds what
 //! real update engines add on top: a run-time write-before-read fault
 //! detector, so applying a delta that violates Equation 2 fails loudly
-//! instead of silently corrupting the image.
+//! instead of silently corrupting the image. The detector keeps the
+//! target bytes written so far as coalesced spans in an [`IntervalSet`],
+//! so its memory follows the commands applied, not the image size.
 
+use ipr_core::{Interval, IntervalSet};
 use ipr_delta::{Command, DeltaScript};
 use std::fmt;
 
@@ -20,6 +23,14 @@ pub enum DeviceError {
         /// Device storage size.
         capacity: u64,
     },
+    /// The update was made against a different base image: its source
+    /// length does not match the installed image.
+    ImageMismatch {
+        /// Source length the update expects.
+        expected: u64,
+        /// Installed image length.
+        actual: u64,
+    },
     /// A copy command tried to read a region an earlier command already
     /// overwrote — the delta is not in-place reconstructible in this
     /// order.
@@ -31,8 +42,6 @@ pub enum DeviceError {
     },
     /// No image has been flashed yet.
     NotFlashed,
-    /// A resumable update's journal does not match its script.
-    Resume(ipr_core::resumable::ResumeError),
     /// A streamed command is malformed: it reads or writes outside the
     /// declared dimensions, or overlaps an earlier command's write.
     InvalidCommand {
@@ -54,6 +63,12 @@ impl fmt::Display for DeviceError {
             DeviceError::CapacityExceeded { needed, capacity } => {
                 write!(f, "update needs {needed} bytes, device has {capacity}")
             }
+            DeviceError::ImageMismatch { expected, actual } => {
+                write!(
+                    f,
+                    "update expects a {expected} B image, device holds {actual} B"
+                )
+            }
             DeviceError::WriteBeforeRead { command, offset } => {
                 write!(
                     f,
@@ -61,7 +76,6 @@ impl fmt::Display for DeviceError {
                 )
             }
             DeviceError::NotFlashed => write!(f, "no image installed on the device"),
-            DeviceError::Resume(e) => write!(f, "resumable update failed: {e}"),
             DeviceError::InvalidCommand { command } => {
                 write!(f, "streamed command {command} is malformed")
             }
@@ -75,14 +89,7 @@ impl fmt::Display for DeviceError {
     }
 }
 
-impl std::error::Error for DeviceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DeviceError::Resume(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for DeviceError {}
 
 /// Statistics from one in-place update.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,9 +181,9 @@ impl Device {
     /// Applies a delta update in place, *with* run-time write-before-read
     /// fault detection.
     ///
-    /// The script's commands are applied serially against device storage;
-    /// before each copy, its read interval is checked against the set of
-    /// already-written bytes. A script produced by
+    /// The script's commands run serially through one [`UpdateSession`]:
+    /// before each copy, its read interval is checked against the target
+    /// bytes already written. A script produced by
     /// [`convert_to_in_place`](ipr_core::convert_to_in_place) always
     /// passes; an unconverted delta will typically fault here instead of
     /// corrupting the image (the update is abandoned mid-way in that case,
@@ -186,148 +193,24 @@ impl Device {
     ///
     /// * [`DeviceError::NotFlashed`] — no image installed.
     /// * [`DeviceError::CapacityExceeded`] — the script needs more than
-    ///   the device's storage (`max(source_len, target_len)` bytes) or its
-    ///   source length does not match the installed image.
+    ///   the device's storage (`max(source_len, target_len)` bytes).
+    /// * [`DeviceError::ImageMismatch`] — the script's source length does
+    ///   not match the installed image.
     /// * [`DeviceError::WriteBeforeRead`] — runtime Equation 2 violation.
     pub fn apply_update(&mut self, script: &DeltaScript) -> Result<UpdateStats, DeviceError> {
-        self.apply_inner(script, true)
-    }
-
-    /// Applies a delta update in place *without* write-before-read
-    /// checking, as a naive device would. Unsafe scripts silently corrupt
-    /// the image; used to demonstrate the failure mode.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::apply_update`] except no
-    /// [`DeviceError::WriteBeforeRead`] is ever raised.
-    pub fn apply_update_unchecked(
-        &mut self,
-        script: &DeltaScript,
-    ) -> Result<UpdateStats, DeviceError> {
-        self.apply_inner(script, false)
-    }
-
-    /// Applies a delta update incrementally with a durable
-    /// [`Journal`](ipr_core::resumable::Journal),
-    /// surviving power loss at any point: call repeatedly (persisting the
-    /// journal between calls) until it returns
-    /// [`Progress::Complete`](ipr_core::resumable::Progress::Complete).
-    /// `max_bytes` bounds the work per call — the simulation's stand-in
-    /// for "the device lost power after this much progress".
-    ///
-    /// The script is verified against Equation 2 up front, so an unsafe
-    /// delta is rejected before the image is touched.
-    ///
-    /// # Errors
-    ///
-    /// * [`DeviceError::NotFlashed`] / [`DeviceError::CapacityExceeded`] —
-    ///   as for [`Device::apply_update`]. The source length is only
-    ///   checked on a fresh journal: mid-update the image is already a
-    ///   hybrid of old and new.
-    /// * [`DeviceError::WriteBeforeRead`] — the delta violates Equation 2.
-    /// * [`DeviceError::Resume`] — journal/script mismatch.
-    pub fn apply_update_resumable(
-        &mut self,
-        script: &DeltaScript,
-        journal: &mut ipr_core::resumable::Journal,
-        max_bytes: u64,
-    ) -> Result<ipr_core::resumable::Progress, DeviceError> {
-        use ipr_core::resumable::{resume_in_place, Progress};
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
+        let mut session = self.begin_update(script.source_len(), script.target_len())?;
+        for cmd in script.commands() {
+            session.apply_command(cmd)?;
         }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() {
-            return Err(DeviceError::CapacityExceeded {
-                needed,
-                capacity: self.capacity(),
-            });
-        }
-        let fresh = journal.command_index() == 0
-            && journal.bytes_done_in_command() == 0
-            && !journal.has_pending_chunk();
-        if fresh {
-            if script.source_len() != self.image_len as u64 {
-                return Err(DeviceError::CapacityExceeded {
-                    needed: script.source_len(),
-                    capacity: self.capacity(),
-                });
-            }
-            if let Err(v) = ipr_core::check_in_place_safe(script) {
-                return Err(DeviceError::WriteBeforeRead {
-                    command: v.reader,
-                    offset: v.read.start(),
-                });
-            }
-        }
-        let end = needed as usize;
-        let progress = resume_in_place(script, &mut self.storage[..end], journal, 4096, max_bytes)
-            .map_err(DeviceError::Resume)?;
-        if progress == Progress::Complete {
-            self.image_len = script.target_len() as usize;
-        }
-        Ok(progress)
-    }
-
-    /// Applies a *spilled* update: a script converted with
-    /// [`convert_with_spill`](ipr_core::spill::convert_with_spill), whose
-    /// stashed copies are staged through a bounded scratch buffer. The
-    /// report's `scratch_bytes` records the actual scratch used — the
-    /// middle ground between the paper's zero-scratch reconstruction and
-    /// holding a whole second image.
-    ///
-    /// # Errors
-    ///
-    /// * [`DeviceError::NotFlashed`] / [`DeviceError::CapacityExceeded`] —
-    ///   as for [`Device::apply_update`].
-    /// * [`DeviceError::InvalidCommand`] — bad stash metadata, scratch
-    ///   budget exceeded, or the script is unsafe under stash semantics.
-    pub fn apply_update_spilled(
-        &mut self,
-        script: &DeltaScript,
-        stashed: &[usize],
-        scratch_budget: u64,
-    ) -> Result<UpdateStats, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() || script.source_len() != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(script.source_len()),
-                capacity: self.capacity(),
-            });
-        }
-        if !ipr_core::spill::is_spill_safe(script, stashed) {
-            return Err(DeviceError::InvalidCommand { command: 0 });
-        }
-        let end = needed as usize;
-        ipr_core::spill::apply_in_place_spilled(
-            script,
-            stashed,
-            &mut self.storage[..end],
-            scratch_budget,
-        )
-        .map_err(|_| DeviceError::InvalidCommand { command: 0 })?;
-        self.image_len = script.target_len() as usize;
-        let scratch_bytes: u64 = stashed
-            .iter()
-            .filter_map(|&i| script.commands().get(i))
-            .map(Command::len)
-            .sum();
-        Ok(UpdateStats {
-            commands: script.len(),
-            bytes_written: script.target_len(),
-            bytes_read: script.copied_bytes(),
-            scratch_bytes,
-        })
+        session.commit()
     }
 
     /// Begins a command-at-a-time update of declared dimensions, for
     /// streaming installation: commands are applied as they arrive off
     /// the wire, each checked against the write-before-read fault
-    /// detector, with memory bounded by one command.
+    /// detector. The detector holds one span per run of written bytes,
+    /// so its memory is bounded by the commands applied, never by the
+    /// image.
     ///
     /// The update takes effect (the device's image length changes) only
     /// when [`UpdateSession::commit`] is called; dropping the session
@@ -336,30 +219,27 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::NotFlashed`] or [`DeviceError::CapacityExceeded`]
-    /// (dimensions out of range or source length not matching the
-    /// installed image).
+    /// [`DeviceError::NotFlashed`], [`DeviceError::CapacityExceeded`]
+    /// (the larger dimension exceeds storage) or
+    /// [`DeviceError::ImageMismatch`] (the source length does not match
+    /// the installed image).
     pub fn begin_update(
         &mut self,
         source_len: u64,
         target_len: u64,
     ) -> Result<UpdateSession<'_>, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = source_len.max(target_len);
-        if needed > self.capacity() || source_len != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(source_len),
-                capacity: self.capacity(),
+        self.check_fits(source_len, target_len)?;
+        if source_len != self.image_len as u64 {
+            return Err(DeviceError::ImageMismatch {
+                expected: source_len,
+                actual: self.image_len as u64,
             });
         }
         Ok(UpdateSession {
-            written: vec![false; needed as usize],
-            covered: 0,
+            device: self,
+            written: IntervalSet::new(),
             target_len,
             stats: UpdateStats::default(),
-            device: self,
         })
     }
 
@@ -374,9 +254,24 @@ impl Device {
         source_len: u64,
         target_len: u64,
         written: &[(u64, u64)],
-        covered: u64,
         stats: UpdateStats,
     ) -> Result<UpdateSession<'_>, DeviceError> {
+        self.check_fits(source_len, target_len)?;
+        self.image_len = source_len as usize;
+        Ok(UpdateSession {
+            device: self,
+            written: written
+                .iter()
+                .map(|&(start, end)| Interval::new(start, end))
+                .collect(),
+            target_len,
+            stats,
+        })
+    }
+
+    /// The preconditions every update shares: an installed image and
+    /// room for the larger of the two dimensions.
+    fn check_fits(&self, source_len: u64, target_len: u64) -> Result<(), DeviceError> {
         if !self.flashed {
             return Err(DeviceError::NotFlashed);
         }
@@ -387,84 +282,19 @@ impl Device {
                 capacity: self.capacity(),
             });
         }
-        self.image_len = source_len as usize;
-        let mut map = vec![false; needed as usize];
-        for &(start, end) in written {
-            map[start as usize..end as usize].fill(true);
-        }
-        Ok(UpdateSession {
-            written: map,
-            covered,
-            target_len,
-            stats,
-            device: self,
-        })
-    }
-
-    fn apply_inner(
-        &mut self,
-        script: &DeltaScript,
-        checked: bool,
-    ) -> Result<UpdateStats, DeviceError> {
-        if !self.flashed {
-            return Err(DeviceError::NotFlashed);
-        }
-        let needed = script.source_len().max(script.target_len());
-        if needed > self.capacity() || script.source_len() != self.image_len as u64 {
-            return Err(DeviceError::CapacityExceeded {
-                needed: needed.max(script.source_len()),
-                capacity: self.capacity(),
-            });
-        }
-
-        let mut written = if checked {
-            vec![false; needed as usize]
-        } else {
-            Vec::new()
-        };
-        let mut stats = UpdateStats::default();
-        for (index, cmd) in script.commands().iter().enumerate() {
-            match cmd {
-                Command::Copy(c) => {
-                    let src = c.read_interval().as_usize_range();
-                    if checked {
-                        if let Some(bad) = written[src.clone()].iter().position(|&w| w) {
-                            return Err(DeviceError::WriteBeforeRead {
-                                command: index,
-                                offset: c.from + bad as u64,
-                            });
-                        }
-                    }
-                    let dst = c.write_interval().as_usize_range();
-                    self.storage.copy_within(src, dst.start);
-                    if checked {
-                        written[dst].fill(true);
-                    }
-                    stats.bytes_read += c.len;
-                    stats.bytes_written += c.len;
-                }
-                Command::Add(a) => {
-                    let dst = a.write_interval().as_usize_range();
-                    self.storage[dst.clone()].copy_from_slice(&a.data);
-                    if checked {
-                        written[dst].fill(true);
-                    }
-                    stats.bytes_written += a.len();
-                }
-            }
-            stats.commands += 1;
-        }
-        self.image_len = script.target_len() as usize;
-        Ok(stats)
+        Ok(())
     }
 }
 
-/// An in-flight streaming update (see [`Device::begin_update`]).
+/// An in-flight update (see [`Device::begin_update`]): the device's one
+/// applier. The streaming paths feed it a command at a time as the wire
+/// delivers them; [`Device::apply_update`] feeds it a whole script.
 #[derive(Debug)]
 pub struct UpdateSession<'a> {
     device: &'a mut Device,
-    written: Vec<bool>,
-    covered: u64,
+    /// Target bytes written so far. Writes are checked disjoint, so its
+    /// size is also the target bytes covered.
+    written: IntervalSet,
     target_len: u64,
     stats: UpdateStats,
 }
@@ -481,57 +311,37 @@ impl UpdateSession<'_> {
     ///   outside the declared dimensions, or overlaps an earlier write
     ///   (write intervals must be disjoint).
     pub fn apply_command(&mut self, cmd: &Command) -> Result<(), DeviceError> {
+        let command = self.stats.commands;
+        let invalid = DeviceError::InvalidCommand { command };
         match cmd.to().checked_add(cmd.len()) {
             Some(end) if end <= self.target_len => {}
-            _ => {
-                return Err(DeviceError::InvalidCommand {
-                    command: self.stats.commands,
-                })
+            _ => return Err(invalid),
+        }
+        if let Command::Copy(c) = cmd {
+            match c.from.checked_add(c.len) {
+                Some(end) if end <= self.device.image_len as u64 => {}
+                _ => return Err(invalid),
+            }
+            if let Some(offset) = self.written.first_overlap(c.read_interval()) {
+                return Err(DeviceError::WriteBeforeRead { command, offset });
             }
         }
+        let write = cmd.write_interval();
+        if self.written.intersects(write) {
+            return Err(invalid);
+        }
+        let dst = write.as_usize_range();
         match cmd {
             Command::Copy(c) => {
-                match c.from.checked_add(c.len) {
-                    Some(end) if end <= self.device.image_len as u64 => {}
-                    _ => {
-                        return Err(DeviceError::InvalidCommand {
-                            command: self.stats.commands,
-                        })
-                    }
-                }
                 let src = c.read_interval().as_usize_range();
-                if let Some(bad) = self.written[src.clone()].iter().position(|&w| w) {
-                    return Err(DeviceError::WriteBeforeRead {
-                        command: self.stats.commands,
-                        offset: c.from + bad as u64,
-                    });
-                }
-                let dst = c.write_interval().as_usize_range();
-                self.check_disjoint(&dst)?;
                 self.device.storage.copy_within(src, dst.start);
-                self.written[dst].fill(true);
                 self.stats.bytes_read += c.len;
-                self.stats.bytes_written += c.len;
             }
-            Command::Add(a) => {
-                let dst = a.write_interval().as_usize_range();
-                self.check_disjoint(&dst)?;
-                self.device.storage[dst.clone()].copy_from_slice(&a.data);
-                self.written[dst].fill(true);
-                self.stats.bytes_written += a.len();
-            }
+            Command::Add(a) => self.device.storage[dst].copy_from_slice(&a.data),
         }
-        self.covered += cmd.len();
+        self.written.insert(write);
+        self.stats.bytes_written += cmd.len();
         self.stats.commands += 1;
-        Ok(())
-    }
-
-    fn check_disjoint(&self, dst: &std::ops::Range<usize>) -> Result<(), DeviceError> {
-        if self.written[dst.clone()].iter().any(|&w| w) {
-            return Err(DeviceError::InvalidCommand {
-                command: self.stats.commands,
-            });
-        }
         Ok(())
     }
 
@@ -543,7 +353,7 @@ impl UpdateSession<'_> {
 
     /// Target bytes covered by the applied commands so far.
     pub(crate) fn covered(&self) -> u64 {
-        self.covered
+        self.written.covered_bytes()
     }
 
     /// Running statistics (the commit-time report in progress).
@@ -551,25 +361,13 @@ impl UpdateSession<'_> {
         self.stats
     }
 
-    /// The written bitmap as coalesced `[start, end)` intervals — the
+    /// The written spans as coalesced `[start, end)` intervals — the
     /// serializable form of the session's write-before-read state.
     pub(crate) fn written_intervals(&self) -> Vec<(u64, u64)> {
-        let mut runs = Vec::new();
-        let mut start = None;
-        for (i, &w) in self.written.iter().enumerate() {
-            match (w, start) {
-                (true, None) => start = Some(i as u64),
-                (false, Some(s)) => {
-                    runs.push((s, i as u64));
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(s) = start {
-            runs.push((s, self.written.len() as u64));
-        }
-        runs
+        self.written
+            .iter()
+            .map(|iv| (iv.start(), iv.end()))
+            .collect()
     }
 
     /// Finalizes the update; fails unless the commands exactly covered
@@ -580,9 +378,10 @@ impl UpdateSession<'_> {
     /// [`DeviceError::IncompleteUpdate`] when the applied commands do not
     /// cover the declared target exactly.
     pub fn commit(self) -> Result<UpdateStats, DeviceError> {
-        if self.covered != self.target_len {
+        let covered = self.covered();
+        if covered != self.target_len {
             return Err(DeviceError::IncompleteUpdate {
-                covered: self.covered,
+                covered,
                 target_len: self.target_len,
             });
         }
@@ -596,6 +395,7 @@ mod tests {
     use super::*;
     use ipr_core::{convert_to_in_place, ConversionConfig};
     use ipr_delta::diff::{Differ, GreedyDiffer};
+    use proptest::prelude::*;
 
     fn firmware_pair() -> (Vec<u8>, Vec<u8>) {
         let reference: Vec<u8> = (0..8192u32).map(|i| (i * 31 % 251) as u8).collect();
@@ -663,30 +463,30 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_update_corrupts_when_unchecked() {
-        let reference: Vec<u8> = (0u8..16).collect();
-        let script =
-            DeltaScript::new(16, 16, vec![Command::copy(8, 0, 8), Command::copy(0, 8, 8)]).unwrap();
-        let expected = ipr_delta::apply(&script, &reference).unwrap();
-        let mut dev = Device::new(16);
-        dev.flash(&reference).unwrap();
-        dev.apply_update_unchecked(&script).unwrap();
-        assert_ne!(dev.image(), &expected[..], "naive device corrupts silently");
-    }
-
-    #[test]
     fn capacity_checked_against_max_of_lengths() {
         let (reference, version) = firmware_pair();
         let script = GreedyDiffer::default().diff(&reference, &version);
         let out = convert_to_in_place(&script, &reference, &ConversionConfig::default()).unwrap();
         let mut dev = Device::new(reference.len() - 1);
         assert!(dev.flash(&reference).is_err());
-        // Flash a truncated image: the update then fails the source check.
+        // Flash a truncated image: capacity is checked before the source
+        // length, so the update fails on capacity.
         dev.flash(&reference[..reference.len() - 1]).unwrap();
         assert!(matches!(
             dev.apply_update(&out.script),
             Err(DeviceError::CapacityExceeded { .. })
         ));
+        // With room to spare, the truncated image is a wrong base image.
+        let mut roomy = Device::new(reference.len());
+        roomy.flash(&reference[..reference.len() - 1]).unwrap();
+        assert_eq!(
+            roomy.apply_update(&out.script),
+            Err(DeviceError::ImageMismatch {
+                expected: reference.len() as u64,
+                actual: reference.len() as u64 - 1
+            })
+        );
+        assert_eq!(roomy.image(), &reference[..reference.len() - 1]);
     }
 
     #[test]
@@ -708,127 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn resumable_update_survives_power_loss_loop() {
-        use ipr_core::resumable::{Journal, Progress};
-        let (reference, version) = firmware_pair();
-        let script = GreedyDiffer::default().diff(&reference, &version);
-        let out = convert_to_in_place(&script, &reference, &ConversionConfig::default()).unwrap();
-
-        let mut dev = Device::new(8192);
-        dev.flash(&reference).unwrap();
-        // Power fails every 501 bytes; the persisted journal survives.
-        let mut persisted = Journal::new();
-        let mut reboots = 0;
-        loop {
-            let mut journal = persisted.clone(); // "load from stable storage"
-            match dev
-                .apply_update_resumable(&out.script, &mut journal, 501)
-                .unwrap()
-            {
-                Progress::Complete => break,
-                Progress::Suspended => {
-                    persisted = journal; // "flush to stable storage"
-                    reboots += 1;
-                }
-            }
-            assert!(reboots < 100_000);
-        }
-        assert!(
-            reboots > 3,
-            "the update must actually have been interrupted"
-        );
-        assert_eq!(dev.image(), &version[..]);
-    }
-
-    #[test]
-    fn resumable_update_rejects_unsafe_script_upfront() {
-        use ipr_core::resumable::Journal;
-        let reference: Vec<u8> = (0u8..16).collect();
-        let unsafe_script =
-            DeltaScript::new(16, 16, vec![Command::copy(0, 8, 8), Command::copy(8, 0, 8)]).unwrap();
-        let mut dev = Device::new(16);
-        dev.flash(&reference).unwrap();
-        let mut journal = Journal::new();
-        let err = dev
-            .apply_update_resumable(&unsafe_script, &mut journal, u64::MAX)
-            .unwrap_err();
-        assert!(matches!(err, DeviceError::WriteBeforeRead { .. }));
-        assert_eq!(
-            dev.image(),
-            &reference[..],
-            "image untouched after rejection"
-        );
-    }
-
-    #[test]
-    fn resumable_single_shot_equals_plain_update() {
-        use ipr_core::resumable::{Journal, Progress};
-        let (reference, version) = firmware_pair();
-        let script = GreedyDiffer::default().diff(&reference, &version);
-        let out = convert_to_in_place(&script, &reference, &ConversionConfig::default()).unwrap();
-        let mut dev = Device::new(8192);
-        dev.flash(&reference).unwrap();
-        let mut journal = Journal::new();
-        assert_eq!(
-            dev.apply_update_resumable(&out.script, &mut journal, u64::MAX)
-                .unwrap(),
-            Progress::Complete
-        );
-        assert_eq!(dev.image(), &version[..]);
-    }
-
-    #[test]
-    fn spilled_update_uses_scratch_and_saves_literals() {
-        use ipr_core::spill::{convert_with_spill, SpillConfig};
-        let (reference, version) = firmware_pair();
-        let script = GreedyDiffer::default().diff(&reference, &version);
-        let out = convert_with_spill(
-            &script,
-            &reference,
-            &SpillConfig {
-                conversion: ConversionConfig::default(),
-                scratch_budget: 4096,
-            },
-        )
-        .unwrap();
-        let mut dev = Device::new(8192);
-        dev.flash(&reference).unwrap();
-        let stats = dev
-            .apply_update_spilled(&out.script, &out.stashed, 4096)
-            .unwrap();
-        assert_eq!(dev.image(), &version[..]);
-        assert_eq!(stats.scratch_bytes, out.scratch_used);
-        // The rotation creates cycles, so with budget some copy should
-        // actually have been stashed.
-        assert!(stats.scratch_bytes > 0);
-    }
-
-    #[test]
-    fn spilled_update_rejects_bad_stash() {
-        use ipr_core::spill::{convert_with_spill, SpillConfig};
-        let (reference, version) = firmware_pair();
-        let script = GreedyDiffer::default().diff(&reference, &version);
-        let out = convert_with_spill(
-            &script,
-            &reference,
-            &SpillConfig {
-                conversion: ConversionConfig::default(),
-                scratch_budget: 4096,
-            },
-        )
-        .unwrap();
-        let mut dev = Device::new(8192);
-        dev.flash(&reference).unwrap();
-        // Claiming no stash renders the script unsafe.
-        if !out.stashed.is_empty() {
-            let err = dev
-                .apply_update_spilled(&out.script, &[], 4096)
-                .unwrap_err();
-            assert!(matches!(err, DeviceError::InvalidCommand { .. }));
-        }
-    }
-
-    #[test]
     fn self_overlapping_copy_allowed() {
         // A command may read bytes it itself overwrites (§4.1); only
         // *prior* writes fault.
@@ -838,5 +517,193 @@ mod tests {
         dev.flash(&reference).unwrap();
         dev.apply_update(&script).unwrap();
         assert_eq!(dev.image(), &reference[4..16]);
+    }
+
+    /// Reference model of the session's detector: one `bool` per byte
+    /// of `max(source_len, target_len)`, scanned on every read and
+    /// write.
+    struct ByteMapModel {
+        storage: Vec<u8>,
+        image_len: u64,
+        target_len: u64,
+        written: Vec<bool>,
+        covered: u64,
+        stats: UpdateStats,
+    }
+
+    impl ByteMapModel {
+        fn new(storage: &[u8], source_len: u64, target_len: u64) -> Self {
+            Self {
+                storage: storage.to_vec(),
+                image_len: source_len,
+                target_len,
+                written: vec![false; source_len.max(target_len) as usize],
+                covered: 0,
+                stats: UpdateStats::default(),
+            }
+        }
+
+        fn apply(&mut self, cmd: &Command) -> Result<(), DeviceError> {
+            let command = self.stats.commands;
+            let invalid = DeviceError::InvalidCommand { command };
+            match cmd.to().checked_add(cmd.len()) {
+                Some(end) if end <= self.target_len => {}
+                _ => return Err(invalid),
+            }
+            let dst = cmd.write_interval().as_usize_range();
+            if let Command::Copy(c) = cmd {
+                match c.from.checked_add(c.len) {
+                    Some(end) if end <= self.image_len => {}
+                    _ => return Err(invalid),
+                }
+                let src = c.read_interval().as_usize_range();
+                if let Some(bad) = self.written[src].iter().position(|&w| w) {
+                    return Err(DeviceError::WriteBeforeRead {
+                        command,
+                        offset: c.from + bad as u64,
+                    });
+                }
+            }
+            if self.written[dst.clone()].iter().any(|&w| w) {
+                return Err(invalid);
+            }
+            match cmd {
+                Command::Copy(c) => {
+                    let src = c.read_interval().as_usize_range();
+                    self.storage.copy_within(src, dst.start);
+                    self.stats.bytes_read += c.len;
+                }
+                Command::Add(a) => self.storage[dst.clone()].copy_from_slice(&a.data),
+            }
+            self.written[dst].fill(true);
+            self.covered += cmd.len();
+            self.stats.bytes_written += cmd.len();
+            self.stats.commands += 1;
+            Ok(())
+        }
+
+        /// Maximal runs of written bytes, as the IPC1 checkpoint
+        /// serializes them.
+        fn runs(&self) -> Vec<(u64, u64)> {
+            let mut runs = Vec::new();
+            let mut start = None;
+            for (i, &w) in self.written.iter().chain([&false]).enumerate() {
+                match (w, start) {
+                    (true, None) => start = Some(i as u64),
+                    (false, Some(s)) => {
+                        runs.push((s, i as u64));
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            runs
+        }
+
+        fn commit(&self) -> Result<UpdateStats, DeviceError> {
+            if self.covered != self.target_len {
+                return Err(DeviceError::IncompleteUpdate {
+                    covered: self.covered,
+                    target_len: self.target_len,
+                });
+            }
+            Ok(self.stats)
+        }
+    }
+
+    /// Drives `cmds` through a fresh session and through the byte-map
+    /// model, requiring the same verdict, storage and written spans after
+    /// every command, and the same commit result.
+    fn session_matches_model(
+        source_len: u64,
+        target_len: u64,
+        cmds: &[Command],
+    ) -> Result<(), TestCaseError> {
+        let capacity = source_len.max(target_len) as usize + 3;
+        let image: Vec<u8> = (0..source_len).map(|i| (i * 37 + 11) as u8).collect();
+        let mut dev = Device::new(capacity);
+        dev.flash(&image).unwrap();
+        let mut model = ByteMapModel::new(dev.storage(), source_len, target_len);
+        let mut session = dev.begin_update(source_len, target_len).unwrap();
+        for (i, cmd) in cmds.iter().enumerate() {
+            let got = session.apply_command(cmd);
+            let want = model.apply(cmd);
+            prop_assert_eq!(&got, &want, "command {} {:?}", i, cmd);
+            prop_assert_eq!(&session.device.storage, &model.storage, "command {}", i);
+            prop_assert_eq!(session.written_intervals(), model.runs(), "command {}", i);
+            prop_assert_eq!(session.covered(), model.covered, "command {}", i);
+            prop_assert_eq!(session.stats_so_far(), model.stats, "command {}", i);
+        }
+        prop_assert_eq!(session.commit(), model.commit());
+        let image_len = if model.commit().is_ok() {
+            target_len
+        } else {
+            source_len
+        };
+        prop_assert_eq!(dev.image(), &model.storage[..image_len as usize]);
+        Ok(())
+    }
+
+    /// An arbitrary command: copy or add, inside or outside the declared
+    /// dimensions, possibly empty, and now and then at an offset whose
+    /// end overflows `u64`.
+    fn arbitrary_command() -> impl Strategy<Value = Command> {
+        (0u8..16, 0u64..40, 0u64..40, 0u64..14).prop_map(|(kind, from, to, len)| {
+            let far = u64::MAX - 5;
+            match kind {
+                0 => Command::copy(far, to, len),
+                1 => Command::copy(from, far, len),
+                2 => Command::add(far, vec![0xee; len as usize]),
+                k if k % 2 == 0 => Command::copy(from, to, len),
+                k => Command::add(to, (0..len).map(|b| b as u8 ^ k).collect()),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary command streams: unsafe reads, overlapping and out
+        /// of bounds writes, empty and overflowing commands.
+        #[test]
+        fn session_matches_byte_map_on_arbitrary_commands(
+            source_len in 0u64..36,
+            target_len in 0u64..36,
+            cmds in proptest::collection::vec(arbitrary_command(), 0..24),
+        ) {
+            session_matches_model(source_len, target_len, &cmds)?;
+        }
+
+        /// Shuffled tilings of the target: every write is in bounds and
+        /// disjoint, so the stream commits unless some order reads a
+        /// byte an earlier command wrote.
+        #[test]
+        fn session_matches_byte_map_on_tilings(
+            source_len in 1u64..48,
+            target_len in 0u64..48,
+            cuts in proptest::collection::vec(0u64..48, 0..10),
+            picks in proptest::collection::vec(any::<u64>(), 12),
+        ) {
+            let mut bounds: Vec<u64> = cuts.into_iter().filter(|&c| c < target_len).collect();
+            bounds.extend([0, target_len]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut pieces: Vec<(u64, Command)> = bounds
+                .windows(2)
+                .zip(picks.iter().cycle())
+                .map(|(w, &pick)| {
+                    let (to, len) = (w[0], w[1] - w[0]);
+                    let cmd = if pick % 4 != 0 && len <= source_len {
+                        Command::copy(pick % (source_len - len + 1), to, len)
+                    } else {
+                        Command::add(to, vec![pick as u8; len as usize])
+                    };
+                    (pick.rotate_left(17), cmd)
+                })
+                .collect();
+            pieces.sort_by_key(|&(key, _)| key);
+            let cmds: Vec<Command> = pieces.into_iter().map(|(_, cmd)| cmd).collect();
+            session_matches_model(source_len, target_len, &cmds)?;
+        }
     }
 }

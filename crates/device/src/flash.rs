@@ -14,6 +14,7 @@
 //! over full reflashes can be measured (see the `flash` experiment
 //! binary).
 
+use ipr_core::WrViolation;
 use ipr_delta::{Command, DeltaScript};
 use std::collections::HashMap;
 use std::fmt;
@@ -41,6 +42,9 @@ pub enum FlashError {
         /// Installed image length.
         actual: u64,
     },
+    /// The script's command order violates Equation 2; it was rejected
+    /// before any block was erased.
+    Unsafe(WrViolation),
 }
 
 impl fmt::Display for FlashError {
@@ -58,11 +62,21 @@ impl fmt::Display for FlashError {
                     "update expects a {expected} B image, device holds {actual} B"
                 )
             }
+            FlashError::Unsafe(v) => {
+                write!(f, "script violates Equation 2 ({v}); convert it first")
+            }
         }
     }
 }
 
-impl std::error::Error for FlashError {}
+impl std::error::Error for FlashError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FlashError::Unsafe(v) => Some(v),
+            _ => None,
+        }
+    }
+}
 
 /// A NOR-flash part: `blocks × block_size` bytes, erasable per block.
 ///
@@ -309,6 +323,10 @@ impl<'a> FlashUpdater<'a> {
 
     /// Applies a converted, Equation-2-safe delta script in place.
     ///
+    /// The script is checked against Equation 2 first, because deferred
+    /// writes are only safe in a safe order: an unconverted script is
+    /// rejected before the first erase.
+    ///
     /// Commands run serially in script order. Each command's write range
     /// is split at erase-block boundaries; every piece captures its
     /// source bytes from flash immediately (Equation 2 guarantees they
@@ -324,7 +342,8 @@ impl<'a> FlashUpdater<'a> {
     ///
     /// [`FlashError::ImageMismatch`] if the script's source length does
     /// not match the installed image, [`FlashError::OutOfRange`] if the
-    /// new version exceeds the part.
+    /// new version exceeds the part, [`FlashError::Unsafe`] if the
+    /// command order violates Equation 2.
     pub fn apply_update(&mut self, script: &DeltaScript) -> Result<FlashUpdateStats, FlashError> {
         let _span = ipr_trace::span("device.flash_update");
         if script.source_len() != self.image_len as u64 {
@@ -340,6 +359,7 @@ impl<'a> FlashUpdater<'a> {
                 capacity: self.flash.capacity(),
             });
         }
+        ipr_core::check_in_place_safe(script).map_err(FlashError::Unsafe)?;
         let before = (self.flash.total_erases(), self.flash.programmed_bytes());
 
         // Bytes each block will receive over the whole script, so a
@@ -569,6 +589,31 @@ mod tests {
                 actual: 40
             })
         );
+    }
+
+    #[test]
+    fn unsafe_order_rejected_before_any_erase() {
+        // An unconverted swap: the second copy reads what the first
+        // wrote. Deferred writes would hide that and corrupt silently.
+        let script = ipr_delta::DeltaScript::new(
+            16,
+            16,
+            vec![Command::copy(8, 0, 8), Command::copy(0, 8, 8)],
+        )
+        .unwrap();
+        let reference: Vec<u8> = (0u8..16).collect();
+        for ram_blocks in [1, 8] {
+            let mut flash = flash_with_image(&reference, 2, 8);
+            let mut updater =
+                FlashUpdater::new(&mut flash, reference.len()).with_ram_blocks(ram_blocks);
+            let err = updater.apply_update(&script).unwrap_err();
+            assert!(
+                matches!(&err, FlashError::Unsafe(v) if v.reader == 1),
+                "ram {ram_blocks}: {err:?}"
+            );
+            assert_eq!(updater.image(), &reference[..], "ram {ram_blocks}");
+            assert_eq!(flash.total_erases(), 0, "ram {ram_blocks}");
+        }
     }
 
     #[test]

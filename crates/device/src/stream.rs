@@ -12,8 +12,8 @@
 //!   discipline, so reconstruction overlaps the transfer;
 //! * every chunk boundary is a durable checkpoint: the decoder's
 //!   [`StreamCheckpoint`], the [`Journal`]'s flash progress *and*
-//!   stream offset, and the session's written-interval map serialize
-//!   into one [`InstallCheckpoint`]. Power loss at any chunk boundary
+//!   stream offset, and the session's written spans serialize into
+//!   one [`InstallCheckpoint`]. Power loss at any chunk boundary
 //!   resumes from the checkpoint — re-requesting the wire from the
 //!   checkpointed offset, not from byte 0.
 //!
@@ -92,9 +92,10 @@ const INSTALL_CHECKPOINT_MAGIC: [u8; 4] = *b"IPC1";
 /// the decoder's wire position ([`StreamCheckpoint`]), the journal's
 /// flash progress and stream offset ([`Journal`]), and the update
 /// session's write-before-read state (covered bytes plus the written
-/// bitmap as coalesced intervals). A device persists this (a few dozen
+/// spans as coalesced intervals). A device persists this (a few dozen
 /// bytes plus the interval list) alongside its storage; resuming
-/// validates the records against each other before touching flash.
+/// validates the records against each other before touching flash and
+/// rebuilds the session's span set from the intervals.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InstallCheckpoint {
     /// Decoder state at the last command boundary.
@@ -103,7 +104,8 @@ pub struct InstallCheckpoint {
     pub journal: Journal,
     /// Target bytes covered by the applied commands.
     pub covered: u64,
-    /// Written regions as coalesced `[start, end)` intervals.
+    /// Written regions as coalesced `[start, end)` intervals, all
+    /// within the target.
     pub written: Vec<(u64, u64)>,
     /// Running update statistics (carried across power cycles).
     pub stats: UpdateStats,
@@ -235,15 +237,11 @@ impl InstallCheckpoint {
                 self.decoder.byte_offset
             ));
         }
-        let needed = self
-            .decoder
-            .header
-            .source_len
-            .max(self.decoder.header.target_len);
+        let target_len = self.decoder.header.target_len;
         let mut previous_end = 0u64;
         let mut total = 0u64;
         for &(start, end) in &self.written {
-            if start >= end || end > needed || (previous_end > 0 && start < previous_end) {
+            if start >= end || end > target_len || (previous_end > 0 && start < previous_end) {
                 return Err(format!("bad written interval [{start}, {end})"));
             }
             previous_end = end;
@@ -326,7 +324,6 @@ impl<'a> StreamingInstall<'a> {
             header.source_len,
             header.target_len,
             &checkpoint.written,
-            checkpoint.covered,
             checkpoint.stats,
         )?;
         ipr_trace::add("stream.resumes", 1);
@@ -815,6 +812,33 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, InstallError::Checkpoint(_)), "{err}");
         }
+        // A shrinking install whose last written interval is moved past
+        // the new end but stays inside the old image: `covered` still
+        // adds up, and only the target bound catches it.
+        let short = &v2[..12_000];
+        let shrinking = engine.stream_update(&v1, short, 64).unwrap();
+        let mut dev = Device::new(v1.len());
+        dev.flash(&v1).unwrap();
+        let StreamProgress::Killed { checkpoint, .. } =
+            stream_install(&mut dev, &shrinking, lossy(0.0, 1), 576, None, Some(2)).unwrap()
+        else {
+            panic!("killed at chunk 2");
+        };
+        let mut past_target = checkpoint.expect("header arrived");
+        let (start, end) = past_target.written.pop().expect("commands applied");
+        let moved = (12_100, 12_100 + end - start);
+        assert!(moved.1 <= v1.len() as u64, "inside the old image");
+        past_target.written.push(moved);
+        let err = stream_install(
+            &mut dev,
+            &shrinking,
+            lossy(0.0, 1),
+            576,
+            Some(&past_target),
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, InstallError::Checkpoint(_)), "{err}");
         // Corrupted serialized form is caught by the CRC seal.
         let mut bytes = good.encode();
         let mid = bytes.len() / 2;

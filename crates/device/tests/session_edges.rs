@@ -75,10 +75,13 @@ fn session_counts_commands() {
 fn session_wrong_dimensions_rejected_up_front() {
     let mut dev = Device::new(16);
     dev.flash(&[4u8; 8]).unwrap();
-    assert!(matches!(
-        dev.begin_update(9, 8),
-        Err(DeviceError::CapacityExceeded { .. })
-    ));
+    assert_eq!(
+        dev.begin_update(9, 8).unwrap_err(),
+        DeviceError::ImageMismatch {
+            expected: 9,
+            actual: 8
+        }
+    );
     assert!(matches!(
         dev.begin_update(8, 17),
         Err(DeviceError::CapacityExceeded { .. })

@@ -364,18 +364,27 @@ impl IntervalSet {
         self.spans.insert(start, end);
     }
 
-    /// Whether `iv` shares at least one byte with the union.
+    /// The lowest byte of `iv` inside the union, if any.
     #[must_use]
-    pub fn intersects(&self, iv: Interval) -> bool {
+    pub fn first_overlap(&self, iv: Interval) -> Option<u64> {
         if iv.is_empty() {
-            return false;
+            return None;
         }
         if let Some((_, &e)) = self.spans.range(..=iv.start()).next_back() {
             if e > iv.start() {
-                return true;
+                return Some(iv.start());
             }
         }
-        self.spans.range(iv.start()..iv.end()).next().is_some()
+        self.spans
+            .range(iv.start()..iv.end())
+            .next()
+            .map(|(&s, _)| s)
+    }
+
+    /// Whether `iv` shares at least one byte with the union.
+    #[must_use]
+    pub fn intersects(&self, iv: Interval) -> bool {
+        self.first_overlap(iv).is_some()
     }
 
     /// Total bytes of `iv` covered by the union.
@@ -560,6 +569,11 @@ mod tests {
         assert!(s.intersects(Interval::new(19, 31)));
         assert!(!s.intersects(Interval::new(20, 30)));
         assert!(!s.intersects(Interval::new(0, 10)));
+        assert_eq!(s.first_overlap(Interval::new(19, 31)), Some(19));
+        assert_eq!(s.first_overlap(Interval::new(0, 35)), Some(10));
+        assert_eq!(s.first_overlap(Interval::new(25, 35)), Some(30));
+        assert_eq!(s.first_overlap(Interval::new(20, 30)), None);
+        assert_eq!(s.first_overlap(Interval::new(15, 15)), None);
         assert_eq!(s.intersection_len(Interval::new(15, 35)), 10);
         assert_eq!(s.intersection_len(Interval::new(0, 100)), 20);
         assert_eq!(s.intersection_len(Interval::new(20, 30)), 0);

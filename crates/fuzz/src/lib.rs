@@ -15,8 +15,8 @@
 //!   policies across the serial, parallel, resumable (with simulated
 //!   power cuts and torn writes) and spilled engines;
 //! * **crwi** ([`oracles::check_crwi_case`]): a standalone Equation 2
-//!   validator ([`check`]) that agrees with the production verifier on
-//!   arbitrary command orders;
+//!   validator ([`check`]) that agrees with the production verifier and
+//!   the device's run-time detector on arbitrary command orders;
 //! * **diff** ([`oracles::check_diff_case`]): the parallel diff engine
 //!   produces scripts that apply correctly
 //!   (`apply(diff(r, v), r) == v`) and are deterministic — identical

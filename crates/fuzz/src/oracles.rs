@@ -19,8 +19,9 @@
 //! * [`check_crwi_case`] — the independent Equation 2 checker
 //!   ([`crate::check`]) agrees with both of `ipr_core`'s verifiers on
 //!   random permutations, the engine's checked applier rejects exactly
-//!   the unsafe orders without writing, and safety implies in-place
-//!   application correctness.
+//!   the unsafe orders without writing, the device's run-time detector
+//!   faults on exactly those orders at the first clobbered byte, and
+//!   safety implies in-place application correctness.
 //! * [`check_diff_case`] — the parallel diff engine, wrapped around
 //!   every differ family, produces scripts that apply back to the
 //!   version file and are deterministic: repeated runs and *different
@@ -518,6 +519,10 @@ const CRWI_TRIALS: usize = 8;
 /// leaving the buffer byte-identical, and must rebuild the scratch-space
 /// output on the safe ones — Eq. 2 is not just an invariant, it is
 /// *the* condition under which in-place application is correct.
+/// [`Device::apply_update`](ipr_device::Device::apply_update) must do
+/// the same at run time: rebuild the output on the safe orders, and on
+/// the rest fault at the independent checker's command, on the first
+/// clobbered byte of its read.
 pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let expected = scratch_apply(case)?;
     let mut rng = crate::gen::rng_for(salt ^ 0x43525749); // "CRWI"
@@ -576,6 +581,37 @@ pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
             (got, want) => {
                 return fail(format!(
                     "trial {trial}: engine apply gave {got:?} where the verifier gave {want:?}"
+                ));
+            }
+        }
+        // The device's run-time detector faults on exactly the unsafe
+        // orders, at the first clobbered byte of the first bad read.
+        let mut device = ipr_device::Device::new(required_capacity(script) as usize);
+        device
+            .flash(&case.reference)
+            .map_err(|e| format!("trial {trial}: device flash: {e}"))?;
+        match (device.apply_update(script), &ours) {
+            (Ok(_), None) => {
+                if device.image() != &expected[..] {
+                    return fail(format!(
+                        "trial {trial}: device passed a safe order but its image differs"
+                    ));
+                }
+            }
+            (Err(got), Some(v)) => {
+                let want = ipr_device::DeviceError::WriteBeforeRead {
+                    command: v.command,
+                    offset: v.read_start.max(v.written.0),
+                };
+                if got != want {
+                    return fail(format!(
+                        "trial {trial}: device gave {got:?} where the checker found {v}"
+                    ));
+                }
+            }
+            (got, want) => {
+                return fail(format!(
+                    "trial {trial}: device gave {got:?} where the checker gave {want:?}"
                 ));
             }
         }

@@ -199,6 +199,8 @@ proptest! {
                 .count() as u64;
             prop_assert_eq!(set.intersection_len(iv), expected);
             prop_assert_eq!(set.intersects(iv), expected > 0);
+            let first_set = (start..start + len).find(|&i| model[i as usize]);
+            prop_assert_eq!(set.first_overlap(iv), first_set);
         }
     }
 
