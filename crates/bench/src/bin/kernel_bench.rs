@@ -1,5 +1,5 @@
-//! Match-kernel microbenchmark: wide-word compare kernels vs the naive
-//! byte loops they replaced.
+//! Match-kernel and checksum microbenchmark: wide-word compare kernels
+//! and the slicing-by-16 CRC-32 vs the naive byte loops they replaced.
 //!
 //! The differ inner loops were rebuilt on `ipr_delta::diff::kernel`
 //! (forward/backward extension via `u64` XOR + `trailing_zeros`, word-
@@ -13,6 +13,13 @@
 //! * **verify** — 16-byte seed windows, hit and miss (the candidate
 //!   filter in front of every extension).
 //!
+//! The `crc32` rows time `ipr_delta::checksum::crc32` on the long
+//! profile's 4 MiB buffer and on 24-byte messages at every alignment
+//! phase, against a byte-at-a-time table loop. Before timing, both
+//! inputs are also checksummed in two streamed pieces split at every
+//! phase of the 16-byte block, and each result must equal the byte
+//! loop's.
+//!
 //! Every timed input is first cross-checked against the naive loop and
 //! the run exits non-zero on any disagreement, so the bench doubles as a
 //! smoke-level equivalence gate in CI. Throughput numbers are printed
@@ -22,6 +29,7 @@
 //!
 //! Run: `cargo run -p ipr-bench --release --bin kernel_bench`
 
+use ipr_delta::checksum::{crc32, Crc32};
 use ipr_delta::diff::kernel::{common_prefix, common_suffix, windows_eq};
 use std::time::Instant;
 
@@ -45,6 +53,56 @@ fn naive_suffix(a: &[u8], b: &[u8]) -> usize {
 
 fn naive_eq(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && (0..a.len()).all(|i| a[i] == b[i])
+}
+
+/// Byte-at-a-time CRC-32 (IEEE, reflected), the loop `crc32` replaced.
+fn naive_crc32(data: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
+        }
+        table
+    };
+    let mut state = u32::MAX;
+    for &byte in data {
+        state = (state >> 8) ^ TABLE[usize::from(state as u8 ^ byte)];
+    }
+    !state
+}
+
+/// Counts the split points in `0..=16` (and as far from the end) at
+/// which two streamed `Crc32::update` calls disagree with the byte loop.
+fn crc_split_mismatches(data: &[u8], what: &str) -> usize {
+    let expected = naive_crc32(data);
+    let mut mismatches = 0;
+    for phase in 0..=16.min(data.len()) {
+        for split in [phase, data.len() - phase] {
+            let mut crc = Crc32::new();
+            crc.update(&data[..split]);
+            crc.update(&data[split..]);
+            let got = crc.finish();
+            if got != expected {
+                eprintln!(
+                    "MISMATCH: {what} crc32 split at {split}: {got:#010x} vs {expected:#010x}"
+                );
+                mismatches += 1;
+            }
+        }
+    }
+    mismatches
 }
 
 /// Deterministic xorshift fill, independent of any RNG crate.
@@ -200,6 +258,46 @@ fn main() {
         profile: "verify",
         kernel: "windows_eq",
         bytes: (verify_iters * seed_len) as u64,
+        naive_ns,
+        wide_ns,
+    });
+
+    // --- crc32: the long buffer, then 24-byte messages at every phase ---
+    mismatches += crc_split_mismatches(&a, "long");
+    let naive_ns = best_of(reps, || {
+        let t = Instant::now();
+        std::hint::black_box(naive_crc32(std::hint::black_box(&a)));
+        t.elapsed().as_nanos()
+    });
+    let wide_ns = best_of(reps, || {
+        let t = Instant::now();
+        std::hint::black_box(crc32(std::hint::black_box(&a)));
+        t.elapsed().as_nanos()
+    });
+    rows.push(Row {
+        profile: "long",
+        kernel: "crc32",
+        bytes: a.len() as u64,
+        naive_ns,
+        wide_ns,
+    });
+    for off in 0..16 {
+        mismatches += crc_split_mismatches(&sa[off..off + short_match], "short");
+    }
+    let crc_pass = |f: fn(&[u8]) -> u32, sa: &[u8]| -> u128 {
+        let t = Instant::now();
+        for i in 0..iters {
+            let off = (i * 7) % 64;
+            std::hint::black_box(f(std::hint::black_box(&sa[off..off + short_match])));
+        }
+        t.elapsed().as_nanos()
+    };
+    let naive_ns = best_of(reps, || crc_pass(naive_crc32, &sa));
+    let wide_ns = best_of(reps, || crc_pass(crc32, &sa));
+    rows.push(Row {
+        profile: "short",
+        kernel: "crc32",
+        bytes: (iters * short_match) as u64,
         naive_ns,
         wide_ns,
     });

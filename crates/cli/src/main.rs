@@ -363,10 +363,19 @@ fn cmd_apply_in_place(args: &[String]) -> CliResult {
     cli.finish_options()?;
     let [file_path, delta_path] = cli.positional("usage: ipr apply-in-place <file> <delta>")?;
     let decoded = EngineCli::read_delta(delta_path)?;
+    let mut buf = std::fs::read(file_path)?;
+    // A delta made for another base would rebuild a wrong image; reject
+    // it as `ipr apply` does, before the file is touched.
+    if buf.len() as u64 != decoded.script.source_len() {
+        return Err(ipr_delta::ApplyError::SourceLenMismatch {
+            expected: decoded.script.source_len(),
+            actual: buf.len() as u64,
+        }
+        .into());
+    }
     // One script per process, so the reference verifier's allocation
     // costs nothing; its error names the clobbered read.
     check_in_place_safe(&decoded.script)?;
-    let mut buf = std::fs::read(file_path)?;
     let needed = ipr_core::required_capacity(&decoded.script) as usize;
     buf.resize(buf.len().max(needed), 0);
     ipr_core::apply_in_place(&decoded.script, &mut buf)?;

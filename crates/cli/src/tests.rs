@@ -307,6 +307,18 @@ fn error_paths_reported_not_panicked() {
         assert!(err.contains("256 B") && err.contains("200 B"), "{err}");
         assert_eq!(std::fs::read(p("short")).unwrap(), &old[..200]);
     }
+    // Rebuilding a longer or a shorter file in place fails as `apply`
+    // does, naming both lengths, and leaves the file byte-identical.
+    let longer = [&old[..], &old[..44]].concat();
+    for (name, image) in [("longer", &longer[..]), ("shorter", &old[..200])] {
+        std::fs::write(p(name), image).unwrap();
+        let err = run(&s(&["apply-in-place", &p(name), &p("d.ip")]))
+            .unwrap_err()
+            .to_string();
+        let expected = format!("reference is {} bytes, script expects 256", image.len());
+        assert!(err.contains(&expected), "{name}: {err}");
+        assert_eq!(std::fs::read(p(name)).unwrap(), image, "{name}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

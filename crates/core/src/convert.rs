@@ -337,7 +337,7 @@ pub fn convert_in_place_pooled(
         conversion_cost += config.cost_format.conversion_cost(&c);
         let start = usize::try_from(c.from).expect("offset fits usize");
         let end = usize::try_from(c.from + c.len).expect("offset fits usize");
-        let mut data = pool.take_bytes();
+        let mut data = pool.take_bytes(end - start);
         data.extend_from_slice(&reference[start..end]);
         adds.push(Add::new(c.to, data));
     }

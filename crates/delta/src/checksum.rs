@@ -4,6 +4,16 @@
 //! Delta-file headers carry the CRC of the version file so an applier can
 //! detect a corrupted reconstruction — particularly valuable for in-place
 //! application, where a wrongly ordered delta silently corrupts the target.
+//!
+//! The checksum runs over every byte of every version on every read and
+//! write path, so it is computed sixteen bytes at a time ("slicing-by-16",
+//! after Kounavis & Berry, "A Systematic Approach to Building High
+//! Performance Software-Based CRC Generators", ISCC 2005). Table `k`
+//! maps a byte to its CRC contribution when `k` zero bytes follow it, so
+//! one step XORs the state into the first four bytes of a 16-byte block
+//! and XORs sixteen independent table lookups, in place of sixteen
+//! dependent byte steps. Bytes past the last whole block take the
+//! byte-at-a-time step. Both give the same values.
 
 /// Streaming CRC-32 (IEEE polynomial, reflected).
 ///
@@ -23,9 +33,13 @@ pub struct Crc32 {
 
 const POLY: u32 = 0xedb8_8320;
 
-/// 256-entry lookup table, generated at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the main loop.
+const SLICES: usize = 16;
+
+/// `TABLES[0]` is the byte-at-a-time table; `TABLES[k]` is
+/// `TABLES[k - 1]` advanced by one zero byte. Generated at compile time.
+static TABLES: [[u32; 256]; SLICES] = {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -38,10 +52,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 impl Crc32 {
@@ -54,9 +78,18 @@ impl Crc32 {
     /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut state = self.state;
-        for &byte in data {
-            let idx = ((state ^ u32::from(byte)) & 0xff) as usize;
-            state = (state >> 8) ^ TABLE[idx];
+        let mut blocks = data.chunks_exact(SLICES);
+        for block in &mut blocks {
+            let head = state.to_le_bytes();
+            let mut next = 0;
+            for (k, &byte) in block.iter().enumerate() {
+                let byte = if k < 4 { byte ^ head[k] } else { byte };
+                next ^= TABLES[SLICES - 1 - k][usize::from(byte)];
+            }
+            state = next;
+        }
+        for &byte in blocks.remainder() {
+            state = (state >> 8) ^ TABLES[0][usize::from(state as u8 ^ byte)];
         }
         self.state = state;
     }
@@ -91,6 +124,28 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop, kept as the reference.
+    fn bytewise(data: &[u8]) -> u32 {
+        let mut state = 0xffff_ffff_u32;
+        for &byte in data {
+            state = (state >> 8) ^ TABLES[0][usize::from(state as u8 ^ byte)];
+        }
+        state ^ 0xffff_ffff
+    }
+
+    /// Deterministic xorshift bytes.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn known_vectors() {
@@ -114,6 +169,23 @@ mod tests {
         assert_eq!(crc.finish(), crc32(&data));
     }
 
+    /// Every length and every split point around the 16-byte block
+    /// boundary, so each update sees each possible remainder.
+    #[test]
+    fn splits_around_the_block_boundary_match_bytewise() {
+        let data = noise(33, 0x9e37_79b9_7f4a_7c15);
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            assert_eq!(crc32(data), bytewise(data), "len {len}");
+            for split in 0..=len {
+                let mut crc = Crc32::new();
+                crc.update(&data[..split]);
+                crc.update(&data[split..]);
+                assert_eq!(crc.finish(), bytewise(data), "len {len}, split {split}");
+            }
+        }
+    }
+
     #[test]
     fn different_inputs_differ() {
         assert_ne!(crc32(b"abcd"), crc32(b"abce"));
@@ -123,5 +195,27 @@ mod tests {
     #[test]
     fn default_matches_new() {
         assert_eq!(Crc32::default(), Crc32::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary data fed through several `update` calls, split at
+        /// arbitrary points, equals the byte-at-a-time reference.
+        #[test]
+        fn streamed_updates_match_bytewise(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                crc.update(&data[start..cut]);
+                start = cut;
+            }
+            prop_assert_eq!(crc.finish(), bytewise(&data));
+        }
     }
 }

@@ -427,6 +427,27 @@ pub fn encoded_size(script: &DeltaScript, format: Format) -> Result<u64, EncodeE
     Ok(bytes.len() as u64)
 }
 
+/// An upper bound on the encoded size of `script` under `format`, with
+/// or without a target CRC, computed from its lengths, command count and
+/// added bytes without encoding — cheap enough to size an output buffer
+/// before every encode, where [`encoded_size`] encodes the whole script.
+#[must_use]
+pub fn encoded_size_bound(script: &DeltaScript, format: Format) -> usize {
+    // No offset or length in a valid script exceeds the longer file.
+    let field = varint::encoded_len(script.source_len().max(script.target_len()));
+    let codewords = match format {
+        Format::Ordered => script.len() * (1 + 2 * field),
+        Format::InPlace | Format::Improved => script.len() * (1 + 3 * field),
+        // Tag, 4-byte offsets and a 2-byte copy length per codeword,
+        // splits included.
+        Format::PaperOrdered => paper::wire_count(script) as usize * 7,
+        Format::PaperInPlace => paper::wire_count(script) as usize * 11,
+    };
+    // Magic, format, flags, two lengths, the count and the CRC.
+    let header = MAGIC.len() + 2 + 2 * field + varint::encoded_len(u64::MAX) + 4;
+    header + codewords + script.added_bytes() as usize
+}
+
 fn encode_inner_into(
     script: &DeltaScript,
     format: Format,
@@ -569,6 +590,34 @@ mod tests {
             assert_eq!(d.script.target_len(), s.target_len());
             assert_eq!(d.script.copied_bytes(), s.copied_bytes());
             assert_eq!(d.script.added_bytes(), s.added_bytes());
+        }
+    }
+
+    #[test]
+    fn size_bound_covers_every_format() {
+        // Long commands force the paper formats to split; offsets and
+        // lengths need multi-byte varints.
+        let long = DeltaScript::new(
+            300_000,
+            300_000,
+            vec![
+                Command::copy(1000, 0, 200_000),
+                Command::add(200_000, vec![0xee; 1000]),
+                Command::copy(0, 201_000, 99_000),
+            ],
+        )
+        .unwrap();
+        let empty = DeltaScript::new(0, 0, Vec::new()).unwrap();
+        for script in [sample_script(), long, empty] {
+            for format in Format::ALL {
+                let wire = encode_with_crc(&script, format, 0).unwrap();
+                let bound = encoded_size_bound(&script, format);
+                assert!(
+                    wire.len() <= bound,
+                    "format {format}: {} > {bound}",
+                    wire.len()
+                );
+            }
         }
     }
 

@@ -84,12 +84,13 @@ pub trait Differ {
 #[derive(Clone, Debug, Default)]
 pub struct ScriptBuilder {
     commands: Vec<Command>,
+    /// The literal run being accumulated; it keeps its capacity from run
+    /// to run, and each finished run is copied into a payload that fits.
     pending: Vec<u8>,
     cursor: u64,
-    /// Cleared byte vectors to draw add payloads from before touching the
-    /// allocator (filled when the builder is created from a
-    /// [`ScriptPool`](crate::ScriptPool)).
-    spare: Vec<Vec<u8>>,
+    /// Where add payloads are drawn from (empty unless the builder was
+    /// created from a [`ScriptPool`](crate::ScriptPool)).
+    pool: crate::ScriptPool,
 }
 
 impl ScriptBuilder {
@@ -99,26 +100,22 @@ impl ScriptBuilder {
         Self::default()
     }
 
-    /// Creates a builder whose command and payload storage is drawn from
-    /// `pool`, so building allocates nothing once the pool is warm.
+    /// Creates a builder whose command and payload storage, and literal
+    /// run buffer, are drawn from `pool`, so building allocates nothing
+    /// once the pool is warm. The builder holds the pool's storage until
+    /// it is finished.
     ///
-    /// Finish with [`ScriptBuilder::finish_into_pool`] to hand unused
-    /// storage back.
+    /// Finish with [`ScriptBuilder::finish_into_pool`] to hand it back.
     pub(crate) fn from_pool(pool: &mut crate::ScriptPool) -> Self {
+        let mut pool = std::mem::take(pool);
         let commands = pool.take_commands();
-        let mut spare = pool.take_bytes_stash();
-        // Ascending by capacity: `flush_pending` pops, so add payloads are
-        // drawn largest-first. Arbitrary handout order never converges —
-        // some small vector keeps landing on a big add and regrowing —
-        // while rank-ordered handout reaches the workload's high-water
-        // mark once and then allocates nothing.
-        spare.sort_unstable_by_key(Vec::capacity);
-        let pending = spare.pop().unwrap_or_default();
+        let mut pending = std::mem::take(&mut pool.run);
+        pending.clear();
         Self {
             commands,
             pending,
             cursor: 0,
-            spare,
+            pool,
         }
     }
 
@@ -185,8 +182,9 @@ impl ScriptBuilder {
 
     fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
-            let next = self.spare.pop().unwrap_or_default();
-            let data = std::mem::replace(&mut self.pending, next);
+            let mut data = self.pool.take_bytes(self.pending.len());
+            data.extend_from_slice(&self.pending);
+            self.pending.clear();
             let len = data.len() as u64;
             self.commands.push(Command::add(self.cursor, data));
             self.cursor += len;
@@ -209,19 +207,16 @@ impl ScriptBuilder {
             .expect("builder emits tiling write-ordered commands")
     }
 
-    /// Like [`ScriptBuilder::finish`], but returns the builder's unused
-    /// spare storage to `pool` first (the counterpart of
-    /// [`ScriptBuilder::from_pool`]).
+    /// Like [`ScriptBuilder::finish`], but hands the pool's storage back
+    /// first (the counterpart of [`ScriptBuilder::from_pool`]).
     pub(crate) fn finish_into_pool(
         mut self,
         source_len: u64,
         pool: &mut crate::ScriptPool,
     ) -> DeltaScript {
         self.flush_pending();
-        let mut stash = self.spare;
-        self.pending.clear();
-        stash.push(self.pending);
-        pool.restore_bytes_stash(stash);
+        self.pool.run = self.pending;
+        *pool = self.pool;
         let target_len = self.cursor;
         DeltaScript::new(source_len, target_len, self.commands)
             .expect("builder emits tiling write-ordered commands")

@@ -141,7 +141,10 @@ pub(crate) fn push_copy(segs: &mut Vec<Seg>, from: u64, len: u64) {
 ///
 /// A `DiffScratch` is plain storage — it carries no configuration, so one
 /// arena serves any mix of differs and input sizes, growing to the
-/// high-water mark and staying there.
+/// high-water mark and staying there. That holds for its script pool
+/// too, even while the caller keeps several produced scripts alive at
+/// once, because the pool hands each demand the smallest spare that
+/// fits.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
     /// Reference-index storage.

@@ -1,7 +1,7 @@
 //! Property tests for the codec layer: round trips over arbitrary valid
 //! scripts (not just differ output) and decoder totality on junk.
 
-use ipr_delta::codec::{decode, encode, encode_checked, Format};
+use ipr_delta::codec::{decode, encode, encode_checked, encoded_size_bound, Format};
 use ipr_delta::{apply, Command, DeltaScript};
 use proptest::prelude::*;
 
@@ -70,6 +70,7 @@ proptest! {
                 continue;
             }
             let wire = encode_checked(&script, format, &expected).unwrap();
+            prop_assert!(wire.len() <= encoded_size_bound(&script, format));
             let decoded = decode(&wire).unwrap();
             prop_assert_eq!(decoded.target_crc, Some(ipr_delta::checksum::crc32(&expected)));
             prop_assert_eq!(

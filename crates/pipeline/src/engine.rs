@@ -216,7 +216,9 @@ impl<D: IndexedDiffer> Engine<D> {
     }
 
     /// Encodes a script into a pool-drawn wire buffer, verifying it
-    /// rebuilds `version`. The stage-method twin of the encode inside
+    /// rebuilds `version`. The buffer is drawn with room for
+    /// [`codec::encoded_size_bound`] bytes, so encoding never regrows it.
+    /// The stage-method twin of the encode inside
     /// [`Engine::update`]: return the buffer through
     /// [`Engine::recycle`] and a warm engine re-serves it, so
     /// steady-state encoding performs no heap allocation.
@@ -225,7 +227,8 @@ impl<D: IndexedDiffer> Engine<D> {
     ///
     /// [`EngineError::Encode`] as [`ipr_delta::codec::encode_checked`].
     pub fn encode(&mut self, script: &DeltaScript, version: &[u8]) -> Result<Vec<u8>, EngineError> {
-        let mut payload = self.diff_scratch.pool_mut().take_bytes();
+        let bound = codec::encoded_size_bound(script, self.config.format);
+        let mut payload = self.diff_scratch.pool_mut().take_bytes(bound);
         codec::encode_checked_into(script, self.config.format, version, &mut payload)?;
         Ok(payload)
     }

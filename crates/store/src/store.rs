@@ -195,13 +195,23 @@ impl Store {
             }
             None => self.head().map(|v| v.oid),
         };
+        // One checksum of the version serves the delta header and the
+        // version record.
+        let crc = ipr_delta::checksum::crc32(bytes);
         // Diff against the parent and keep the delta only if it is
         // smaller than storing the version outright.
         let delta = match parent {
             Some(p) => {
                 let parent_bytes = self.get(p)?;
                 let script = self.engine.diff(&parent_bytes, bytes);
-                let encoded = codec::encode_checked(&script, STORE_FORMAT, bytes)?;
+                if script.target_len() != bytes.len() as u64 {
+                    return Err(codec::EncodeError::TargetLenMismatch {
+                        expected: script.target_len(),
+                        actual: bytes.len() as u64,
+                    }
+                    .into());
+                }
+                let encoded = codec::encode_with_crc(&script, STORE_FORMAT, crc)?;
                 self.engine.recycle_script(script);
                 if encoded.len() < bytes.len() {
                     Some((p, encoded))
@@ -214,7 +224,6 @@ impl Store {
 
         let mut next = self.manifest.clone();
         next.gen += 1;
-        let crc = ipr_delta::checksum::crc32(bytes);
         next.versions.push(VersionRecord {
             seq: next.versions.len() as u64 + 1,
             oid,
