@@ -6,7 +6,10 @@
 //! [`ParallelDiffer`] at 1/2/4/8 threads over the experiment corpus,
 //! reporting MiB/s of version bytes differenced and the encoded delta
 //! size (the compression cost of chunked scanning — bounded by seam
-//! stitching). A shared [`DiffScratch`] arena is reused across every
+//! stitching). The `greedy` rows index every reference offset, as the
+//! paper reproduction does; the `sampled-greedy` rows are the Engine's
+//! differ, [`GreedyDiffer::sampled`], which indexes and probes only
+//! checkpoint seeds. A shared [`DiffScratch`] arena is reused across every
 //! call, so steady state measures the algorithms, not the allocator.
 //!
 //! Results land in `results/BENCH_diff_throughput.json`.
@@ -27,7 +30,12 @@
 //!   the quick CI corpus);
 //! * **overhead** — single-threaded parallel falls behind the serial
 //!   engine by more than [`OVERHEAD_FACTOR`] (a machine-independent
-//!   within-run ratio; absolute times are never gated).
+//!   within-run ratio; absolute times are never gated);
+//! * **sampling** — the sampled serial row's delta bytes exceed the same
+//!   run's full-index greedy serial row's by more than
+//!   [`SAMPLED_BYTES_FACTOR`], or its MiB/s fall below
+//!   [`SAMPLED_SPEED_FACTOR`] times that row's: checkpointing must keep
+//!   paying for the bytes it costs.
 //!
 //! Timing rows at thread counts above the host's parallelism are printed
 //! for the record but carry no information — on a single-core runner
@@ -52,6 +60,14 @@ use std::time::Instant;
 const SEAM_TOLERANCE: f64 = 1.02;
 /// Gate: single-threaded parallel may cost at most this much of serial.
 const OVERHEAD_FACTOR: f64 = 2.0;
+/// Gate: the sampled differ's serial delta bytes may exceed the full
+/// index's by at most this factor. Measured: 1.0003 on the full 200-pair
+/// corpus, 1.0010 on CI's 40-pair quick corpus (pairs of at most 64 KiB).
+const SAMPLED_BYTES_FACTOR: f64 = 1.005;
+/// Gate: the sampled differ's serial MiB/s must reach at least this
+/// multiple of the full index's. Measured on a 2-core x86-64 host: 2.4 to
+/// 3.3 on the full corpus, 2.6 to 2.9 on the quick one.
+const SAMPLED_SPEED_FACTOR: f64 = 1.5;
 
 struct Row {
     differ: &'static str,
@@ -182,6 +198,13 @@ fn main() {
         mib,
     ));
     rows.extend(bench_differ(
+        "sampled-greedy",
+        GreedyDiffer::sampled(),
+        &corpus,
+        reps,
+        mib,
+    ));
+    rows.extend(bench_differ(
         "one-pass",
         OnePassDiffer::default(),
         &corpus,
@@ -205,12 +228,12 @@ fn main() {
         host
     );
     println!(
-        "{:<12} {:<9} {:>8} {:>12} {:>10} {:>9} {:>13}",
+        "{:<15} {:<9} {:>8} {:>12} {:>10} {:>9} {:>13}",
         "differ", "config", "threads", "total ms", "MiB/s", "speedup", "delta bytes"
     );
     for r in &rows {
         println!(
-            "{:<12} {:<9} {:>8} {:>12.2} {:>10.1} {:>8.2}x {:>13}",
+            "{:<15} {:<9} {:>8} {:>12.2} {:>10.1} {:>8.2}x {:>13}",
             r.differ,
             r.config,
             r.threads,
@@ -285,7 +308,9 @@ fn compare_to_baseline(rows: &[Row], path: &str, pairs: usize, version_bytes: u6
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
         "\nComparison against {path} (gates: delta bytes ≤ baseline, parallel delta bytes \
-         ≤ {SEAM_TOLERANCE}x serial, 1-thread parallel ≤ {OVERHEAD_FACTOR}x serial)\n"
+         ≤ {SEAM_TOLERANCE}x serial, 1-thread parallel ≤ {OVERHEAD_FACTOR}x serial, sampled \
+         serial delta bytes ≤ {SAMPLED_BYTES_FACTOR}x and MiB/s ≥ {SAMPLED_SPEED_FACTOR}x \
+         greedy serial)\n"
     );
     if host == 1 {
         println!(
@@ -335,11 +360,13 @@ fn compare_to_baseline(rows: &[Row], path: &str, pairs: usize, version_bytes: u6
     // Within-run gates: these compare rows from the same run, so corpus
     // size and machine speed cancel — they hold on the quick CI corpus
     // even when the baseline was taken on the full one.
-    for differ in ["greedy", "one-pass", "correcting"] {
-        let serial = rows
-            .iter()
+    let serial_row = |differ: &str| {
+        rows.iter()
             .find(|r| r.differ == differ && r.config == "serial")
-            .expect("serial row present");
+            .expect("serial row present")
+    };
+    for differ in ["greedy", "sampled-greedy", "one-pass", "correcting"] {
+        let serial = serial_row(differ);
         let par1 = rows
             .iter()
             .find(|r| r.differ == differ && r.config == "parallel" && r.threads == 1)
@@ -368,6 +395,21 @@ fn compare_to_baseline(rows: &[Row], path: &str, pairs: usize, version_bytes: u6
                 par.threads
             );
         }
+    }
+    let (full, sampled) = (serial_row("greedy"), serial_row("sampled-greedy"));
+    let bytes = sampled.delta_bytes as f64 / full.delta_bytes.max(1) as f64;
+    let speed = sampled.mib_per_s / full.mib_per_s;
+    for (what, ratio, pass) in [
+        ("delta bytes", bytes, bytes <= SAMPLED_BYTES_FACTOR),
+        ("MiB/s", speed, speed >= SAMPLED_SPEED_FACTOR),
+    ] {
+        let status = if pass {
+            "ok"
+        } else {
+            breaches += 1;
+            "REGRESSED"
+        };
+        println!("sampled-greedy: serial {what} are {ratio:.4}x greedy serial {status}");
     }
     breaches
 }

@@ -171,7 +171,7 @@ impl EngineCli {
     /// explicit `--threads`, stages run on one worker (the CLI's
     /// historical serial default); `--threads 0` sizes to the host.
     pub fn engine(&self) -> Engine {
-        self.engine_with(GreedyDiffer::default())
+        self.engine_with(GreedyDiffer::sampled())
     }
 
     /// Like [`EngineCli::engine`], differencing with `differ`.

@@ -200,7 +200,7 @@ fn cmd_diff(args: &[String]) -> CliResult {
     let version = std::fs::read(version_path)?;
     let (script, bytes) = match differ.as_str() {
         "greedy" => diff_stage(
-            cli.engine_with(GreedyDiffer::default()),
+            cli.engine_with(GreedyDiffer::sampled()),
             &reference,
             &version,
         )?,

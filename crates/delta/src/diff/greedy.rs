@@ -1,5 +1,16 @@
-//! Greedy differencing: index every reference offset, take the longest
-//! match at each version position.
+//! Greedy differencing: index the reference's seed offsets, take the
+//! longest match at each version position.
+//!
+//! By default every offset is indexed and every version position probed.
+//! With a checkpoint interval p > 1 (ABFLS checkpointing, DESIGN.md §3)
+//! both sides keep only the seeds whose value passes one test, so the
+//! index and its build shrink p-fold and most positions skip the lookup.
+//! The test depends on content, not on offset, so the reference and the
+//! version pick the same seeds around an insertion or a deletion, and a
+//! match found at a checkpoint is extended backward over the literal run
+//! before it. Content with no checkpoint for a long stretch, such as a
+//! fill whose few distinct windows all fail the test, is still indexed at
+//! a bounded gap and probed at every position.
 
 use super::kernel;
 use super::parallel::IndexedDiffer;
@@ -11,11 +22,12 @@ use std::ops::Range;
 
 /// Greedy byte-granularity differencing (after Reichenberger '91).
 ///
-/// Indexes the `seed_len`-byte window at *every* reference offset, sorted
-/// by seed hash, then scans the version file byte by byte, extending the
-/// longest verified match at each position. Compression is strong; time
-/// and memory are proportional to the reference size with worst cases
-/// quadratic in pathological self-similar inputs (bounded by
+/// Indexes the `seed_len`-byte window at every reference offset (or at
+/// every checkpoint, see [`GreedyDiffer::with_checkpoint_interval`]),
+/// sorted by seed hash, then scans the version file byte by byte,
+/// extending the longest verified match at each position. Compression is
+/// strong; time and memory are proportional to the reference size with
+/// worst cases quadratic in pathological self-similar inputs (bounded by
 /// `max_probes`).
 ///
 /// # Example
@@ -33,17 +45,30 @@ use std::ops::Range;
 pub struct GreedyDiffer {
     seed_len: usize,
     max_probes: usize,
+    /// Checkpoint interval p, a power of two; 1 indexes every offset.
+    interval: usize,
 }
 
 impl Default for GreedyDiffer {
-    /// 16-byte seeds, at most 64 probed candidates per position.
+    /// 16-byte seeds, at most 64 probed candidates per position, every
+    /// reference offset indexed.
     fn default() -> Self {
         Self {
             seed_len: 16,
             max_probes: 64,
+            interval: 1,
         }
     }
 }
+
+/// The [`GreedyDiffer::sampled`] checkpoint interval, chosen by the sweep
+/// in DESIGN.md §8.
+const SAMPLED_INTERVAL: usize = 8;
+
+/// The longest run of seed offsets, in checkpoint intervals, that a
+/// sampled index leaves without an entry. Random content has such a run
+/// about once in e^8 ≈ 3000 offsets, so the cap costs it almost nothing.
+const GAP_INTERVALS: usize = 8;
 
 impl GreedyDiffer {
     /// Creates a differ with a custom seed (minimum match) length.
@@ -60,6 +85,14 @@ impl GreedyDiffer {
         }
     }
 
+    /// The differ of every `ipr_pipeline::Engine` built without an
+    /// explicit one: the default seeds and probe limit, indexing and
+    /// probing one seed in about 8.
+    #[must_use]
+    pub fn sampled() -> Self {
+        Self::default().with_checkpoint_interval(SAMPLED_INTERVAL)
+    }
+
     /// Limits how many candidate offsets are verified per position.
     #[must_use]
     pub fn with_max_probes(mut self, max_probes: usize) -> Self {
@@ -67,10 +100,53 @@ impl GreedyDiffer {
         self
     }
 
+    /// Indexes and probes only checkpoint seeds: those whose mixed hash
+    /// has `(key >> 8) & (interval - 1) == 0`, about one in `interval`.
+    /// A found match is extended backward over the literal bytes the
+    /// scan skipped. A fill of period k (erased flash, a repeated word)
+    /// has only k distinct windows, which may all fail the test; so the
+    /// index never skips more than `8 × interval` offsets in a row, and
+    /// once the scan has passed that many non-checkpoints in a row it
+    /// probes every position. At 1, every seed is a checkpoint and the
+    /// output is the full index's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is not a power of two.
+    #[must_use]
+    pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
+        assert!(
+            interval.is_power_of_two(),
+            "checkpoint interval must be a power of two"
+        );
+        self.interval = interval;
+        self
+    }
+
     /// The configured seed length.
     #[must_use]
     pub fn seed_len(&self) -> usize {
         self.seed_len
+    }
+
+    /// The configured checkpoint interval.
+    #[must_use]
+    pub fn checkpoint_interval(&self) -> usize {
+        self.interval
+    }
+
+    /// Whether the seed with mixed hash `key` is a checkpoint. The bits
+    /// tested are above the filter's and below the bucket number's.
+    #[inline]
+    fn is_checkpoint(&self, key: u64) -> bool {
+        (key >> 8) & (self.interval as u64 - 1) == 0
+    }
+
+    /// The longest run of seed offsets the index leaves without an entry,
+    /// and the number of non-checkpoints in a row after which the scan
+    /// probes every position.
+    fn max_gap(&self) -> usize {
+        GAP_INTERVALS * self.interval
     }
 }
 
@@ -109,10 +185,10 @@ fn filter_bits(key: u64) -> u16 {
     (1 << (key & 15)) | (1 << (key >> 4 & 15))
 }
 
-/// Shared greedy reference index: every reference offset, sorted by seed
-/// hash.
+/// Shared greedy reference index: every reference offset, or every
+/// checkpoint, sorted by seed hash.
 ///
-/// Each offset is a `(key, offset)` entry with `key = mix(hash)`, held in
+/// Each indexed offset is a `(key, offset)` entry with `key = mix(hash)`, held in
 /// two parallel arrays sorted by key, offsets descending within a key.
 /// The key's top bits pick a bucket, which has a start in `starts` and a
 /// 16-bit filter of its keys. Most version positions probe a hash the
@@ -131,10 +207,10 @@ pub struct GreedyIndex<'s> {
 }
 
 impl GreedyIndex<'_> {
-    /// Iterates candidate offsets for `hash`, most recent first. The
-    /// run is walked lazily: the scan takes at most `max_probes` of it.
-    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        let key = mix(hash);
+    /// Iterates candidate offsets for the mixed seed hash `key`, most
+    /// recent first. The run is walked lazily: the scan takes at most
+    /// `max_probes` of it.
+    fn candidates(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
         let bucket = (key >> self.shift) as usize;
         let bits = filter_bits(key);
         let (first, end) = if self.filters[bucket] & bits == bits {
@@ -233,6 +309,67 @@ fn for_each_key(reference: &[u8], seed_len: usize, n: usize, mut f: impl FnMut(u
     }
 }
 
+/// The entries an index holds, in offset order.
+enum Entries<'a> {
+    /// Every seed offset below `n`, rolled afresh on each pass.
+    Every {
+        reference: &'a [u8],
+        seed_len: usize,
+        n: usize,
+    },
+    /// The offsets kept, rolled once into the partition buffer.
+    Sampled { keys: &'a [u64], offsets: &'a [u32] },
+}
+
+impl Entries<'_> {
+    fn for_each(&self, mut f: impl FnMut(u64, u32)) {
+        match *self {
+            Entries::Every {
+                reference,
+                seed_len,
+                n,
+            } => for_each_key(reference, seed_len, n, f),
+            Entries::Sampled { keys, offsets } => {
+                for (&key, &offset) in keys.iter().zip(offsets) {
+                    f(key, offset);
+                }
+            }
+        }
+    }
+}
+
+impl GreedyDiffer {
+    /// Rolls the hash over the first `n` seed offsets of `reference` once
+    /// and keeps, in offset order, every checkpoint and, where none comes
+    /// sooner, the offset [`Self::max_gap`] past the last one kept.
+    fn roll_checkpoints(
+        &self,
+        reference: &[u8],
+        n: usize,
+        keys: &mut Vec<u64>,
+        offsets: &mut Vec<u32>,
+    ) {
+        // About one seed in `interval` is a checkpoint; an eighth more
+        // room absorbs the spread without regrowing.
+        let room = n / self.interval;
+        let room = room + room / 8;
+        keys.clear();
+        keys.reserve(room);
+        offsets.clear();
+        offsets.reserve(room);
+        let max_gap = self.max_gap();
+        let mut run = 0;
+        for_each_key(reference, self.seed_len, n, |key, offset| {
+            run += 1;
+            if self.is_checkpoint(key) || run == max_gap {
+                run = 0;
+                keys.push(key);
+                offsets.push(offset);
+            }
+        });
+    }
+}
+
 impl IndexedDiffer for GreedyDiffer {
     type Index<'s> = GreedyIndex<'s>;
 
@@ -240,9 +377,11 @@ impl IndexedDiffer for GreedyDiffer {
         self.seed_len
     }
 
-    /// Builds the sorted index serially; `shards` is ignored. Every pass
-    /// streams through memory or stays within one L2-sized partition, so
-    /// splitting the build across threads does not pay.
+    /// Builds the sorted index, serially; `shards` is ignored. At
+    /// checkpoint interval 1 it rolls the hash twice, and every other
+    /// pass streams through memory or stays within one L2-sized
+    /// partition. Above 1 it rolls once into the partition buffer and
+    /// sorts only what it kept.
     fn build_index<'s>(
         &self,
         reference: &[u8],
@@ -250,16 +389,7 @@ impl IndexedDiffer for GreedyDiffer {
         scratch: &'s mut IndexScratch,
     ) -> GreedyIndex<'s> {
         let seed_len = self.seed_len;
-        let n = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
-        // About n/4 buckets (a power of two in (n/6, n/3]), in
-        // partitions of 16–32 Ki entries; each partition owns
-        // `1 << local_bits` consecutive buckets.
-        let bucket_bits = (n / 3).max(2).ilog2();
-        let part_bits = (n >> PARTITION_LOG2).max(1).ilog2().min(bucket_bits);
-        let local_bits = bucket_bits - part_bits;
-        let (parts, per_part) = (1usize << part_bits, 1usize << local_bits);
-        let shift = 64 - bucket_bits;
-        let part_of = |key: u64| (key >> shift) as usize >> local_bits;
+        let positions = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
         let IndexScratch {
             keys,
             offsets,
@@ -270,11 +400,35 @@ impl IndexedDiffer for GreedyDiffer {
             counts,
             ..
         } = scratch;
+        let (entries, n) = if self.interval == 1 {
+            let every = Entries::Every {
+                reference,
+                seed_len,
+                n: positions,
+            };
+            (every, positions)
+        } else {
+            self.roll_checkpoints(reference, positions, part_keys, part_offsets);
+            let sampled = Entries::Sampled {
+                keys: part_keys,
+                offsets: part_offsets,
+            };
+            (sampled, part_keys.len())
+        };
+        // About n/4 buckets (a power of two in (n/6, n/3]), in
+        // partitions of 16–32 Ki entries; each partition owns
+        // `1 << local_bits` consecutive buckets.
+        let bucket_bits = (n / 3).max(2).ilog2();
+        let part_bits = (n >> PARTITION_LOG2).max(1).ilog2().min(bucket_bits);
+        let local_bits = bucket_bits - part_bits;
+        let (parts, per_part) = (1usize << part_bits, 1usize << local_bits);
+        let shift = 64 - bucket_bits;
+        let part_of = |key: u64| (key >> shift) as usize >> local_bits;
         counts.clear();
         counts.resize(parts.max(per_part << SUB_BITS), 0);
 
         // 1. Count each partition's entries.
-        for_each_key(reference, seed_len, n, |key, _| counts[part_of(key)] += 1);
+        entries.for_each(|key, _| counts[part_of(key)] += 1);
 
         // 2. Radix-partition by the top key bits into `keys`/`offsets`;
         //    offsets stay ascending within a partition. Each partition's
@@ -287,15 +441,13 @@ impl IndexedDiffer for GreedyDiffer {
         starts.resize((1 << bucket_bits) + 1, 0);
         filters.resize(1 << bucket_bits, 0);
         let largest = counts[..parts].iter().max().map_or(0, |&c| c as usize);
-        part_keys.resize(largest, 0);
-        part_offsets.resize(largest, 0);
         let mut at = 0u32;
         for (p, count) in counts[..parts].iter_mut().enumerate() {
             starts[p << local_bits] = at;
             at += std::mem::replace(count, at);
         }
         starts[parts << local_bits] = at;
-        for_each_key(reference, seed_len, n, |key, offset| {
+        entries.for_each(|key, offset| {
             let cursor = &mut counts[part_of(key)];
             keys[*cursor as usize] = key;
             offsets[*cursor as usize] = offset;
@@ -304,6 +456,10 @@ impl IndexedDiffer for GreedyDiffer {
 
         // 3. Counting-sort each partition through the partition buffer
         //    into its buckets, order each bucket by key, and copy it back.
+        //    Sampled entries are scattered by now, so the buffer that held
+        //    them is free.
+        part_keys.resize(largest, 0);
+        part_offsets.resize(largest, 0);
         let sub_shift = shift - SUB_BITS;
         let sub_mask = (per_part << SUB_BITS) - 1;
         for p in 0..parts {
@@ -370,6 +526,12 @@ impl IndexedDiffer for GreedyDiffer {
         }
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
+        // Non-checkpoints in a row since the chunk start, the last
+        // checkpoint or the last copy. From `max_gap` on the reference
+        // may hold a gap entry for this content, so every position is
+        // probed.
+        let max_gap = self.max_gap();
+        let mut run = 0;
         let mut h = RollingHash::new(&version[v..v + seed_len]);
         let mut hash_pos = v; // position the rolling hash currently covers
         while v < end && v <= last_window {
@@ -387,10 +549,17 @@ impl IndexedDiffer for GreedyDiffer {
                     }
                 }
             }
+            let key = mix(h.hash());
+            run = if self.is_checkpoint(key) { 0 } else { run + 1 };
+            if run > 0 && run < max_gap {
+                scratch::push_lit(segs, 1);
+                v += 1;
+                continue;
+            }
             let mut best_from = 0usize;
             let mut best_len = 0usize;
             let v_room = version.len() - v;
-            for c in index.candidates(h.hash()).take(self.max_probes) {
+            for c in index.candidates(key).take(self.max_probes) {
                 probes += 1;
                 if best_len > 0 {
                     // One-load prune: a candidate can only beat `best_len`
@@ -420,10 +589,23 @@ impl IndexedDiffer for GreedyDiffer {
                 }
             }
             if best_len >= seed_len {
+                // Between checkpoints the scan emitted literals without
+                // looking; reclaim those the match extends backward over
+                // (within this chunk: the stitcher extends across seams).
+                // At interval 1 every byte before the match was probed
+                // already; the full index skips this, so its output stays
+                // what it was.
+                let back = if self.interval > 1 {
+                    reclaim_literals(segs, reference, version, best_from, v)
+                } else {
+                    0
+                };
+                extend_bytes += back as u64;
                 // Truncate at the chunk boundary; stitching re-extends.
                 let emit = best_len.min(end - v);
-                scratch::push_copy(segs, best_from as u64, emit as u64);
+                scratch::push_copy(segs, (best_from - back) as u64, (emit + back) as u64);
                 v += emit;
+                run = 0;
             } else {
                 scratch::push_lit(segs, 1);
                 v += 1;
@@ -440,6 +622,32 @@ impl IndexedDiffer for GreedyDiffer {
             });
         }
     }
+}
+
+/// Extends a match of `version[v..]` against `reference[from..]` backward
+/// over the literal run that ends `segs`, shrinking or removing that run.
+/// Returns how many bytes the match grew by.
+fn reclaim_literals(
+    segs: &mut Vec<Seg>,
+    reference: &[u8],
+    version: &[u8],
+    from: usize,
+    v: usize,
+) -> usize {
+    let Some(&Seg::Literal { len: pending }) = segs.last() else {
+        return 0;
+    };
+    let reclaimable = (pending as usize).min(from);
+    let back = kernel::common_suffix(
+        &reference[from - reclaimable..from],
+        &version[v - reclaimable..v],
+    );
+    if back as u64 == pending {
+        segs.pop();
+    } else if let Some(Seg::Literal { len }) = segs.last_mut() {
+        *len -= back as u64;
+    }
+    back
 }
 
 impl Differ for GreedyDiffer {
@@ -465,13 +673,22 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// Reference model of the index: every seed hash's offsets in a
-    /// chain, newest first — the hash-chain index the sorted one
-    /// replaced.
-    fn naive_index(reference: &[u8], seed_len: usize) -> HashMap<u64, Vec<usize>> {
+    /// Reference model of the index: every seed hash's indexed offsets in
+    /// a chain, newest first — the hash-chain index the sorted one
+    /// replaced, keeping only checkpoints, and any offset whose
+    /// `max_gap - 1` predecessors were all left out.
+    fn naive_index(differ: &GreedyDiffer, reference: &[u8]) -> HashMap<u64, Vec<usize>> {
         let mut chains: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (offset, window) in reference.windows(seed_len).enumerate() {
-            chains.entry(hash_of(window)).or_default().push(offset);
+        let mut kept = Vec::new();
+        let gap = differ.max_gap() - 1;
+        for (offset, window) in reference.windows(differ.seed_len).enumerate() {
+            let indexed = differ.is_checkpoint(mix(hash_of(window)))
+                || (offset >= gap && !kept[offset - gap..].contains(&true));
+            kept.push(indexed);
+            let chain = chains.entry(hash_of(window)).or_default();
+            if indexed {
+                chain.push(offset);
+            }
         }
         for chain in chains.values_mut() {
             chain.reverse();
@@ -479,23 +696,26 @@ mod tests {
         chains
     }
 
-    /// Builds the index of `reference` into `scratch` and checks it
-    /// against the model: every seed hash yields its exact chain, and
+    /// Builds the index of `reference` at checkpoint interval `interval`
+    /// into `scratch` and checks it against the model: every seed hash
+    /// yields its exact chain (none if no offset of it was kept), and
     /// `absent`, unless the reference has it, yields nothing.
     fn matches_model(
         scratch: &mut IndexScratch,
         reference: &[u8],
         seed_len: usize,
+        interval: usize,
         absent: u64,
     ) -> Result<(), TestCaseError> {
-        let model = naive_index(reference, seed_len);
-        let index = GreedyDiffer::new(seed_len).build_index(reference, 1, scratch);
+        let differ = GreedyDiffer::new(seed_len).with_checkpoint_interval(interval);
+        let model = naive_index(&differ, reference);
+        let index = differ.build_index(reference, 1, scratch);
         for (&hash, chain) in &model {
-            let got: Vec<usize> = index.candidates(hash).collect();
-            prop_assert_eq!(&got, chain, "seed hash {:#x}", hash);
+            let got: Vec<usize> = index.candidates(mix(hash)).collect();
+            prop_assert_eq!(&got, chain, "seed hash {:#x} at p = {}", hash, interval);
         }
         if !model.contains_key(&absent) {
-            prop_assert_eq!(index.candidates(absent).count(), 0);
+            prop_assert_eq!(index.candidates(mix(absent)).count(), 0);
         }
         Ok(())
     }
@@ -545,8 +765,8 @@ mod tests {
 
         /// Arbitrary references, over a two-letter alphabet half the
         /// time so windows repeat and buckets fill with runs of equal
-        /// keys. Each build reuses an arena that last indexed another
-        /// reference.
+        /// keys, each at checkpoint intervals 1, 2 and 16. Each build
+        /// reuses an arena that last indexed another reference.
         #[test]
         fn index_matches_chain_model(
             bytes in proptest::collection::vec(any::<u8>(), 0..3000),
@@ -561,19 +781,24 @@ mod tests {
                 bytes
             };
             let mut scratch = IndexScratch::default();
-            matches_model(&mut scratch, &previous, seed_len, absent)?;
-            matches_model(&mut scratch, &reference, seed_len, absent)?;
+            for interval in [1, 2, 16] {
+                matches_model(&mut scratch, &previous, seed_len, interval, absent)?;
+                matches_model(&mut scratch, &reference, seed_len, interval, absent)?;
+            }
         }
     }
 
     #[test]
     fn index_matches_chain_model_on_self_similar_references() {
         let mut scratch = IndexScratch::default();
-        for seed_len in [1, 2, 3, 4, 16] {
-            for period in [&b"\0"[..], b"ab", b"abc"] {
-                for len in [0, seed_len - 1, seed_len, 1000, 70_000] {
-                    let reference = periodic(period, len);
-                    matches_model(&mut scratch, &reference, seed_len, 0x5eed).unwrap();
+        for interval in [1, 2, 16] {
+            for seed_len in [1, 2, 3, 4, 16] {
+                for period in [&b"\0"[..], b"ab", b"abc"] {
+                    for len in [0, seed_len - 1, seed_len, 1000, 70_000] {
+                        let reference = periodic(period, len);
+                        matches_model(&mut scratch, &reference, seed_len, interval, 0x5eed)
+                            .unwrap();
+                    }
                 }
             }
         }
@@ -581,30 +806,50 @@ mod tests {
 
     #[test]
     fn index_matches_chain_model_across_partitions() {
-        // Over 32 Ki offsets, so the build uses several partitions, with
-        // random stretches and long periodic ones in one reference.
-        let mut reference = noise(150_000, 0x9e37_79b9_7f4a_7c15);
+        // Over 32 Ki indexed offsets at every interval, so the build uses
+        // several partitions, with random stretches and long periodic
+        // ones in one reference.
+        let mut reference = noise(1_200_000, 0x9e37_79b9_7f4a_7c15);
         reference[20_000..60_000].fill(0);
         reference.splice(90_000..90_000, periodic(b"xyz", 30_000));
-        matches_model(&mut IndexScratch::default(), &reference, 16, 1).unwrap();
+        let mut scratch = IndexScratch::default();
+        for interval in [1, 2, 16] {
+            matches_model(&mut scratch, &reference, 16, interval, 1).unwrap();
+        }
     }
 
-    /// The index with its build scratch: 12 B of entries per offset,
-    /// about 1.5 B of bucket starts and filters, and one partition's
-    /// sort buffer — against 40 B for the hash-chain index.
-    #[test]
-    fn index_bytes_stay_under_16_per_reference_byte() {
+    /// The bytes the arena holds after building `differ`'s index of a
+    /// 1 MiB reference, per reference byte; the `diff.index_bytes` gauge
+    /// reports the same total.
+    fn index_bytes_per_reference_byte(differ: &GreedyDiffer) -> f64 {
         let reference = noise(1 << 20, 0x2545_f491_4f6c_dd1d);
         let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
         let mut scratch = IndexScratch::default();
         {
             let _guard = ipr_trace::install(stats.clone());
-            let _ = GreedyDiffer::default().build_index(&reference, 1, &mut scratch);
+            let _ = differ.build_index(&reference, 1, &mut scratch);
         }
         let bytes = stats.report().gauge("diff.index_bytes");
         assert_eq!(bytes, Some(scratch.retained_bytes()));
-        let per_byte = scratch.retained_bytes() as f64 / reference.len() as f64;
+        scratch.retained_bytes() as f64 / reference.len() as f64
+    }
+
+    /// The full index with its build scratch: 12 B of entries per offset,
+    /// about 1.5 B of bucket starts and filters, and one partition's
+    /// sort buffer — against 40 B for the hash-chain index.
+    #[test]
+    fn index_bytes_stay_under_16_per_reference_byte() {
+        let per_byte = index_bytes_per_reference_byte(&GreedyDiffer::default());
         assert!(per_byte <= 16.0, "{per_byte:.2} B per reference byte");
+    }
+
+    /// The sampled index holds an eighth of the entries, 1.7 B per
+    /// reference byte with its starts and filters, and the checkpoint
+    /// list it sorts them out of, which is also the partition buffer.
+    #[test]
+    fn sampled_index_bytes_stay_under_4_per_reference_byte() {
+        let per_byte = index_bytes_per_reference_byte(&GreedyDiffer::sampled());
+        assert!(per_byte <= 4.0, "{per_byte:.2} B per reference byte");
     }
 
     fn check(reference: &[u8], version: &[u8]) -> DeltaScript {
@@ -670,6 +915,80 @@ mod tests {
         let script = d.diff(&reference, &version);
         assert_eq!(apply(&script, &reference).unwrap(), version);
         assert!(script.copied_bytes() >= 8);
+    }
+
+    /// A point edit and an insertion, both far from the file ends: the
+    /// sampled scan emits the bytes between checkpoints as literals and
+    /// backward extension reclaims them, so it adds exactly the bytes the
+    /// full index adds.
+    #[test]
+    fn sampled_scan_adds_what_the_full_index_adds() {
+        let reference = noise(64 << 10, 0x1234_5678_9abc_def1);
+        let mut version = reference.clone();
+        version[20_000] ^= 0x55;
+        version.splice(40_000..40_000, noise(300, 99));
+        let full = check(&reference, &version);
+        let sampled = GreedyDiffer::sampled().diff(&reference, &version);
+        assert_eq!(apply(&sampled, &reference).unwrap(), version);
+        assert_eq!(full.added_bytes(), 301);
+        assert_eq!(sampled.added_bytes(), full.added_bytes());
+    }
+
+    /// Fills of period 1, 2 and 4, with and without a checkpoint among
+    /// their windows: a whole image of the fill with one byte edited,
+    /// and a fill moved between two noise blocks and shifted by a byte.
+    /// Without the gap cap a fill with no checkpoint was all literal
+    /// (65,536 B added against the full index's 1 for `55 aa`). Now the
+    /// sampled differ adds at most a seed and a period more: a copy that
+    /// ends just before an edit can leave windows whose only checkpoints
+    /// overlap the edit.
+    #[test]
+    fn sampled_scan_finds_periodic_fills() {
+        let sampled = GreedyDiffer::sampled();
+        let no_checkpoint = |period: &[u8]| {
+            let windows = periodic(period, period.len() + sampled.seed_len);
+            windows
+                .windows(sampled.seed_len)
+                .all(|w| !sampled.is_checkpoint(mix(hash_of(w))))
+        };
+        let periods: [&[u8]; 7] = [
+            &[0x00],
+            &[0xff],
+            &[0x55, 0xaa],
+            &[0x12, 0x34],
+            &[0xde, 0xad, 0xbe, 0xef],
+            &[0x00, 0x00, 0x00, 0x01],
+            &[0x01, 0x00, 0x02, 0x00],
+        ];
+        let without = periods.iter().filter(|p| no_checkpoint(p)).count();
+        assert!(without >= 2, "the case the gap cap is for is covered");
+        let (a, b) = (noise(24 << 10, 1), noise(24 << 10, 2));
+        for period in periods {
+            let image = periodic(period, 64 << 10);
+            let mut edited = image.clone();
+            edited[40_000] ^= 0x5a;
+            let fill = periodic(period, 8 << 10);
+            let reference = [&a[..], &fill, &b].concat();
+            let moved = [&b[..], &a, &fill[1..]].concat();
+            for (reference, version) in [(&image, &edited), (&reference, &moved)] {
+                let full = check(reference, version);
+                let script = sampled.diff(reference, version);
+                assert_eq!(&apply(&script, reference).unwrap(), version);
+                assert!(
+                    script.added_bytes()
+                        <= full.added_bytes() + (sampled.seed_len + period.len()) as u64,
+                    "{period:02x?}: sampled adds {}, full {}",
+                    script.added_bytes(),
+                    full.added_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn checkpoint_interval_must_be_a_power_of_two() {
+        let _ = GreedyDiffer::default().with_checkpoint_interval(12);
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod onepass;
 mod parallel;
 mod rolling;
 mod scratch;
-mod windowed;
 
 pub use correcting::CorrectingDiffer;
 pub use greedy::{GreedyDiffer, GreedyIndex};
@@ -45,7 +44,6 @@ pub use onepass::OnePassDiffer;
 pub use parallel::{FootprintIndex, IndexedDiffer, ParallelDiffer, DEFAULT_CHUNK_BYTES};
 pub use rolling::{hash_of, RollingHash};
 pub use scratch::{DiffScratch, IndexScratch, Seg};
-pub use windowed::WindowedDiffer;
 
 use crate::command::Command;
 use crate::script::DeltaScript;

@@ -10,9 +10,11 @@
 //!    random table stores that dominate the build now hit a per-worker
 //!    slice that fits lower in the cache hierarchy), which yields the
 //!    same table for any worker count. The greedy family builds serially:
-//!    it sorts every reference offset by seed hash with a radix partition
-//!    and per-partition counting sorts that stay in L2, so it has no
-//!    random table stores to spread across workers. The
+//!    it sorts its entries by seed hash with a radix partition and
+//!    per-partition counting sorts that stay in L2, so it has no random
+//!    table stores to spread across workers. With every offset indexed it
+//!    rolls the hash over the reference twice; with checkpoints it rolls
+//!    once and sorts only the offsets it keeps. The
 //!    `diff.index_bytes` gauge reports what the arena holds afterwards.
 //! 2. **Chunked scan** (`diff.scan` span) — the version file is cut into
 //!    fixed-size chunks (a function of the version length only, never of
@@ -197,6 +199,17 @@ pub(crate) fn build_footprint_index<'s>(
         firsts: &scratch.firsts,
         lasts: &scratch.lasts,
         mask,
+    }
+}
+
+/// Joins scoped workers explicitly. The end of a scope waits only for
+/// their closures; a join also waits for each thread to exit and free
+/// what it held, so the caller's heap is settled when the scope ends.
+fn join_all<'s, T>(workers: impl IntoIterator<Item = std::thread::ScopedJoinHandle<'s, T>>) {
+    for worker in workers {
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -387,16 +400,21 @@ impl<D: IndexedDiffer> ParallelDiffer<D> {
                 // report.
                 let recorder = ipr_trace::installed();
                 std::thread::scope(|s| {
-                    for (t, bufs) in segs[..nchunks].chunks_mut(per).enumerate() {
-                        let recorder = recorder.clone();
-                        s.spawn(move || {
-                            let _guard = recorder.map(ipr_trace::install);
-                            for (j, buf) in bufs.iter_mut().enumerate() {
-                                let k = t * per + j;
-                                inner.scan_chunk(idx, reference, version, chunk_range(k), buf);
-                            }
-                        });
-                    }
+                    let workers: Vec<_> = segs[..nchunks]
+                        .chunks_mut(per)
+                        .enumerate()
+                        .map(|(t, bufs)| {
+                            let recorder = recorder.clone();
+                            s.spawn(move || {
+                                let _guard = recorder.map(ipr_trace::install);
+                                for (j, buf) in bufs.iter_mut().enumerate() {
+                                    let k = t * per + j;
+                                    inner.scan_chunk(idx, reference, version, chunk_range(k), buf);
+                                }
+                            })
+                        })
+                        .collect();
+                    join_all(workers);
                 });
             }
         }

@@ -368,13 +368,14 @@ mod tests {
     #[test]
     fn engine_prepared_update_matches_legacy_and_installs() {
         let (v1, v2) = pair();
-        // The legacy path diffs serially through the same greedy engine the
-        // pipeline wraps; pin the engine to one thread for the comparison
-        // (parallel diff output is thread-count invariant anyway).
+        // The legacy path diffs through the same sampled greedy differ
+        // the engine wraps; pin the engine to one thread for the
+        // comparison (parallel diff output is thread-count invariant
+        // anyway).
         let mut engine =
             ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig::with_threads(1));
         let legacy = prepare_update(
-            &ipr_delta::diff::ParallelDiffer::new(GreedyDiffer::default()),
+            &ipr_delta::diff::ParallelDiffer::new(GreedyDiffer::sampled()),
             &v1,
             &v2,
             &ConversionConfig::default(),

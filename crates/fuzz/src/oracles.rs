@@ -23,11 +23,12 @@
 //!   faults on exactly those orders at the first clobbered byte, and
 //!   safety implies in-place application correctness.
 //! * [`check_diff_case`] — the parallel diff engine, wrapped around
-//!   every differ family, produces scripts that apply back to the
-//!   version file and are deterministic: repeated runs and *different
-//!   thread counts* must emit identical command sequences, and the
-//!   `diff.probes` work counter must match across thread counts and stay
-//!   within the per-position candidate limit times the version length.
+//!   every differ family and the checkpointed greedy differ, produces
+//!   scripts that apply back to the version file and are deterministic:
+//!   repeated runs and *different thread counts* must emit identical
+//!   command sequences, and the `diff.probes` work counter must match
+//!   across thread counts and stay within the per-position candidate
+//!   limit times the version length.
 //! * [`check_engine_case`] — the session-layer
 //!   [`Engine`](ipr_pipeline::Engine) one-call path
 //!   (diff through owned arenas → pooled conversion → checked encoding →
@@ -631,8 +632,10 @@ const DIFF_CHUNKS: [usize; 5] = [1, 3, 17, 64, 256];
 /// Checks the parallel-diff oracle on one valid case.
 ///
 /// The generated reference/version pair is diffed with [`ParallelDiffer`]
-/// around each differ family at a salt-chosen chunk size and thread
-/// count. Four properties must hold for each engine:
+/// around each differ family, and around the greedy differ at the
+/// checkpoint interval of [`GreedyDiffer::sampled`], at a salt-chosen
+/// chunk size and thread count. Four properties must hold for each
+/// engine:
 ///
 /// 1. **correctness** — the emitted script applies back to the version
 ///    file (`apply(diff(r, v), r) == v`);
@@ -651,9 +654,14 @@ pub fn check_diff_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let chunk = DIFF_CHUNKS[(salt % DIFF_CHUNKS.len() as u64) as usize];
     let threads = 1 + (salt / DIFF_CHUNKS.len() as u64 % 4) as usize;
     let greedy = GreedyDiffer::new(4).with_max_probes(GREEDY_MAX_PROBES);
+    let sampled = greedy
+        .clone()
+        .with_checkpoint_interval(GreedyDiffer::sampled().checkpoint_interval());
     let (one_pass, correcting) = (OnePassDiffer::new(4, 10), CorrectingDiffer::new(4, 10));
 
     check_diff_engine(greedy, GREEDY_MAX_PROBES, case, &version, chunk, threads)?;
+    check_diff_engine(sampled, GREEDY_MAX_PROBES, case, &version, chunk, threads)
+        .map_err(|e| format!("sampled {e}"))?;
     check_diff_engine(one_pass, 1, case, &version, chunk, threads)?;
     check_diff_engine(correcting, 2, case, &version, chunk, threads)
 }
@@ -769,7 +777,7 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let tag = format!("engine(policy={policy},threads={threads},format={format:?})");
 
     // The legacy path, from the same primitives the engine wraps.
-    let differ = ParallelDiffer::new(GreedyDiffer::default()).with_threads(threads);
+    let differ = ParallelDiffer::new(GreedyDiffer::sampled()).with_threads(threads);
     let script = differ.diff(&case.reference, &version);
     let legacy = convert_to_in_place(&script, &case.reference, &config.conversion)
         .map_err(|e| format!("{tag}: legacy conversion failed: {e}"))?;

@@ -117,10 +117,11 @@ impl Engine<GreedyDiffer> {
         Self::with_config(EngineConfig::default())
     }
 
-    /// An engine with the default (greedy) differ and `config`.
+    /// An engine with the default differ,
+    /// [`GreedyDiffer::sampled`], and `config`.
     #[must_use]
     pub fn with_config(config: EngineConfig) -> Self {
-        Self::with_differ(GreedyDiffer::default(), config)
+        Self::with_differ(GreedyDiffer::sampled(), config)
     }
 }
 

@@ -32,7 +32,7 @@ fn update_matches_legacy_pipeline() {
             config.conversion.policy = policy;
             let mut engine = Engine::with_config(config);
 
-            let legacy_script = ParallelDiffer::new(GreedyDiffer::default())
+            let legacy_script = ParallelDiffer::new(GreedyDiffer::sampled())
                 .with_threads(threads)
                 .diff(&reference, &version);
             let legacy =

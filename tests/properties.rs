@@ -282,15 +282,16 @@ proptest! {
         }
     }
 
-    /// The windowed differ is exact for any window/margin geometry.
+    /// The greedy differ is exact at any checkpoint interval and seed
+    /// length: backward extension never reclaims a byte it cannot copy.
     #[test]
-    fn windowed_differ_exact(
+    fn sampled_greedy_exact(
         (reference, version) in edited_pair(),
-        window in 16usize..4096,
-        margin in 0usize..1024,
+        interval in any::<prop::sample::Index>(),
+        seed_len in 1usize..24,
     ) {
-        use ipr::delta::diff::WindowedDiffer;
-        let differ = WindowedDiffer::new(GreedyDiffer::new(8), window, margin);
+        let interval = *interval.get(&[1, 2, 4, 16, 64]);
+        let differ = GreedyDiffer::new(seed_len).with_checkpoint_interval(interval);
         let script = differ.diff(&reference, &version);
         prop_assert_eq!(&ipr::delta::apply(&script, &reference).unwrap(), &version);
     }

@@ -14,7 +14,7 @@ use ipr::core::{
     required_capacity, ConversionConfig, CyclePolicy,
 };
 use ipr::delta::codec::{decode, encode, Format};
-use ipr::delta::diff::{CorrectingDiffer, Differ, GreedyDiffer, OnePassDiffer, WindowedDiffer};
+use ipr::delta::diff::{CorrectingDiffer, Differ, GreedyDiffer, OnePassDiffer};
 use ipr::device::Device;
 use ipr::workloads::content::{generate, ContentKind};
 use ipr::workloads::mutate::{mutate, MutationProfile};
@@ -61,7 +61,7 @@ fn stress_one(seed: u64) {
         &GreedyDiffer::default(),
         &OnePassDiffer::default(),
         &CorrectingDiffer::default(),
-        &WindowedDiffer::new(GreedyDiffer::default(), 8 * 1024, 2 * 1024),
+        &GreedyDiffer::sampled(),
     ];
     let differ = differs[(seed % 4) as usize];
     let script = differ.diff(&reference, &version);
