@@ -21,13 +21,14 @@
 //! With `--compare <baseline.json>` the run instead gates against a
 //! previously written report and exits non-zero on a regression:
 //!
-//! * **compression** — any configuration's summed encoded delta bytes
-//!   exceed the baseline's *at all* (diff output is deterministic, so on
-//!   the synthetic corpus a single extra byte is a real algorithmic
-//!   change, not noise), or any parallel configuration's delta bytes
-//!   exceed the same-run serial engine's by more than [`SEAM_TOLERANCE`]
-//!   (a corpus-size-independent seam-stitching gate that holds even on
-//!   the quick CI corpus);
+//! * **compression** — on the baseline's corpus (same `pairs` and
+//!   `version_bytes`), any configuration's summed encoded delta bytes
+//!   exceed the baseline's *at all* (diff output is deterministic, so a
+//!   single extra byte is a real algorithmic change, not noise); on any
+//!   other corpus these lines are informational. Within the run, any
+//!   parallel configuration's delta bytes exceed the serial engine's by
+//!   more than [`SEAM_TOLERANCE`] (seam stitching; holds on the quick CI
+//!   corpus too);
 //! * **overhead** — single-threaded parallel falls behind the serial
 //!   engine by more than [`OVERHEAD_FACTOR`] (a machine-independent
 //!   within-run ratio; absolute times are never gated);
@@ -38,15 +39,12 @@
 //!   paying for the bytes it costs.
 //!
 //! Timing rows at thread counts above the host's parallelism are printed
-//! for the record but carry no information — on a single-core runner
-//! every multi-thread row is just the 1-thread row plus scheduling
-//! noise, so compare mode flags them as informational and gates nothing
-//! on them until a multi-core baseline run lands.
-//!
-//! The baseline file is left untouched in this mode.
+//! for the record and gate nothing. The baseline file is left untouched
+//! in this mode.
 
-use ipr_bench::experiment_corpus;
-use ipr_delta::codec::{encode, Format};
+use ipr_bench::baseline::{self, fixed, Baseline, Bound, Ledger};
+use ipr_bench::{best_of, env_usize, experiment_corpus, host_parallelism, object};
+use ipr_delta::codec::{encoded_size, Format};
 use ipr_delta::diff::{
     CorrectingDiffer, DiffScratch, GreedyDiffer, IndexedDiffer, OnePassDiffer, ParallelDiffer,
 };
@@ -79,14 +77,6 @@ struct Row {
     delta_bytes: u64,
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> u128) -> u128 {
-    let mut best = f();
-    for _ in 1..reps {
-        best = best.min(f());
-    }
-    best
-}
-
 /// One timed pass of `diff` over the corpus; delta bytes are summed once
 /// outside the timed region.
 fn corpus_pass(corpus: &[FilePair], mut diff: impl FnMut(&FilePair)) -> u128 {
@@ -116,9 +106,7 @@ fn bench_differ<D: IndexedDiffer + Clone>(
         .iter()
         .map(|p| {
             let script = inner.diff(&p.reference, &p.version);
-            encode(&script, Format::Ordered)
-                .expect("encodable script")
-                .len() as u64
+            encoded_size(&script, Format::Ordered).expect("encodable script")
         })
         .sum();
     let mut rows = vec![Row {
@@ -143,9 +131,7 @@ fn bench_differ<D: IndexedDiffer + Clone>(
             .iter()
             .map(|p| {
                 let script = differ.diff_with(&mut scratch, &p.reference, &p.version);
-                encode(&script, Format::Ordered)
-                    .expect("encodable script")
-                    .len() as u64
+                encoded_size(&script, Format::Ordered).expect("encodable script")
             })
             .sum();
         rows.push(Row {
@@ -162,30 +148,9 @@ fn bench_differ<D: IndexedDiffer + Clone>(
 }
 
 fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--compare" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: diff_throughput [--compare <baseline.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let compare = baseline::compare_arg("diff_throughput");
     let corpus = experiment_corpus();
-    let reps: usize = std::env::var("IPR_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let reps = env_usize("IPR_BENCH_REPS", 3);
     let version_bytes: u64 = corpus.iter().map(|p| p.version.len() as u64).sum();
     let mib = version_bytes as f64 / (1024.0 * 1024.0);
 
@@ -219,13 +184,12 @@ fn main() {
         mib,
     ));
 
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
         "Diff throughput: {} pairs, {:.1} MiB of version data, {} reps, host has {} core(s)\n",
         corpus.len(),
         mib,
         reps,
-        host
+        host_parallelism()
     );
     println!(
         "{:<15} {:<9} {:>8} {:>12} {:>10} {:>9} {:>13}",
@@ -244,172 +208,101 @@ fn main() {
         );
     }
 
-    if let Some(path) = baseline_path {
-        let breaches = compare_to_baseline(&rows, &path, corpus.len(), version_bytes);
-        if breaches > 0 {
-            eprintln!("\n{breaches} regression(s) past the gates");
-            std::process::exit(1);
-        }
+    let Some(path) = compare else {
+        let results = rows.iter().map(|r| {
+            object! {
+                "differ": r.differ,
+                "config": r.config,
+                "threads": r.threads,
+                "total_ns": r.total_ns,
+                "mib_per_s": fixed(r.mib_per_s, 1),
+                "speedup_vs_serial": fixed(r.speedup, 3),
+                "delta_bytes": r.delta_bytes,
+            }
+        });
+        baseline::write(
+            "diff_throughput",
+            object! {
+                "pairs": corpus.len(),
+                "version_bytes": version_bytes,
+                "reps": reps,
+                "results": results.collect::<Vec<_>>(),
+            },
+        );
         return;
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"diff_throughput\",\n");
-    json.push_str("  \"command\": \"cargo run -p ipr-bench --release --bin diff_throughput\",\n");
-    json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!("  \"pairs\": {},\n", corpus.len()));
-    json.push_str(&format!("  \"version_bytes\": {version_bytes},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"differ\": \"{}\", \"config\": \"{}\", \"threads\": {}, \"total_ns\": {}, \
-             \"mib_per_s\": {:.1}, \"speedup_vs_serial\": {:.3}, \"delta_bytes\": {}}}{}\n",
-            r.differ,
-            r.config,
-            r.threads,
-            r.total_ns,
-            r.mib_per_s,
-            r.speedup,
-            r.delta_bytes,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_diff_throughput.json", &json).expect("write results");
-    println!("\nwrote results/BENCH_diff_throughput.json");
-}
-
-/// Gates the current rows against a stored report; returns breach count.
-fn compare_to_baseline(rows: &[Row], path: &str, pairs: usize, version_bytes: u64) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let baseline = ipr_trace::json::parse(&text)
-        .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-    let results = baseline
-        .get("results")
-        .and_then(|r| r.as_array())
-        .unwrap_or_else(|| panic!("baseline {path} has no results array"));
-    let baseline_delta = |differ: &str, config: &str, threads: usize| -> Option<u64> {
-        results
-            .iter()
-            .find(|r| {
-                r.get("differ").and_then(|v| v.as_str()) == Some(differ)
-                    && r.get("config").and_then(|v| v.as_str()) == Some(config)
-                    && r.get("threads").and_then(ipr_trace::json::Value::as_u64)
-                        == Some(threads as u64)
-            })?
-            .get("delta_bytes")?
-            .as_u64()
     };
-
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "\nComparison against {path} (gates: delta bytes ≤ baseline, parallel delta bytes \
-         ≤ {SEAM_TOLERANCE}x serial, 1-thread parallel ≤ {OVERHEAD_FACTOR}x serial, sampled \
-         serial delta bytes ≤ {SAMPLED_BYTES_FACTOR}x and MiB/s ≥ {SAMPLED_SPEED_FACTOR}x \
-         greedy serial)\n"
-    );
-    if host == 1 {
-        println!(
-            "note: host has 1 core — timing rows at threads > 1 are informational only \
-             (no speedup is physically possible; nothing is gated on them)\n"
-        );
+    let base = Baseline::load(&path);
+    // Cross-run delta bytes compare only on the same corpus; a quick CI
+    // corpus against the full-corpus baseline would trivially "pass".
+    let same_corpus = base.same_corpus(&[
+        ("pairs", corpus.len() as u64),
+        ("version_bytes", version_bytes),
+    ]);
+    let mut gates = Ledger::new(&base);
+    for r in &rows {
+        let label = format!("{}/{}/t{}", r.differ, r.config, r.threads);
+        let threads = r.threads.to_string();
+        let row = base.get("results").row(&[
+            ("differ", r.differ),
+            ("config", r.config),
+            ("threads", &threads),
+        ]);
+        match row.get("delta_bytes").try_f64() {
+            Ok(want) => gates.bound_if(
+                same_corpus,
+                &label,
+                r.delta_bytes as f64,
+                Bound::AtMost(want),
+                &format!("delta bytes {} vs baseline {want}", r.delta_bytes),
+            ),
+            Err(missing) => gates.info(&label, &missing),
+        };
     }
-    let mut breaches = 0;
-    // Cross-run delta bytes are only comparable when both runs saw the
-    // same corpus; a quick-corpus CI run against a full-corpus baseline
-    // would trivially "pass" every row, which is worse than saying so.
-    let get_u64 = |key: &str| {
-        baseline
-            .get(key)
-            .and_then(ipr_trace::json::Value::as_u64)
-            .unwrap_or(0)
-    };
-    let same_corpus = get_u64("pairs") == pairs as u64 && get_u64("version_bytes") == version_bytes;
-    if same_corpus {
-        for r in rows {
-            let Some(base) = baseline_delta(r.differ, r.config, r.threads) else {
-                println!(
-                    "{}/{}/t{}: no baseline row (ungated)",
-                    r.differ, r.config, r.threads
-                );
-                continue;
-            };
-            let status = if r.delta_bytes > base {
-                breaches += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{}/{}/t{}: delta bytes {} vs baseline {} {status}",
-                r.differ, r.config, r.threads, r.delta_bytes, base
-            );
-        }
-    } else {
-        println!(
-            "baseline corpus differs ({} pairs / {} bytes vs this run's {pairs} / \
-             {version_bytes}) — cross-run delta gates skipped; within-run gates still apply",
-            get_u64("pairs"),
-            get_u64("version_bytes")
-        );
-    }
-    // Within-run gates: these compare rows from the same run, so corpus
-    // size and machine speed cancel — they hold on the quick CI corpus
-    // even when the baseline was taken on the full one.
-    let serial_row = |differ: &str| {
+    // Within-run gates: rows of the same run, so corpus size and machine
+    // speed cancel.
+    let serial = |differ: &str| {
         rows.iter()
             .find(|r| r.differ == differ && r.config == "serial")
             .expect("serial row present")
     };
     for differ in ["greedy", "sampled-greedy", "one-pass", "correcting"] {
-        let serial = serial_row(differ);
-        let par1 = rows
-            .iter()
-            .find(|r| r.differ == differ && r.config == "parallel" && r.threads == 1)
-            .expect("1-thread parallel row present");
-        let ratio = par1.total_ns as f64 / serial.total_ns as f64;
-        let status = if ratio > OVERHEAD_FACTOR {
-            breaches += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("{differ}: 1-thread parallel is {ratio:.2}x serial {status}");
+        let serial = serial(differ);
         for par in rows
             .iter()
             .filter(|r| r.differ == differ && r.config == "parallel")
         {
+            if par.threads == 1 {
+                let ratio = par.total_ns as f64 / serial.total_ns as f64;
+                gates.bound(
+                    &format!("{differ}: 1-thread parallel time"),
+                    ratio,
+                    Bound::AtMost(OVERHEAD_FACTOR),
+                    &format!("{ratio:.2}x serial"),
+                );
+            }
             let ratio = par.delta_bytes as f64 / serial.delta_bytes.max(1) as f64;
-            let status = if ratio > SEAM_TOLERANCE {
-                breaches += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{differ}: t{} parallel delta bytes are {ratio:.4}x serial {status}",
-                par.threads
+            gates.bound(
+                &format!("{differ}: t{} parallel delta bytes", par.threads),
+                ratio,
+                Bound::AtMost(SEAM_TOLERANCE),
+                &format!("{ratio:.4}x serial"),
             );
         }
     }
-    let (full, sampled) = (serial_row("greedy"), serial_row("sampled-greedy"));
+    let (full, sampled) = (serial("greedy"), serial("sampled-greedy"));
     let bytes = sampled.delta_bytes as f64 / full.delta_bytes.max(1) as f64;
+    gates.bound(
+        "sampled-greedy: serial delta bytes",
+        bytes,
+        Bound::AtMost(SAMPLED_BYTES_FACTOR),
+        &format!("{bytes:.4}x greedy serial"),
+    );
     let speed = sampled.mib_per_s / full.mib_per_s;
-    for (what, ratio, pass) in [
-        ("delta bytes", bytes, bytes <= SAMPLED_BYTES_FACTOR),
-        ("MiB/s", speed, speed >= SAMPLED_SPEED_FACTOR),
-    ] {
-        let status = if pass {
-            "ok"
-        } else {
-            breaches += 1;
-            "REGRESSED"
-        };
-        println!("sampled-greedy: serial {what} are {ratio:.4}x greedy serial {status}");
-    }
-    breaches
+    gates.bound(
+        "sampled-greedy: serial MiB/s",
+        speed,
+        Bound::AtLeast(SAMPLED_SPEED_FACTOR),
+        &format!("{speed:.4}x greedy serial"),
+    );
+    gates.finish();
 }

@@ -29,6 +29,7 @@
 //!
 //! Run: `cargo run -p ipr-bench --release --bin kernel_bench`
 
+use ipr_bench::{best_of, env_usize, mib_per_s};
 use ipr_delta::checksum::{crc32, Crc32};
 use ipr_delta::diff::kernel::{common_prefix, common_suffix, windows_eq};
 use std::time::Instant;
@@ -115,14 +116,6 @@ fn fill(buf: &mut [u8], mut state: u64) {
     }
 }
 
-fn best_of(reps: usize, mut f: impl FnMut() -> u128) -> u128 {
-    let mut best = f();
-    for _ in 1..reps {
-        best = best.min(f());
-    }
-    best
-}
-
 struct Row {
     profile: &'static str,
     kernel: &'static str,
@@ -132,10 +125,7 @@ struct Row {
 }
 
 fn main() {
-    let reps: usize = std::env::var("IPR_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
+    let reps = env_usize("IPR_BENCH_REPS", 5);
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
 
@@ -308,9 +298,8 @@ fn main() {
         "profile", "kernel", "bytes", "naive MiB/s", "wide MiB/s", "speedup"
     );
     for r in &rows {
-        let mib = r.bytes as f64 / (1024.0 * 1024.0);
-        let naive = mib / (r.naive_ns as f64 / 1e9);
-        let wide = mib / (r.wide_ns as f64 / 1e9);
+        let naive = mib_per_s(r.bytes, r.naive_ns);
+        let wide = mib_per_s(r.bytes, r.wide_ns);
         println!(
             "{:<8} {:<11} {:>12} {:>12.0} {:>12.0} {:>8.2}x",
             r.profile,

@@ -45,6 +45,8 @@
 //! Absolute times are printed but never gated. The baseline file is left
 //! untouched in this mode.
 
+use ipr_bench::baseline::{self, fixed, Baseline, Bound, Json, Ledger};
+use ipr_bench::{env_usize, object};
 use ipr_core::required_capacity;
 use ipr_pipeline::{Engine, EngineConfig, InPlaceDelta};
 use ipr_workloads::chain::{ChainPattern, VersionChain};
@@ -107,11 +109,12 @@ impl Measure {
         self.alloc_bytes += other.alloc_bytes;
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"total_ns\": {}, \"allocs\": {}, \"alloc_bytes\": {}}}",
-            self.total_ns, self.allocs, self.alloc_bytes
-        )
+    fn json(&self) -> Json {
+        object! {
+            "total_ns": self.total_ns,
+            "allocs": self.allocs,
+            "alloc_bytes": self.alloc_bytes,
+        }
     }
 }
 
@@ -132,13 +135,6 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, Measure) {
     )
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The engine configuration under test: one worker, so stage costs are
 /// the algorithms' own (thread spawning is the scaling benches' topic).
 fn bench_config() -> EngineConfig {
@@ -146,25 +142,7 @@ fn bench_config() -> EngineConfig {
 }
 
 fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--compare" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: pipeline_reuse [--compare <baseline.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let compare = baseline::compare_arg("pipeline_reuse");
     let hops = env_usize("IPR_BENCH_HOPS", 100);
     let chain_bytes = env_usize("IPR_BENCH_CHAIN_BYTES", 256 * 1024);
     let chain = VersionChain::generate(
@@ -287,106 +265,53 @@ fn main() {
         );
     }
 
-    if let Some(path) = baseline_path {
-        let breaches = gate(&path, &warm_steady, &diff, &convert, &apply, &encode, hops);
-        if breaches > 0 {
-            eprintln!("\n{breaches} regression(s) past the gates");
-            std::process::exit(1);
-        }
+    let Some(path) = compare else {
+        baseline::write(
+            "pipeline_reuse",
+            object! {
+                "hops": hops,
+                "chain_bytes": chain_bytes,
+                "warm_steady_speedup": fixed(speedup, 3),
+                "cold": cold.json(),
+                "warm_fill": warm_fill.json(),
+                "warm_steady": warm_steady.json(),
+                "stages_steady": object! {
+                    "diff": diff.json(),
+                    "convert": convert.json(),
+                    "apply": apply.json(),
+                    "encode": encode.json(),
+                },
+            },
+        );
         return;
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"pipeline_reuse\",\n");
-    json.push_str("  \"command\": \"cargo run -p ipr-bench --release --bin pipeline_reuse\",\n");
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!("  \"hops\": {hops},\n"));
-    json.push_str(&format!("  \"chain_bytes\": {chain_bytes},\n"));
-    json.push_str(&format!("  \"warm_steady_speedup\": {speedup:.3},\n"));
-    for (key, m) in [
-        ("cold", &cold),
-        ("warm_fill", &warm_fill),
-        ("warm_steady", &warm_steady),
-    ] {
-        json.push_str(&format!("  \"{key}\": {},\n", m.json()));
-    }
-    json.push_str("  \"stages_steady\": {\n");
-    let stage_rows = [
+    };
+    let base = Baseline::load(&path);
+    let mut gates = Ledger::new(&base);
+    // Absolute within-run gate: the acceptance contract of the engine.
+    for (label, m) in [
         ("diff", &diff),
         ("convert", &convert),
         ("apply", &apply),
         ("encode", &encode),
-    ];
-    for (i, (key, m)) in stage_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{key}\": {}{}\n",
-            m.json(),
-            if i + 1 < stage_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_pipeline_reuse.json", &json).expect("write results");
-    println!("\nwrote results/BENCH_pipeline_reuse.json");
-}
-
-/// Gates the run against a stored report; returns the breach count.
-fn gate(
-    path: &str,
-    warm_steady: &Measure,
-    diff: &Measure,
-    convert: &Measure,
-    apply: &Measure,
-    encode: &Measure,
-    hops: usize,
-) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let baseline = ipr_trace::json::parse(&text)
-        .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-    let mut breaches = 0;
-
-    println!(
-        "\nComparison against {path} (gates: zero steady diff/convert/apply/encode \
-         allocations, steady allocs/update ≤ {ALLOC_TOLERANCE}x baseline)\n"
-    );
-    // Absolute within-run gate: the acceptance contract of the engine.
-    for (label, m) in [
-        ("diff", diff),
-        ("convert", convert),
-        ("apply", apply),
-        ("encode", encode),
     ] {
-        let status = if m.allocs > 0 {
-            breaches += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("steady {label}: {} allocation(s) {status}", m.allocs);
+        gates.bound(
+            &format!("steady {label} allocations"),
+            m.allocs as f64,
+            Bound::AtMost(0.0),
+            &m.allocs.to_string(),
+        );
     }
     // Relative gate: steady allocator traffic per update vs the baseline.
-    let base_hops = baseline
-        .get("hops")
-        .and_then(ipr_trace::json::Value::as_u64)
-        .unwrap_or_else(|| panic!("baseline {path} has no hops field"));
-    let base_allocs = baseline
-        .get("warm_steady")
-        .and_then(|m| m.get("allocs"))
-        .and_then(ipr_trace::json::Value::as_u64)
-        .unwrap_or_else(|| panic!("baseline {path} has no warm_steady.allocs"));
-    let base_rate = base_allocs as f64 / base_hops.max(1) as f64;
-    let rate = warm_steady.allocs as f64 / hops as f64;
-    let status = if rate > base_rate * ALLOC_TOLERANCE {
-        breaches += 1;
-        "REGRESSED"
-    } else {
-        "ok"
-    };
-    println!("steady allocs/update: {rate:.1} vs baseline {base_rate:.1} {status}");
-    breaches
+    let base_rate =
+        base.get("warm_steady").get("allocs").u64() as f64 / base.get("hops").u64().max(1) as f64;
+    let rate = per_update(&warm_steady);
+    gates.bound(
+        "steady allocs/update",
+        rate,
+        Bound::AtMost(base_rate * ALLOC_TOLERANCE),
+        &format!("{rate:.1} vs baseline {base_rate:.1} x {ALLOC_TOLERANCE}"),
+    );
+    gates.finish();
 }
 
 /// One full pass of the chain through `engine`, deltas recycled.

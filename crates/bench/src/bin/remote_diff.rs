@@ -21,28 +21,31 @@
 //! With `--compare <baseline.json>` the run gates against a stored
 //! report and exits non-zero on regression:
 //!
-//! * **compression** — any chunking's delta bytes exceed the baseline's
-//!   at all (the generator is deterministic, so on the synthetic pair a
-//!   single extra byte is an algorithmic change, not noise) — skipped
-//!   with a notice when the corpus sizes differ (e.g. the quick CI pair
-//!   against the committed 64 MiB baseline);
-//! * **overhead** — a chunking's delta exceeds [`OVERHEAD_CAP`] times
-//!   the same-run local greedy delta (a corpus-size-independent
-//!   within-run gate that holds on the quick CI pair too);
-//! * **memory** — resident signature-side bytes exceed
-//!   [`RESIDENT_FIXED_ALLOWANCE`] plus [`RESIDENT_CAP_PER_BLOCK`] bytes
-//!   per signature block, the constant-memory contract (docs/REMOTE.md);
-//! * **throughput** — on the same corpus, any chunking's generation
+//! * **compression** — on the baseline's pair (same `reference_mib` and
+//!   `version_bytes`), any chunking's delta bytes exceed the baseline's
+//!   at all (the generator is deterministic, so a single extra byte is an
+//!   algorithmic change, not noise);
+//! * **throughput** — on the baseline's pair, any chunking's generation
 //!   MiB/s falls below [`THROUGHPUT_FLOOR_RATIO`] of the baseline's
 //!   (loose enough for machine noise, tight enough to catch the batched
-//!   scan kernel silently degrading to the scalar path). On a different
-//!   corpus the comparison is printed informationally only.
+//!   scan kernel silently degrading to the scalar path);
+//! * **overhead** — a chunking's delta exceeds [`OVERHEAD_CAP`] times
+//!   the same-run local greedy delta (a within-run gate that holds on
+//!   the quick CI pair too);
+//! * **memory** — resident signature-side bytes exceed
+//!   [`RESIDENT_FIXED_ALLOWANCE`] plus [`RESIDENT_CAP_PER_BLOCK`] bytes
+//!   per signature block, the constant-memory contract (docs/REMOTE.md).
+//!
+//! On any other pair (such as the quick CI pair against the committed
+//! 64 MiB baseline) the two cross-run gates are informational.
 //!
 //! Every row also regenerates its delta through the byte-at-a-time
 //! scalar generator and asserts the command streams identical: the
 //! batched kernel must be a pure speedup, never an output change.
 
-use ipr_delta::codec::{encode, Format};
+use ipr_bench::baseline::{self, fixed, Baseline, Bound, Ledger};
+use ipr_bench::{env_usize, mib_per_s, object};
+use ipr_delta::codec::{encoded_size, Format};
 use ipr_delta::diff::{Differ, GreedyDiffer};
 use ipr_delta::remote::{generate_delta, generate_delta_scalar, Chunking, MatchTable, Signature};
 use std::time::Instant;
@@ -75,7 +78,6 @@ const RESIDENT_FIXED_ALLOWANCE: usize = 16 * 1024;
 const THROUGHPUT_FLOOR_RATIO: f64 = 0.6;
 
 struct Row {
-    chunking: Chunking,
     label: String,
     blocks: usize,
     sign_ns: u128,
@@ -167,14 +169,14 @@ fn bench_chunking(
     let t = Instant::now();
     let script = generate_delta(&signature, version).expect("in-memory reader cannot fail");
     let gen_ns = t.elapsed().as_nanos();
-    let gen_mib_s = version.len() as f64 / (1024.0 * 1024.0) / (gen_ns as f64 / 1e9);
+    let gen_mib_s = mib_per_s(version.len() as u64, gen_ns);
 
     // The batched scan kernel must be a pure speedup: the byte-at-a-time
     // reference generator has to emit the identical command stream.
     let t = Instant::now();
     let scalar = generate_delta_scalar(&signature, version).expect("in-memory reader cannot fail");
     let scalar_gen_ns = t.elapsed().as_nanos();
-    let scalar_gen_mib_s = version.len() as f64 / (1024.0 * 1024.0) / (scalar_gen_ns as f64 / 1e9);
+    let scalar_gen_mib_s = mib_per_s(version.len() as u64, scalar_gen_ns);
     assert_eq!(
         script.commands(),
         scalar.commands(),
@@ -185,12 +187,9 @@ fn bench_chunking(
     let rebuilt = ipr_delta::apply(&script, reference).expect("generated script applies");
     assert_eq!(rebuilt, version, "{chunking}: reconstruction differs");
 
-    let delta_bytes = encode(&script, Format::Ordered)
-        .expect("encodable script")
-        .len() as u64;
+    let delta_bytes = encoded_size(&script, Format::Ordered).expect("encodable script");
 
     Row {
-        chunking,
         label: chunking.to_string(),
         blocks: signature.blocks().len(),
         sign_ns,
@@ -205,29 +204,8 @@ fn bench_chunking(
 }
 
 fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--compare" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: remote_diff [--compare <baseline.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let mib: usize = std::env::var("IPR_BENCH_REMOTE_MIB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+    let compare = baseline::compare_arg("remote_diff");
+    let mib = env_usize("IPR_BENCH_REMOTE_MIB", 64);
     let (reference, version) = synthesize(mib, 0x5eed_0007);
 
     // The local baseline reads both files; its delta is the size to
@@ -236,9 +214,7 @@ fn main() {
     let t = Instant::now();
     let local_script = GreedyDiffer::default().diff(&reference, &version);
     let local_ns = t.elapsed().as_nanos();
-    let local_delta_bytes = encode(&local_script, Format::Ordered)
-        .expect("encodable script")
-        .len() as u64;
+    let local_delta_bytes = encoded_size(&local_script, Format::Ordered).expect("encodable script");
     drop(local_script);
 
     let chunkings = [
@@ -256,7 +232,7 @@ fn main() {
          ({:.1} MiB/s)\n",
         version.len(),
         local_delta_bytes,
-        version.len() as f64 / (1024.0 * 1024.0) / (local_ns as f64 / 1e9),
+        mib_per_s(version.len() as u64, local_ns),
     );
     println!(
         "{:<22} {:>8} {:>10} {:>10} {:>12} {:>10} {:>12} {:>12} {:>9}",
@@ -285,162 +261,76 @@ fn main() {
         );
     }
 
-    if let Some(path) = baseline_path {
-        let breaches = compare_to_baseline(&rows, &path, mib, version.len() as u64);
-        if breaches > 0 {
-            eprintln!("\n{breaches} regression(s) past the gates");
-            std::process::exit(1);
-        }
+    let Some(path) = compare else {
+        let results = rows.iter().map(|r| {
+            object! {
+                "chunking": r.label.as_str(),
+                "blocks": r.blocks,
+                "sign_ns": r.sign_ns,
+                "sig_bytes": r.sig_bytes,
+                "resident_bytes": r.resident_bytes,
+                "gen_ns": r.gen_ns,
+                "gen_mib_per_s": fixed(r.gen_mib_s, 1),
+                "scalar_gen_mib_per_s": fixed(r.scalar_gen_mib_s, 1),
+                "delta_bytes": r.delta_bytes,
+                "overhead_vs_local": fixed(r.overhead, 4),
+            }
+        });
+        baseline::write(
+            "remote_diff",
+            object! {
+                "reference_mib": mib,
+                "version_bytes": version.len(),
+                "local_greedy_delta_bytes": local_delta_bytes,
+                "local_greedy_total_ns": local_ns,
+                "results": results.collect::<Vec<_>>(),
+            },
+        );
         return;
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"remote_diff\",\n");
-    json.push_str("  \"command\": \"cargo run -p ipr-bench --release --bin remote_diff\",\n");
-    json.push_str(&format!("  \"reference_mib\": {mib},\n"));
-    json.push_str(&format!("  \"version_bytes\": {},\n", version.len()));
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!(
-        "  \"local_greedy_delta_bytes\": {local_delta_bytes},\n"
-    ));
-    json.push_str(&format!("  \"local_greedy_total_ns\": {local_ns},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"chunking\": \"{}\", \"blocks\": {}, \"sign_ns\": {}, \"sig_bytes\": {}, \
-             \"resident_bytes\": {}, \"gen_ns\": {}, \"gen_mib_per_s\": {:.1}, \
-             \"scalar_gen_mib_per_s\": {:.1}, \"delta_bytes\": {}, \
-             \"overhead_vs_local\": {:.4}}}{}\n",
-            r.label,
-            r.blocks,
-            r.sign_ns,
-            r.sig_bytes,
-            r.resident_bytes,
-            r.gen_ns,
-            r.gen_mib_s,
-            r.scalar_gen_mib_s,
-            r.delta_bytes,
-            r.overhead,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_remote_diff.json", &json).expect("write results");
-    println!("\nwrote results/BENCH_remote_diff.json");
-}
-
-/// Gates the current rows against a stored report; returns breach count.
-fn compare_to_baseline(rows: &[Row], path: &str, mib: usize, version_bytes: u64) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let baseline = ipr_trace::json::parse(&text)
-        .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-    let results = baseline
-        .get("results")
-        .and_then(|r| r.as_array())
-        .unwrap_or_else(|| panic!("baseline {path} has no results array"));
-    let baseline_row = |label: &str| {
-        results
-            .iter()
-            .find(|r| r.get("chunking").and_then(|v| v.as_str()) == Some(label))
     };
-    let baseline_delta =
-        |label: &str| -> Option<u64> { baseline_row(label)?.get("delta_bytes")?.as_u64() };
-    let baseline_mib_s =
-        |label: &str| -> Option<f64> { baseline_row(label)?.get("gen_mib_per_s")?.as_f64() };
-
-    println!(
-        "\nComparison against {path} (gates: delta bytes ≤ baseline, delta ≤ \
-         {OVERHEAD_CAP}x local greedy, resident ≤ {RESIDENT_CAP_PER_BLOCK} B/block, \
-         throughput ≥ {THROUGHPUT_FLOOR_RATIO}x baseline)\n"
-    );
-    let mut breaches = 0;
-    let get_u64 = |key: &str| {
-        baseline
-            .get(key)
-            .and_then(ipr_trace::json::Value::as_u64)
-            .unwrap_or(0)
-    };
-    // Deterministic output is only comparable on the same synthetic
-    // pair; the quick CI pair against the committed 64 MiB baseline
-    // skips the cross-run gate rather than trivially passing it.
-    let same_corpus =
-        get_u64("reference_mib") == mib as u64 && get_u64("version_bytes") == version_bytes;
-    if same_corpus {
-        for r in rows {
-            let Some(base) = baseline_delta(&r.label) else {
-                println!("{}: no baseline row (ungated)", r.label);
-                continue;
-            };
-            let status = if r.delta_bytes > base {
-                breaches += 1;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{}: delta bytes {} vs baseline {} {status}",
-                r.label, r.delta_bytes, base
+    let base = Baseline::load(&path);
+    // Deterministic output and absolute MiB/s compare only on the same
+    // synthetic pair.
+    let same_corpus = base.same_corpus(&[
+        ("reference_mib", mib as u64),
+        ("version_bytes", version.len() as u64),
+    ]);
+    let mut gates = Ledger::new(&base);
+    for r in &rows {
+        let row = base.get("results").row(&[("chunking", &r.label)]);
+        match row.get("delta_bytes").try_f64() {
+            Ok(want) => gates.bound_if(
+                same_corpus,
+                &format!("{}: delta bytes", r.label),
+                r.delta_bytes as f64,
+                Bound::AtMost(want),
+                &format!("{} vs baseline {want}", r.delta_bytes),
+            ),
+            Err(missing) => gates.info(&r.label, &missing),
+        };
+        if let Ok(want) = row.get("gen_mib_per_s").try_f64() {
+            let ratio = r.gen_mib_s / want.max(f64::MIN_POSITIVE);
+            gates.bound_if(
+                same_corpus,
+                &format!("{}: generation MiB/s", r.label),
+                ratio,
+                Bound::AtLeast(THROUGHPUT_FLOOR_RATIO),
+                &format!("{:.1} vs baseline {want:.1} ({ratio:.2}x)", r.gen_mib_s),
             );
         }
-    } else {
-        println!(
-            "baseline corpus differs ({} MiB / {} bytes vs this run's {mib} / {version_bytes}) \
-             — cross-run delta and throughput gates informational only; within-run gates \
-             still apply",
-            get_u64("reference_mib"),
-            get_u64("version_bytes")
-        );
-    }
-    // Per-block-size throughput floor. Absolute MiB/s only compares on
-    // the same corpus (and, implicitly, the machine that recorded the
-    // baseline); elsewhere the ratio is still printed so a CI log shows
-    // the small-corpus numbers next to the committed ones.
-    for r in rows {
-        let Some(base) = baseline_mib_s(&r.label) else {
-            println!("{}: no baseline throughput (ungated)", r.label);
-            continue;
-        };
-        let ratio = r.gen_mib_s / base.max(f64::MIN_POSITIVE);
-        let status = if !same_corpus {
-            "info"
-        } else if ratio < THROUGHPUT_FLOOR_RATIO {
-            breaches += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{}: generated at {:.1} MiB/s vs baseline {:.1} ({:.2}x) {status}",
-            r.label, r.gen_mib_s, base, ratio
-        );
-    }
-    for r in rows {
-        let status = if r.overhead > OVERHEAD_CAP {
-            breaches += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{}: delta is {:.2}x the local greedy delta {status}",
-            r.label, r.overhead
+        gates.bound(
+            &format!("{}: delta vs local greedy", r.label),
+            r.overhead,
+            Bound::AtMost(OVERHEAD_CAP),
+            &format!("{:.2}x", r.overhead),
         );
         let cap = RESIDENT_FIXED_ALLOWANCE + r.blocks * RESIDENT_CAP_PER_BLOCK;
-        let status = if r.resident_bytes > cap {
-            breaches += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{}: {} resident bytes over {} blocks (cap {cap}) {status}",
-            r.label, r.resident_bytes, r.blocks
+        gates.bound(
+            &format!("{}: resident bytes", r.label),
+            r.resident_bytes as f64,
+            Bound::AtMost(cap as f64),
+            &format!("{} over {} blocks", r.resident_bytes, r.blocks),
         );
-        let _ = r.chunking;
     }
-    breaches
+    gates.finish();
 }

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run -p ipr-bench --release --bin scaling`
 
-use ipr_bench::{bytes, timed, Table};
+use ipr_bench::{bytes, fastest, Table};
 use ipr_core::{convert_to_in_place, ConversionConfig, CrwiGraph};
 use ipr_delta::diff::{Differ, GreedyDiffer};
 use ipr_workloads::adversarial::quadratic_edges;
@@ -17,12 +17,6 @@ use ipr_workloads::content::{generate, ContentKind};
 use ipr_workloads::mutate::{mutate, MutationProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
-
-/// Best-of-5 timing to suppress scheduler noise.
-fn best_of<R>(mut f: impl FnMut() -> R) -> Duration {
-    (0..5).map(|_| timed(&mut f).1).min().expect("non-empty")
-}
 
 fn main() {
     println!("§4.3 scaling: conversion time vs input size (best of 5 runs)\n");
@@ -44,7 +38,9 @@ fn main() {
         let script = GreedyDiffer::default().diff(&reference, &version);
         let config = ConversionConfig::default();
         let out = convert_to_in_place(&script, &reference, &config).expect("cannot fail");
-        let time = best_of(|| convert_to_in_place(&script, &reference, &config).expect("ok"));
+        let time = fastest(5, || {
+            convert_to_in_place(&script, &reference, &config).expect("ok")
+        });
         let secs = time.as_secs_f64();
         t.row(vec![
             bytes(len as u64),
@@ -71,8 +67,9 @@ fn main() {
         let copies = case.script.copies();
         let crwi = CrwiGraph::build(copies.clone());
         let config = ConversionConfig::default();
-        let time =
-            best_of(|| convert_to_in_place(&case.script, &case.reference, &config).expect("ok"));
+        let time = fastest(5, || {
+            convert_to_in_place(&case.script, &case.reference, &config).expect("ok")
+        });
         let secs = time.as_secs_f64();
         t.row(vec![
             bytes(case.script.target_len()),

@@ -26,22 +26,18 @@
 //! With `--compare <baseline.json>` the run gates instead of writing,
 //! checking only machine-independent invariants, each exactly:
 //!
-//! * version and object counts match the baseline;
 //! * `max_depth_after` ≤ the depth cap (absolute, within-run);
-//! * live delta/full byte totals match the baseline;
-//! * fsck finds zero findings and sweeps every live byte.
+//! * fsck finds nothing;
+//! * the twelve structural keys (version and object counts, depths,
+//!   collapsed chains, stored and live byte totals) equal the
+//!   baseline's.
 
+use ipr_bench::baseline::{self, Baseline, Bound, Json, Ledger};
+use ipr_bench::{env_usize, mib_per_s, object};
 use ipr_store::{fsck, Store};
 use ipr_workloads::chain::{ChainPattern, VersionChain};
 use ipr_workloads::content::ContentKind;
 use std::time::Instant;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Per-depth reconstruct latency bucket.
 #[derive(Clone, Copy, Default)]
@@ -87,46 +83,27 @@ fn print_buckets(label: &str, buckets: &[DepthBucket]) {
             continue;
         }
         let avg_us = b.total_ns as f64 / b.versions as f64 / 1e3;
-        let mib_s = b.bytes as f64 / 1024.0 / 1024.0 / (b.total_ns as f64 / 1e9).max(1e-9);
+        let mib_s = mib_per_s(b.bytes, b.total_ns);
         println!("{depth:<7} {:>9} {avg_us:>14.1} {mib_s:>14.1}", b.versions);
     }
 }
 
-fn buckets_json(buckets: &[DepthBucket]) -> String {
-    let rows: Vec<String> = buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.versions > 0)
-        .map(|(depth, b)| {
-            format!(
-                "    {{\"depth\": {depth}, \"versions\": {}, \"total_ns\": {}, \"bytes\": {}}}",
-                b.versions, b.total_ns, b.bytes
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+fn buckets_json(buckets: &[DepthBucket]) -> Json {
+    let rows = buckets.iter().enumerate().filter(|(_, b)| b.versions > 0);
+    rows.map(|(depth, b)| {
+        object! {
+            "depth": depth,
+            "versions": b.versions,
+            "total_ns": b.total_ns,
+            "bytes": b.bytes,
+        }
+    })
+    .collect::<Vec<_>>()
+    .into()
 }
 
 fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--compare" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: store_chains [--compare <baseline.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let compare = baseline::compare_arg("store_chains");
     let versions = env_usize("IPR_BENCH_STORE_VERSIONS", 48);
     let version_bytes = env_usize("IPR_BENCH_STORE_BYTES", 64 * 1024);
     let depth_cap = env_usize("IPR_BENCH_STORE_DEPTH_CAP", 8) as u32;
@@ -175,8 +152,7 @@ fn main() {
     let t = Instant::now();
     let fsck_report = fsck(&root, false).expect("fsck runs");
     let fsck_ns = t.elapsed().as_nanos();
-    let fsck_mib_s =
-        fsck_report.bytes_checked as f64 / 1024.0 / 1024.0 / (fsck_ns as f64 / 1e9).max(1e-9);
+    let fsck_mib_s = mib_per_s(fsck_report.bytes_checked, fsck_ns);
 
     println!(
         "Store chains: {versions} versions of {} KiB, depth cap {depth_cap}\n",
@@ -213,152 +189,57 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&root);
 
-    if let Some(path) = baseline_path {
-        let breaches = gate(
-            &path,
-            versions,
-            depth_cap,
-            objects_before,
-            objects_after,
-            max_depth_before,
-            &report,
-            delta_bytes_put,
-            full_bytes_put,
-            &fsck_report,
-        );
-        if breaches > 0 {
-            eprintln!("\n{breaches} invariant breach(es) against the baseline");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"store_chains\",\n");
-    json.push_str("  \"command\": \"cargo run -p ipr-bench --release --bin store_chains\",\n");
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!("  \"versions\": {versions},\n"));
-    json.push_str(&format!("  \"version_bytes\": {version_bytes},\n"));
-    json.push_str(&format!("  \"depth_cap\": {depth_cap},\n"));
-    json.push_str(&format!("  \"put_total_ns\": {put_ns},\n"));
-    json.push_str(&format!("  \"delta_bytes_put\": {delta_bytes_put},\n"));
-    json.push_str(&format!("  \"full_bytes_put\": {full_bytes_put},\n"));
-    json.push_str(&format!("  \"objects_before\": {objects_before},\n"));
-    json.push_str(&format!("  \"objects_after\": {objects_after},\n"));
-    json.push_str(&format!("  \"max_depth_before\": {max_depth_before},\n"));
-    json.push_str(&format!(
-        "  \"max_depth_after\": {},\n",
-        report.max_depth_after
-    ));
-    json.push_str(&format!("  \"chains_collapsed\": {},\n", report.collapsed));
-    json.push_str(&format!(
-        "  \"objects_dropped\": {},\n",
-        report.dropped_objects
-    ));
-    json.push_str(&format!(
-        "  \"live_bytes_before\": {},\n",
-        report.bytes_before
-    ));
-    json.push_str(&format!(
-        "  \"live_bytes_after\": {},\n",
-        report.bytes_after
-    ));
-    json.push_str(&format!("  \"compact_ns\": {compact_ns},\n"));
-    json.push_str(&format!(
-        "  \"reconstruct_before\": {},\n",
-        buckets_json(&buckets_before)
-    ));
-    json.push_str(&format!(
-        "  \"reconstruct_after\": {},\n",
-        buckets_json(&buckets_after)
-    ));
-    json.push_str(&format!(
-        "  \"fsck\": {{\"findings\": {}, \"versions_checked\": {}, \"objects_checked\": {}, \
-         \"bytes_checked\": {}, \"total_ns\": {}}}\n",
-        fsck_report.findings.len(),
-        fsck_report.versions_checked,
-        fsck_report.objects_checked,
-        fsck_report.bytes_checked,
-        fsck_ns
-    ));
-    json.push_str("}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_store_chains.json", &json).expect("write results");
-    println!("\nwrote results/BENCH_store_chains.json");
-}
-
-/// Gates the run against a stored report; returns the breach count.
-/// Only machine-independent invariants are checked — counts, depths
-/// and stored byte totals are exact functions of the seed and the
-/// differ, so any drift is a real behavioural change, never noise.
-#[allow(clippy::too_many_arguments)]
-fn gate(
-    path: &str,
-    versions: usize,
-    depth_cap: u32,
-    objects_before: usize,
-    objects_after: usize,
-    max_depth_before: u32,
-    report: &ipr_store::CompactReport,
-    delta_bytes_put: u64,
-    full_bytes_put: u64,
-    fsck_report: &ipr_store::FsckReport,
-) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let baseline = ipr_trace::json::parse(&text)
-        .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-    let field = |key: &str| -> u64 {
-        baseline
-            .get(key)
-            .and_then(ipr_trace::json::Value::as_u64)
-            .unwrap_or_else(|| panic!("baseline {path} has no {key} field"))
-    };
-    let mut breaches = 0;
-    println!(
-        "\nComparison against {path} (gates: exact structural invariants; timing never gated)\n"
-    );
-
-    // Absolute within-run gates: the store's own contract.
-    let mut check = |label: &str, ok: bool, detail: String| {
-        let status = if ok {
-            "ok"
-        } else {
-            breaches += 1;
-            "REGRESSED"
-        };
-        println!("{label}: {detail} {status}");
-    };
-    check(
-        "depth cap honoured",
-        report.max_depth_after <= depth_cap,
-        format!("max depth {} vs cap {depth_cap}", report.max_depth_after),
-    );
-    check(
-        "fsck clean",
-        fsck_report.findings.is_empty(),
-        format!("{} finding(s)", fsck_report.findings.len()),
-    );
-
-    // Exact gates against the baseline: structural drift detection.
-    for (key, got) in [
+    let structure = [
         ("versions", versions as u64),
         ("depth_cap", u64::from(depth_cap)),
+        ("delta_bytes_put", delta_bytes_put),
+        ("full_bytes_put", full_bytes_put),
         ("objects_before", objects_before as u64),
         ("objects_after", objects_after as u64),
         ("max_depth_before", u64::from(max_depth_before)),
         ("max_depth_after", u64::from(report.max_depth_after)),
         ("chains_collapsed", report.collapsed as u64),
         ("objects_dropped", report.dropped_objects as u64),
-        ("delta_bytes_put", delta_bytes_put),
-        ("full_bytes_put", full_bytes_put),
         ("live_bytes_before", report.bytes_before),
         ("live_bytes_after", report.bytes_after),
-    ] {
-        let want = field(key);
-        check(key, got == want, format!("{got} vs baseline {want}"));
+    ];
+    let Some(path) = compare else {
+        let mut body = Json::Object(
+            structure
+                .iter()
+                .map(|&(key, value)| (key.to_string(), value.into()))
+                .collect(),
+        );
+        body.append(object! {
+            "version_bytes": version_bytes,
+            "put_total_ns": put_ns,
+            "compact_ns": compact_ns,
+            "reconstruct_before": buckets_json(&buckets_before),
+            "reconstruct_after": buckets_json(&buckets_after),
+            "fsck": object! {
+                "findings": fsck_report.findings.len(),
+                "versions_checked": fsck_report.versions_checked,
+                "objects_checked": fsck_report.objects_checked,
+                "bytes_checked": fsck_report.bytes_checked,
+                "total_ns": fsck_ns,
+            },
+        });
+        baseline::write("store_chains", body);
+        return;
+    };
+    // Counts, depths and stored byte totals are exact functions of the
+    // seed and the differ, so any drift is a behavioural change.
+    let base = Baseline::load(&path);
+    let mut gates = Ledger::new(&base);
+    gates.bound(
+        "depth cap honoured",
+        f64::from(report.max_depth_after),
+        Bound::AtMost(f64::from(depth_cap)),
+        &format!("max depth {}", report.max_depth_after),
+    );
+    gates.exact("fsck findings", fsck_report.findings.len() as u64, 0);
+    for (key, got) in structure {
+        gates.exact(key, got, base.get(key).u64());
     }
-    breaches
+    gates.finish();
 }

@@ -26,13 +26,15 @@
 //!
 //! With `--compare <baseline.json>` the run gates instead of writing:
 //!
-//! * byte-identity and the buffer bound (within-run, hard);
-//! * streaming TTFB beats download-then-apply on both dialup cells with
-//!   loss (hard — that is the point of streaming; fast channels are
-//!   reported but not gated);
-//! * wire length and every cell's simulated times and retransmission
-//!   counts match the baseline exactly (machine-independent).
+//! * byte-identity and the buffer bound (asserted in every run);
+//! * streaming TTFB is below download-then-apply on every dialup cell
+//!   (that is the point of streaming; the other channels are
+//!   informational);
+//! * `wire_len`, the cell count and six fields of every cell (simulated
+//!   times, retransmissions, chunks, commands) equal the baseline's.
 
+use ipr_bench::baseline::{self, Baseline, Bound, Ledger};
+use ipr_bench::{env_usize, object};
 use ipr_device::{stream_install, Channel, Device, LossyChannel, StreamProgress, StreamReport};
 use ipr_pipeline::{DeltaStream, Engine};
 use ipr_workloads::content::{self, ContentKind};
@@ -41,13 +43,6 @@ use rand::SeedableRng;
 
 const LOSS_RATES: [f64; 3] = [0.0, 0.01, 0.05];
 const LOSS_SEED: u64 = 9;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn presets() -> [(&'static str, Channel); 3] {
     [
@@ -94,25 +89,7 @@ fn complete(
 }
 
 fn main() {
-    let mut baseline_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--compare" => {
-                baseline_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare needs a baseline JSON path");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}`; usage: streaming_install [--compare <baseline.json>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let compare = baseline::compare_arg("streaming_install");
     let bytes = env_usize("IPR_BENCH_STREAM_BYTES", 256 * 1024);
     let chunk = env_usize("IPR_BENCH_STREAM_CHUNK", 1024);
     let mtu = env_usize("IPR_BENCH_STREAM_MTU", 576);
@@ -272,122 +249,59 @@ fn main() {
          {resumes} resume(s), byte-identical"
     );
 
-    if let Some(path) = baseline_path {
-        let breaches = gate(&path, wire_len, &cells);
-        if breaches > 0 {
-            eprintln!("\n{breaches} gate breach(es) against the baseline");
-            std::process::exit(1);
-        }
+    let Some(path) = compare else {
+        let cells = cells.iter().map(|c| {
+            object! {
+                "channel": c.channel,
+                "loss": c.loss,
+                "ttfb_ns": c.ttfb_ns,
+                "total_ns": c.total_ns,
+                "download_ns": c.download_ns,
+                "retransmissions": c.retransmissions,
+                "chunks": c.chunks,
+                "commands": c.commands,
+                "commands_pre_eof": c.commands_pre_eof,
+                "buffered_high_water": c.buffered_high_water,
+            }
+        });
+        baseline::write(
+            "streaming_install",
+            object! {
+                "image_bytes": bytes,
+                "chunk_bytes": chunk,
+                "mtu_bytes": mtu,
+                "wire_len": wire_len,
+                "buffer_bound": buffer_bound,
+                "resume_kill_at": kill_at,
+                "resumes": resumes,
+                "cells": cells.collect::<Vec<_>>(),
+            },
+        );
         return;
-    }
-
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"streaming_install\",\n");
-    json.push_str("  \"command\": \"cargo run -p ipr-bench --release --bin streaming_install\",\n");
-    json.push_str(&format!("  \"host_parallelism\": {host},\n"));
-    json.push_str(&format!("  \"image_bytes\": {bytes},\n"));
-    json.push_str(&format!("  \"chunk_bytes\": {chunk},\n"));
-    json.push_str(&format!("  \"mtu_bytes\": {mtu},\n"));
-    json.push_str(&format!("  \"wire_len\": {wire_len},\n"));
-    json.push_str(&format!("  \"buffer_bound\": {buffer_bound},\n"));
-    json.push_str(&format!("  \"resume_kill_at\": {kill_at},\n"));
-    json.push_str(&format!("  \"resumes\": {resumes},\n"));
-    json.push_str("  \"cells\": [\n");
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"channel\": \"{}\", \"loss\": {}, \"ttfb_ns\": {}, \"total_ns\": {}, \
-                 \"download_ns\": {}, \"retransmissions\": {}, \"chunks\": {}, \
-                 \"commands\": {}, \"commands_pre_eof\": {}, \"buffered_high_water\": {}}}",
-                c.channel,
-                c.loss,
-                c.ttfb_ns,
-                c.total_ns,
-                c.download_ns,
-                c.retransmissions,
-                c.chunks,
-                c.commands,
-                c.commands_pre_eof,
-                c.buffered_high_water
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_streaming_install.json", &json).expect("write results");
-    println!("wrote results/BENCH_streaming_install.json");
-}
-
-/// Gates the run against a stored report; returns the breach count.
-/// Simulated times are exact functions of the payload and the channel
-/// model, so every number here is gated exactly — any drift is a real
-/// behavioural change in the differ, the codec or the channel.
-fn gate(path: &str, wire_len: u64, cells: &[Cell]) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let baseline = ipr_trace::json::parse(&text)
-        .unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-    let mut breaches = 0;
-    let mut check = |label: &str, ok: bool, detail: String| {
-        let status = if ok {
-            "ok"
-        } else {
-            breaches += 1;
-            "REGRESSED"
-        };
-        println!("{label}: {detail} {status}");
     };
-    println!("\nComparison against {path} (simulated times gate exactly)\n");
-
-    // Hard gate: streaming must beat download-then-apply to the first
-    // reconstructed byte on dialup — the channel the paper's "low
-    // bandwidth" argument is about. Fast channels are informational.
-    for cell in cells {
-        let ratio = cell.ttfb_ns as f64 / cell.download_ns as f64;
-        let label = format!("ttfb ratio {}@{:.0}%", cell.channel, cell.loss * 100.0);
-        if cell.channel == "dialup" {
-            check(
-                &label,
-                ratio < 1.0,
-                format!("{ratio:.3} (hard, must be < 1)"),
-            );
-        } else {
-            println!("{label}: {ratio:.3} (informational)");
-        }
-    }
-
-    let field = |key: &str| -> u64 {
-        baseline
-            .get(key)
-            .and_then(ipr_trace::json::Value::as_u64)
-            .unwrap_or_else(|| panic!("baseline {path} has no {key} field"))
-    };
-    check(
-        "wire_len",
-        wire_len == field("wire_len"),
-        format!("{wire_len} vs baseline {}", field("wire_len")),
-    );
-
-    let rows = baseline
-        .get("cells")
-        .and_then(ipr_trace::json::Value::as_array)
-        .unwrap_or_else(|| panic!("baseline {path} has no cells array"));
-    check(
-        "cell count",
-        rows.len() == cells.len(),
-        format!("{} vs baseline {}", cells.len(), rows.len()),
-    );
-    for (cell, row) in cells.iter().zip(rows) {
-        let want = |key: &str| -> u64 {
-            row.get(key)
-                .and_then(ipr_trace::json::Value::as_u64)
-                .unwrap_or_else(|| panic!("baseline cell has no {key} field"))
-        };
+    // Simulated times are exact functions of the payload and the channel
+    // model, so drift is a behavioural change in the differ, the codec
+    // or the channel.
+    let base = Baseline::load(&path);
+    let mut gates = Ledger::new(&base);
+    gates.exact("wire_len", wire_len, base.get("wire_len").u64());
+    gates.exact("cell count", cells.len(), base.get("cells").count());
+    for cell in &cells {
         let label = format!("{}@{:.0}%", cell.channel, cell.loss * 100.0);
+        // Streaming must reach the first reconstructed byte before
+        // download-then-apply on dialup, the channel the paper's "low
+        // bandwidth" argument is about.
+        let ratio = cell.ttfb_ns as f64 / cell.download_ns as f64;
+        gates.bound_if(
+            cell.channel == "dialup",
+            &format!("{label} ttfb / download"),
+            ratio,
+            Bound::Below(1.0),
+            &format!("{ratio:.3}"),
+        );
+        let row = base
+            .get("cells")
+            .row(&[("channel", cell.channel), ("loss", &cell.loss.to_string())]);
         for (key, got) in [
             ("ttfb_ns", cell.ttfb_ns),
             ("total_ns", cell.total_ns),
@@ -396,12 +310,8 @@ fn gate(path: &str, wire_len: u64, cells: &[Cell]) -> usize {
             ("chunks", cell.chunks),
             ("commands", cell.commands),
         ] {
-            check(
-                &format!("{label} {key}"),
-                got == want(key),
-                format!("{got} vs baseline {}", want(key)),
-            );
+            gates.exact(&format!("{label} {key}"), got, row.get(key).u64());
         }
     }
-    breaches
+    gates.finish();
 }

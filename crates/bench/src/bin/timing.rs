@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run -p ipr-bench --release --bin timing`
 
-use ipr_bench::{experiment_corpus, pct, timed, Table};
+use ipr_bench::{experiment_corpus, fastest, pct, timed, Table};
 use ipr_core::{convert_to_in_place, ConversionConfig, CyclePolicy};
 use ipr_delta::diff::{Differ, GreedyDiffer, OnePassDiffer};
 use std::time::Duration;
@@ -49,14 +49,8 @@ fn run(differ: &dyn Differ) {
         // conversion after a large diff otherwise absorbs allocator and
         // cache effects that have nothing to do with the algorithm.
         let _ = convert(CyclePolicy::LocallyMinimum);
-        let lm_time = (0..3)
-            .map(|_| timed(|| convert(CyclePolicy::LocallyMinimum)).1)
-            .min()
-            .expect("non-empty");
-        let ct_time = (0..3)
-            .map(|_| timed(|| convert(CyclePolicy::ConstantTime)).1)
-            .min()
-            .expect("non-empty");
+        let lm_time = fastest(3, || convert(CyclePolicy::LocallyMinimum));
+        let ct_time = fastest(3, || convert(CyclePolicy::ConstantTime));
         diff_total += diff_time;
         lm_total += lm_time;
         ct_total += ct_time;

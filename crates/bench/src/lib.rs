@@ -13,12 +13,33 @@
 //! | `lemma1`   | Lemma 1 — edges ≤ L_V over every workload |
 //! | `transfer` | §2/§7 — compression factors and transfer-time speedups |
 //! | `ablation` | §5/§7 — policy optimality gap, codec redesign, buffer sizes |
+//!
+//! The gated bins that write `results/BENCH_*.json` share [`baseline`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baseline;
+
 use ipr_workloads::corpus::{CorpusSpec, FilePair};
 use std::time::{Duration, Instant};
+
+/// The value of environment variable `key` as a `usize`, or `default`
+/// when it is unset or not a number.
+#[must_use]
+pub fn env_usize(key: &str, default: usize) -> usize {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The host's available parallelism (1 when it cannot be read), which
+/// every `BENCH_*.json` records as `host_parallelism`.
+#[must_use]
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
 
 /// The corpus every experiment binary uses: 200 synthetic pairs,
 /// 4 KiB – 512 KiB.
@@ -42,21 +63,35 @@ pub fn experiment_corpus() -> Vec<FilePair> {
         );
         return pairs;
     }
-    let pairs = std::env::var("IPR_BENCH_PAIRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let max_len = std::env::var("IPR_BENCH_MAX_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512 * 1024);
     CorpusSpec {
-        pairs,
+        pairs: env_usize("IPR_BENCH_PAIRS", 200),
         min_len: 4 * 1024,
-        max_len,
+        max_len: env_usize("IPR_BENCH_MAX_LEN", 512 * 1024),
         ..CorpusSpec::default()
     }
     .build()
+}
+
+/// The fastest of `reps` runs of `f`, which returns its own time.
+pub fn best_of(reps: usize, mut f: impl FnMut() -> u128) -> u128 {
+    (0..reps.max(1))
+        .map(|_| f())
+        .min()
+        .expect("at least one run")
+}
+
+/// Throughput of `bytes` processed in `ns` nanoseconds, in MiB/s.
+#[must_use]
+pub fn mib_per_s(bytes: u64, ns: u128) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0) / (ns as f64 / 1e9).max(1e-9)
+}
+
+/// The fastest of `reps` timed runs of `f`.
+pub fn fastest<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+    (0..reps.max(1))
+        .map(|_| timed(&mut f).1)
+        .min()
+        .expect("at least one run")
 }
 
 /// Times a closure.

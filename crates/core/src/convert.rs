@@ -368,26 +368,6 @@ pub fn convert_in_place_pooled(
     Ok(InPlaceOutcome { script, report })
 }
 
-/// One-step pipeline: difference `version` against `reference` and convert
-/// the result for in-place reconstruction.
-///
-/// The paper notes the conversion "integrates easily into a compression
-/// algorithm so that an in-place reconstructible file may be output
-/// directly"; this is that integration point.
-///
-/// # Errors
-///
-/// Propagates [`ConvertError`] (the differ itself cannot fail).
-pub fn diff_in_place(
-    differ: &dyn ipr_delta::diff::Differ,
-    reference: &[u8],
-    version: &[u8],
-    config: &ConversionConfig,
-) -> Result<InPlaceOutcome, ConvertError> {
-    let script = differ.diff(reference, version);
-    convert_to_in_place(&script, reference, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,18 +520,13 @@ mod tests {
     }
 
     #[test]
-    fn diff_in_place_end_to_end() {
-        use ipr_delta::diff::GreedyDiffer;
+    fn diff_then_convert_end_to_end() {
+        use ipr_delta::diff::{Differ, GreedyDiffer};
         let reference: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
         let mut version = reference.clone();
         version.rotate_left(512); // block move: guaranteed read/write crossings
-        let out = diff_in_place(
-            &GreedyDiffer::default(),
-            &reference,
-            &version,
-            &ConversionConfig::default(),
-        )
-        .unwrap();
+        let script = GreedyDiffer::default().diff(&reference, &version);
+        let out = convert(&script, &reference);
         assert!(is_in_place_safe(&out.script));
         let mut buf = reference.clone();
         apply_in_place(&out.script, &mut buf).unwrap();

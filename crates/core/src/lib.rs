@@ -56,8 +56,8 @@ pub mod spill;
 pub use analysis::CrwiStats;
 pub use apply::{apply_in_place, apply_in_place_buffered, required_capacity, InPlaceApplyError};
 pub use convert::{
-    convert_in_place_pooled, convert_to_in_place, diff_in_place, ConversionConfig,
-    ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
+    convert_in_place_pooled, convert_to_in_place, ConversionConfig, ConversionReport, ConvertError,
+    ConvertScratch, InPlaceOutcome,
 };
 pub use crwi::CrwiGraph;
 pub use ipr_digraph::{Interval, IntervalSet};

@@ -214,16 +214,6 @@ pub enum EncodeError {
         /// The actual buffer length supplied.
         actual: u64,
     },
-    /// The format cannot be encoded incrementally (the fixed-width paper
-    /// formats split commands, so their command count is only known after
-    /// a batch pass).
-    UnsupportedStreaming,
-    /// A [`stream::StreamEncoder`] was given a different number of
-    /// commands than it declared in the header.
-    CommandCountMismatch {
-        /// The count declared at construction.
-        declared: u64,
-    },
 }
 
 impl fmt::Display for EncodeError {
@@ -246,12 +236,6 @@ impl fmt::Display for EncodeError {
                     f,
                     "target buffer is {actual} bytes, script expects {expected}"
                 )
-            }
-            EncodeError::UnsupportedStreaming => {
-                write!(f, "fixed-width paper formats cannot be streamed")
-            }
-            EncodeError::CommandCountMismatch { declared } => {
-                write!(f, "stream encoder declared {declared} commands")
             }
         }
     }

@@ -382,191 +382,6 @@ impl StreamDecoder {
     }
 }
 
-/// Incremental encoder: the server-side counterpart of [`StreamDecoder`].
-///
-/// Commands are encoded as they are produced (e.g. while composing or
-/// converting on the fly) and the wire bytes drained in chunks, so the
-/// whole delta never needs to sit in memory. Limited to the non-splitting
-/// formats ([`Format::Ordered`], [`Format::InPlace`],
-/// [`Format::Improved`]); the fixed-width paper formats re-split commands
-/// and are batch-only.
-///
-/// ```
-/// use ipr_delta::codec::stream::{StreamDecoder, StreamEncoder};
-/// use ipr_delta::codec::Format;
-/// use ipr_delta::Command;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut enc = StreamEncoder::new(Format::InPlace, 8, 8, 1, None)?;
-/// enc.push_command(&Command::copy(0, 0, 8))?;
-/// let wire = enc.finish()?;
-/// let mut dec = StreamDecoder::new();
-/// dec.push(&wire);
-/// assert_eq!(dec.next_command()?, Some(Command::copy(0, 0, 8)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct StreamEncoder {
-    format: Format,
-    buf: Vec<u8>,
-    declared: u64,
-    encoded: u64,
-    /// Implicit write cursor (ordered) / chain state (improved).
-    next_write: u64,
-}
-
-impl StreamEncoder {
-    /// Starts a delta file of the declared dimensions.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodeError::UnsupportedStreaming`] for the fixed-width paper
-    /// formats, whose command splitting requires batch encoding.
-    ///
-    /// [`EncodeError::UnsupportedStreaming`]: super::EncodeError::UnsupportedStreaming
-    pub fn new(
-        format: Format,
-        source_len: u64,
-        target_len: u64,
-        command_count: u64,
-        target_crc: Option<u32>,
-    ) -> Result<Self, super::EncodeError> {
-        if matches!(format, Format::PaperOrdered | Format::PaperInPlace) {
-            return Err(super::EncodeError::UnsupportedStreaming);
-        }
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&MAGIC);
-        buf.push(format.wire_byte());
-        buf.push(if target_crc.is_some() {
-            super::FLAG_TARGET_CRC
-        } else {
-            0
-        });
-        crate::varint::encode(source_len, &mut buf);
-        crate::varint::encode(target_len, &mut buf);
-        crate::varint::encode(command_count, &mut buf);
-        if let Some(crc) = target_crc {
-            buf.extend_from_slice(&crc.to_le_bytes());
-        }
-        Ok(Self {
-            format,
-            buf,
-            declared: command_count,
-            encoded: 0,
-            next_write: 0,
-        })
-    }
-
-    /// Appends one command.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodeError::NotWriteOrdered`] if an offset-implicit format
-    /// receives a command out of write order, or
-    /// [`EncodeError::CommandCountMismatch`] past the declared count.
-    ///
-    /// [`EncodeError::NotWriteOrdered`]: super::EncodeError::NotWriteOrdered
-    /// [`EncodeError::CommandCountMismatch`]: super::EncodeError::CommandCountMismatch
-    pub fn push_command(&mut self, cmd: &Command) -> Result<(), super::EncodeError> {
-        use crate::command::Command as C;
-        if self.encoded == self.declared {
-            return Err(super::EncodeError::CommandCountMismatch {
-                declared: self.declared,
-            });
-        }
-        match self.format {
-            Format::Ordered => {
-                if cmd.to() != self.next_write {
-                    return Err(super::EncodeError::NotWriteOrdered);
-                }
-                match cmd {
-                    C::Copy(c) => {
-                        self.buf.push(super::TAG_COPY);
-                        crate::varint::encode(c.from, &mut self.buf);
-                        crate::varint::encode(c.len, &mut self.buf);
-                    }
-                    C::Add(a) => {
-                        self.buf.push(super::TAG_ADD);
-                        crate::varint::encode(a.len(), &mut self.buf);
-                        self.buf.extend_from_slice(&a.data);
-                    }
-                }
-            }
-            Format::InPlace => match cmd {
-                C::Copy(c) => {
-                    self.buf.push(super::TAG_COPY);
-                    crate::varint::encode(c.from, &mut self.buf);
-                    crate::varint::encode(c.to, &mut self.buf);
-                    crate::varint::encode(c.len, &mut self.buf);
-                }
-                C::Add(a) => {
-                    self.buf.push(super::TAG_ADD);
-                    crate::varint::encode(a.to, &mut self.buf);
-                    crate::varint::encode(a.len(), &mut self.buf);
-                    self.buf.extend_from_slice(&a.data);
-                }
-            },
-            Format::Improved => {
-                let chained = cmd.to() == self.next_write;
-                let mut tag = 0u8;
-                if cmd.is_add() {
-                    tag |= 0x01;
-                }
-                if chained {
-                    tag |= 0x02;
-                }
-                self.buf.push(tag);
-                match cmd {
-                    C::Copy(c) => {
-                        crate::varint::encode(c.from, &mut self.buf);
-                        if !chained {
-                            crate::varint::encode(c.to, &mut self.buf);
-                        }
-                        crate::varint::encode(c.len, &mut self.buf);
-                    }
-                    C::Add(a) => {
-                        if !chained {
-                            crate::varint::encode(a.to, &mut self.buf);
-                        }
-                        crate::varint::encode(a.len(), &mut self.buf);
-                        self.buf.extend_from_slice(&a.data);
-                    }
-                }
-            }
-            Format::PaperOrdered | Format::PaperInPlace => {
-                unreachable!("rejected at construction")
-            }
-        }
-        self.next_write = cmd.to().saturating_add(cmd.len());
-        self.encoded += 1;
-        Ok(())
-    }
-
-    /// Drains the bytes encoded so far (callable repeatedly; each call
-    /// returns only new bytes).
-    pub fn take_bytes(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-
-    /// Finishes the stream, returning any remaining bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`EncodeError::CommandCountMismatch`] if fewer commands were
-    /// pushed than declared.
-    ///
-    /// [`EncodeError::CommandCountMismatch`]: super::EncodeError::CommandCountMismatch
-    pub fn finish(mut self) -> Result<Vec<u8>, super::EncodeError> {
-        if self.encoded != self.declared {
-            return Err(super::EncodeError::CommandCountMismatch {
-                declared: self.declared,
-            });
-        }
-        Ok(self.take_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,92 +518,6 @@ mod tests {
             StreamDecoder::new().finish(),
             Err(DecodeError::Truncated)
         ));
-    }
-
-    #[test]
-    fn encoder_matches_batch_encoding() {
-        let (script, _) = sample();
-        for format in [Format::Ordered, Format::InPlace, Format::Improved] {
-            let batch = encode(&script, format).unwrap();
-            let mut enc = StreamEncoder::new(
-                format,
-                script.source_len(),
-                script.target_len(),
-                script.len() as u64,
-                None,
-            )
-            .unwrap();
-            let mut streamed = Vec::new();
-            for cmd in script.commands() {
-                enc.push_command(cmd).unwrap();
-                streamed.extend(enc.take_bytes()); // drain incrementally
-            }
-            streamed.extend(enc.finish().unwrap());
-            assert_eq!(streamed, batch, "{format}");
-        }
-    }
-
-    #[test]
-    fn encoder_rejects_paper_formats() {
-        for format in [Format::PaperOrdered, Format::PaperInPlace] {
-            assert!(matches!(
-                StreamEncoder::new(format, 0, 0, 0, None),
-                Err(crate::codec::EncodeError::UnsupportedStreaming)
-            ));
-        }
-    }
-
-    #[test]
-    fn encoder_enforces_count_and_order() {
-        use crate::codec::EncodeError;
-        // Too many commands.
-        let mut enc = StreamEncoder::new(Format::InPlace, 8, 8, 1, None).unwrap();
-        enc.push_command(&Command::copy(0, 0, 8)).unwrap();
-        assert!(matches!(
-            enc.push_command(&Command::copy(0, 0, 8)),
-            Err(EncodeError::CommandCountMismatch { declared: 1 })
-        ));
-        // Too few commands.
-        let enc = StreamEncoder::new(Format::InPlace, 8, 8, 2, None).unwrap();
-        assert!(matches!(
-            enc.finish(),
-            Err(EncodeError::CommandCountMismatch { declared: 2 })
-        ));
-        // Out-of-order command in the offset-free format.
-        let mut enc = StreamEncoder::new(Format::Ordered, 16, 16, 2, None).unwrap();
-        assert!(matches!(
-            enc.push_command(&Command::copy(0, 8, 8)),
-            Err(EncodeError::NotWriteOrdered)
-        ));
-    }
-
-    #[test]
-    fn encoder_decoder_pipeline_with_crc() {
-        let (script, target) = sample();
-        let crc = crate::checksum::crc32(&target);
-        let mut enc = StreamEncoder::new(
-            Format::Improved,
-            script.source_len(),
-            script.target_len(),
-            script.len() as u64,
-            Some(crc),
-        )
-        .unwrap();
-        let mut dec = StreamDecoder::new();
-        let mut decoded = Vec::new();
-        for cmd in script.commands() {
-            enc.push_command(cmd).unwrap();
-            dec.push(&enc.take_bytes());
-            while let Some(c) = dec.next_command().unwrap() {
-                decoded.push(c);
-            }
-        }
-        dec.push(&enc.finish().unwrap());
-        while let Some(c) = dec.next_command().unwrap() {
-            decoded.push(c);
-        }
-        assert_eq!(decoded, script.commands());
-        assert_eq!(dec.finish().unwrap().target_crc, Some(crc));
     }
 
     #[test]

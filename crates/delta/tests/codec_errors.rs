@@ -4,7 +4,6 @@
 //! asserted, so a future refactor can neither silently drop an error path
 //! nor garble its message.
 
-use ipr_delta::codec::stream::StreamEncoder;
 use ipr_delta::codec::{decode, encode, encode_checked, DecodeError, EncodeError, Format, MAGIC};
 use ipr_delta::varint::VarintError;
 use ipr_delta::{varint, Command, DeltaScript, ScriptError};
@@ -49,14 +48,8 @@ fn encode_error_not_write_ordered() {
         let err = encode(&shuffled_script(), format).unwrap_err();
         assert_eq!(err, EncodeError::NotWriteOrdered);
     }
-    // The streaming encoder rejects the same condition per command.
-    let mut enc = StreamEncoder::new(Format::Ordered, 8, 8, 2, None).unwrap();
-    let err = enc
-        .push_command(&Command::add(4, vec![0xaa; 4]))
-        .unwrap_err();
-    assert_eq!(err, EncodeError::NotWriteOrdered);
     assert_eq!(
-        err.to_string(),
+        EncodeError::NotWriteOrdered.to_string(),
         "script is not in write order, required by an offset-free format"
     );
 }
@@ -95,33 +88,6 @@ fn encode_error_target_len_mismatch() {
         err.to_string(),
         "target buffer is 5 bytes, script expects 8"
     );
-}
-
-#[test]
-fn encode_error_unsupported_streaming() {
-    for format in [Format::PaperOrdered, Format::PaperInPlace] {
-        let err = StreamEncoder::new(format, 8, 8, 1, None).unwrap_err();
-        assert_eq!(err, EncodeError::UnsupportedStreaming);
-    }
-    assert_eq!(
-        EncodeError::UnsupportedStreaming.to_string(),
-        "fixed-width paper formats cannot be streamed"
-    );
-}
-
-#[test]
-fn encode_error_command_count_mismatch() {
-    // Fewer commands than declared: finish() objects.
-    let enc = StreamEncoder::new(Format::InPlace, 8, 8, 2, None).unwrap();
-    let err = enc.finish().unwrap_err();
-    assert_eq!(err, EncodeError::CommandCountMismatch { declared: 2 });
-    assert_eq!(err.to_string(), "stream encoder declared 2 commands");
-
-    // More commands than declared: the extra push objects.
-    let mut enc = StreamEncoder::new(Format::InPlace, 8, 8, 1, None).unwrap();
-    enc.push_command(&Command::copy(0, 0, 8)).unwrap();
-    let err = enc.push_command(&Command::copy(0, 0, 8)).unwrap_err();
-    assert_eq!(err, EncodeError::CommandCountMismatch { declared: 1 });
 }
 
 // ---------------------------------------------------------------------------

@@ -894,6 +894,92 @@ mod tests {
         assert!(times[0] < times[2], "{times:?}");
     }
 
+    /// One uninterrupted install of `payload`, fed in `chunk`-byte
+    /// pieces over a lossless channel.
+    fn install_wire(
+        dev: &mut Device,
+        payload: &[u8],
+        chunk: usize,
+    ) -> Result<StreamReport, InstallError> {
+        let stream = DeltaStream::from_wire(payload.to_vec(), chunk);
+        match stream_install(dev, &stream, lossy(0.0, 1), 576, None, None)? {
+            StreamProgress::Complete(report) => Ok(report),
+            StreamProgress::Killed { .. } => unreachable!("no kill requested"),
+        }
+    }
+
+    fn prepared(format: ipr_delta::codec::Format) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let (v1, v2) = pair();
+        let update = crate::update::prepare_update(
+            &ipr_delta::diff::GreedyDiffer::default(),
+            &v1,
+            &v2,
+            &ipr_core::ConversionConfig::default(),
+            format,
+        )
+        .unwrap();
+        (v1, v2, update.payload)
+    }
+
+    #[test]
+    fn any_chunking_matches_the_batch_install() {
+        let (v1, v2, payload) = prepared(ipr_delta::codec::Format::Improved);
+        for chunk in [1usize, 13, 512, payload.len()] {
+            let mut dev = Device::new(v1.len().max(v2.len()));
+            dev.flash(&v1).unwrap();
+            let report = install_wire(&mut dev, &payload, chunk).unwrap();
+            assert_eq!(dev.image(), &v2[..], "chunk {chunk}");
+            assert!(report.crc_verified);
+            assert_eq!(report.received_bytes, payload.len() as u64);
+        }
+    }
+
+    #[test]
+    fn unsafe_order_faults_mid_stream() {
+        // An unconverted swap: the second command must fault during the
+        // stream, before the transfer completes.
+        let reference: Vec<u8> = (0u8..16).collect();
+        let script = ipr_delta::DeltaScript::new(
+            16,
+            16,
+            vec![
+                ipr_delta::Command::copy(0, 8, 8),
+                ipr_delta::Command::copy(8, 0, 8),
+            ],
+        )
+        .unwrap();
+        let payload = ipr_delta::codec::encode(&script, ipr_delta::codec::Format::InPlace).unwrap();
+        let mut dev = Device::new(16);
+        dev.flash(&reference).unwrap();
+        let err = install_wire(&mut dev, &payload, 4).unwrap_err();
+        assert!(matches!(
+            err,
+            InstallError::Device(crate::DeviceError::WriteBeforeRead { .. })
+        ));
+        // The image length is untouched (content may be partially new, as
+        // on real hardware).
+        assert_eq!(dev.image().len(), 16);
+    }
+
+    #[test]
+    fn truncated_stream_rejected() {
+        let (v1, v2, payload) = prepared(ipr_delta::codec::Format::InPlace);
+        let cut = &payload[..payload.len() / 2];
+        let mut dev = Device::new(v1.len().max(v2.len()));
+        dev.flash(&v1).unwrap();
+        let err = install_wire(&mut dev, cut, 64).unwrap_err();
+        assert!(matches!(err, InstallError::Decode(_)), "{err:?}");
+    }
+
+    #[test]
+    fn garbage_rejected_before_the_device_is_touched() {
+        let mut dev = Device::new(64);
+        dev.flash(b"image").unwrap();
+        let err = install_wire(&mut dev, b"garbage!", 8).unwrap_err();
+        assert!(matches!(err, InstallError::Decode(_)));
+        assert_eq!(dev.image(), b"image");
+    }
+
     #[test]
     fn decoder_memory_stays_bounded() {
         let (v1, v2) = pair();

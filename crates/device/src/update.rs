@@ -120,53 +120,6 @@ pub fn prepare_update(
     })
 }
 
-/// Engine-reusing variant of [`prepare_update`]: drives an
-/// [`ipr_pipeline::Engine`] session, so a server preparing many updates
-/// reuses one set of diff/convert arenas instead of reallocating per
-/// call. The payload is byte-identical to [`prepare_update`] with the
-/// same differ, conversion config and format (the engine's
-/// [`EngineConfig`](ipr_pipeline::EngineConfig) carries both).
-///
-/// # Errors
-///
-/// See [`PrepareError`].
-///
-/// # Example
-///
-/// ```
-/// use ipr_device::update::prepare_update_with;
-/// use ipr_pipeline::Engine;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let v1 = vec![1u8; 4096];
-/// let mut v2 = v1.clone(); v2[0] = 9;
-/// let mut engine = Engine::new();
-/// let update = prepare_update_with(&mut engine, &v1, &v2)?;
-/// assert!(update.payload.len() < v2.len());
-/// # Ok(())
-/// # }
-/// ```
-pub fn prepare_update_with<D: ipr_delta::diff::IndexedDiffer>(
-    engine: &mut ipr_pipeline::Engine<D>,
-    reference: &[u8],
-    version: &[u8],
-) -> Result<PreparedUpdate, PrepareError> {
-    let _span = ipr_trace::span("device.prepare");
-    let delta = engine.update(reference, version).map_err(|e| match e {
-        ipr_pipeline::EngineError::Convert(e) => PrepareError::Convert(e),
-        ipr_pipeline::EngineError::Encode(e) => PrepareError::Encode(e),
-        // `Engine::update` only converts and encodes.
-        other => unreachable!("unexpected engine error preparing an update: {other}"),
-    })?;
-    let prepared = PreparedUpdate {
-        payload: delta.payload,
-        report: delta.report,
-        version_len: delta.version_len,
-    };
-    engine.recycle_script(delta.script);
-    Ok(prepared)
-}
-
 /// Error installing an update on the device.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InstallError {
@@ -271,85 +224,6 @@ pub fn install_update(
     })
 }
 
-/// Device side, streaming: decode and apply the update *while it
-/// arrives*, command by command, with memory bounded by one command —
-/// no buffering of the whole delta file.
-///
-/// `chunks` yields the payload as it comes off the wire (any chunking).
-/// Every command passes the device's write-before-read and disjointness
-/// checks as it is applied; the embedded CRC is verified after the last
-/// command.
-///
-/// # Errors
-///
-/// See [`InstallError`]. On failure mid-stream the device image is left
-/// partially updated (as a real interrupted install would be) and its
-/// previous image length is retained.
-///
-/// # Example
-///
-/// ```
-/// use ipr_delta::diff::GreedyDiffer;
-/// use ipr_delta::codec::Format;
-/// use ipr_core::ConversionConfig;
-/// use ipr_device::update::{install_update_streaming, prepare_update};
-/// use ipr_device::{Channel, Device};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let v1 = vec![1u8; 4096];
-/// let mut v2 = v1.clone(); v2[7] = 9;
-/// let upd = prepare_update(&GreedyDiffer::default(), &v1, &v2,
-///                          &ConversionConfig::default(), Format::InPlace)?;
-/// let mut dev = Device::new(4096);
-/// dev.flash(&v1)?;
-/// install_update_streaming(&mut dev, upd.payload.chunks(64), Channel::dialup())?;
-/// assert_eq!(dev.image(), &v2[..]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn install_update_streaming<'a>(
-    device: &mut Device,
-    chunks: impl IntoIterator<Item = &'a [u8]>,
-    channel: Channel,
-) -> Result<InstallReport, InstallError> {
-    use crate::stream::StreamingInstall;
-    use ipr_delta::codec::stream::StreamDecoder;
-
-    let mut chunks = chunks.into_iter();
-    let mut received = 0u64;
-
-    // Waiting phase: buffer chunks on a bare decoder until the header
-    // parses; the device is untouched until then, so garbage or a
-    // too-short stream rejects before any flash write.
-    let mut decoder = StreamDecoder::new();
-    let mut install = loop {
-        if decoder.poll_header()?.is_some() {
-            break StreamingInstall::start(device, decoder)?;
-        }
-        let Some(chunk) = chunks.next() else {
-            decoder.finish()?;
-            return Err(InstallError::Decode(DecodeError::Truncated));
-        };
-        received += chunk.len() as u64;
-        decoder.push(chunk);
-    };
-
-    // Installing phase: the session holds the device borrow and applies
-    // each command the moment it completes.
-    for chunk in chunks {
-        received += chunk.len() as u64;
-        install.feed(chunk)?;
-    }
-    let (header, stats) = install.commit()?;
-    let crc_verified = crate::stream::verify_image_crc(device, &header)?;
-    Ok(InstallReport {
-        received_bytes: received,
-        transfer_time: channel.transfer_time(received),
-        stats,
-        crc_verified,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,35 +237,6 @@ mod tests {
             v2[i] ^= 0x5a;
         }
         (v1, v2)
-    }
-
-    #[test]
-    fn engine_prepared_update_matches_legacy_and_installs() {
-        let (v1, v2) = pair();
-        // The legacy path diffs through the same sampled greedy differ
-        // the engine wraps; pin the engine to one thread for the
-        // comparison (parallel diff output is thread-count invariant
-        // anyway).
-        let mut engine =
-            ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig::with_threads(1));
-        let legacy = prepare_update(
-            &ipr_delta::diff::ParallelDiffer::new(GreedyDiffer::sampled()),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
-        // Two rounds: the warm second round must be identical too.
-        for round in 0..2 {
-            let update = prepare_update_with(&mut engine, &v1, &v2).unwrap();
-            assert_eq!(update.payload, legacy.payload, "round {round}");
-            assert_eq!(update.version_len, legacy.version_len);
-            let mut dev = Device::new(v1.len().max(v2.len()));
-            dev.flash(&v1).unwrap();
-            install_update(&mut dev, &update.payload, Channel::dialup()).unwrap();
-            assert_eq!(dev.image(), &v2[..]);
-        }
     }
 
     #[test]
@@ -470,86 +315,6 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn streaming_install_matches_batch_for_any_chunking() {
-        let (v1, v2) = pair();
-        let update = prepare_update(
-            &GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::Improved,
-        )
-        .unwrap();
-        for chunk in [1usize, 13, 512, update.payload.len()] {
-            let mut dev = Device::new(v1.len().max(v2.len()));
-            dev.flash(&v1).unwrap();
-            let report =
-                install_update_streaming(&mut dev, update.payload.chunks(chunk), Channel::isdn())
-                    .unwrap();
-            assert_eq!(dev.image(), &v2[..], "chunk {chunk}");
-            assert!(report.crc_verified);
-            assert_eq!(report.received_bytes, update.payload.len() as u64);
-        }
-    }
-
-    #[test]
-    fn streaming_install_rejects_unsafe_order_midway() {
-        // An unconverted swap: the second command must fault during the
-        // stream, before the transfer completes.
-        let reference: Vec<u8> = (0u8..16).collect();
-        let script = ipr_delta::DeltaScript::new(
-            16,
-            16,
-            vec![
-                ipr_delta::Command::copy(0, 8, 8),
-                ipr_delta::Command::copy(8, 0, 8),
-            ],
-        )
-        .unwrap();
-        let payload = codec::encode(&script, Format::InPlace).unwrap();
-        let mut dev = Device::new(16);
-        dev.flash(&reference).unwrap();
-        let err =
-            install_update_streaming(&mut dev, payload.chunks(4), Channel::dialup()).unwrap_err();
-        assert!(matches!(
-            err,
-            InstallError::Device(crate::DeviceError::WriteBeforeRead { .. })
-        ));
-        // The image length is untouched (content may be partially new, as
-        // on real hardware).
-        assert_eq!(dev.image().len(), 16);
-    }
-
-    #[test]
-    fn streaming_install_rejects_truncated_stream() {
-        let (v1, v2) = pair();
-        let update = prepare_update(
-            &GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
-        let cut = &update.payload[..update.payload.len() / 2];
-        let mut dev = Device::new(v1.len().max(v2.len()));
-        dev.flash(&v1).unwrap();
-        let err =
-            install_update_streaming(&mut dev, cut.chunks(64), Channel::dialup()).unwrap_err();
-        assert!(matches!(err, InstallError::Decode(_)), "{err:?}");
-    }
-
-    #[test]
-    fn streaming_install_garbage_rejected_early() {
-        let mut dev = Device::new(64);
-        dev.flash(b"image").unwrap();
-        let err = install_update_streaming(&mut dev, [b"garbage!".as_slice()], Channel::dialup())
-            .unwrap_err();
-        assert!(matches!(err, InstallError::Decode(_)));
-        assert_eq!(dev.image(), b"image");
     }
 
     #[test]

@@ -9,8 +9,9 @@ use ipr::core::{convert_to_in_place, required_capacity, ConversionConfig};
 use ipr::delta::codec::Format;
 use ipr::delta::diff::{CorrectingDiffer, Differ};
 use ipr::device::flash::{FlashStorage, FlashUpdater};
-use ipr::device::update::{install_update_streaming, prepare_update};
-use ipr::device::{Channel, Device};
+use ipr::device::update::prepare_update;
+use ipr::device::{stream_install, Channel, Device, LossyChannel, StreamProgress};
+use ipr::pipeline::DeltaStream;
 use ipr::workloads::content::{generate, ContentKind};
 use ipr::workloads::mutate::{mutate, MutationProfile};
 use rand::rngs::StdRng;
@@ -36,16 +37,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     device.flash(&v1)?;
     // The payload arrives in 1 KiB network chunks; commands are applied
     // as soon as they are complete — no buffering of the whole delta.
-    let report = install_update_streaming(
-        &mut device,
-        update.payload.chunks(1024),
-        Channel::cellular(),
-    )?;
+    let stream = DeltaStream::from_wire(update.payload, 1024);
+    let channel = LossyChannel::new(Channel::cellular(), 0.0, 0);
+    let StreamProgress::Complete(report) =
+        stream_install(&mut device, &stream, channel, 1024, None, None)?
+    else {
+        unreachable!("no power cut requested");
+    };
     assert_eq!(device.image(), &v2[..]);
     println!(
         "streaming install: {} B payload in 1 KiB chunks, {} commands applied on the fly, crc {}",
         report.received_bytes,
-        report.stats.commands,
+        report.commands_applied,
         if report.crc_verified {
             "verified"
         } else {

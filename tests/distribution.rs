@@ -5,8 +5,9 @@ use ipr::core::ConversionConfig;
 use ipr::delta::codec::Format;
 use ipr::delta::diff::{Differ, GreedyDiffer};
 use ipr::device::flash::{FlashStorage, FlashUpdater};
-use ipr::device::update::{install_update, install_update_streaming, prepare_update};
-use ipr::device::{Channel, Device, LossyChannel};
+use ipr::device::update::{install_update, prepare_update};
+use ipr::device::{stream_install, Channel, Device, LossyChannel, StreamProgress};
+use ipr::pipeline::DeltaStream;
 use ipr::workloads::archive::{distribution_pair, parse_archive};
 
 #[test]
@@ -39,7 +40,10 @@ fn archive_release_installs_over_every_transport() {
     // Streaming install in MTU-sized chunks.
     let mut dev = Device::new(capacity);
     dev.flash(&pair.old).unwrap();
-    install_update_streaming(&mut dev, update.payload.chunks(576), Channel::isdn()).unwrap();
+    let stream = DeltaStream::from_wire(update.payload.clone(), 576);
+    let lossless = LossyChannel::new(Channel::isdn(), 0.0, 0);
+    let progress = stream_install(&mut dev, &stream, lossless, 576, None, None).unwrap();
+    assert!(matches!(progress, StreamProgress::Complete(r) if r.crc_verified));
     assert_eq!(dev.image(), &pair.new[..]);
 
     // Lossy-channel accounting: the delta wins harder as loss grows.
