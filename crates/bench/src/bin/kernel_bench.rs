@@ -6,8 +6,8 @@
 //! wide seed verify). This binary measures those primitives in
 //! isolation, away from hash-table noise, over three match profiles:
 //!
-//! * **long** — megabyte-scale common runs (identical-file diffs, the
-//!   seam stitcher's re-extension), where word loads dominate;
+//! * **long** — megabyte-scale common runs (identical-file diffs, long
+//!   unchanged stretches), where word loads dominate;
 //! * **short** — 24-byte matches at every alignment phase (typical
 //!   post-seed extension), where per-call overhead dominates;
 //! * **verify** — 16-byte seed windows, hit and miss (the candidate

@@ -48,7 +48,7 @@
 use ipr_bench::baseline::{self, fixed, Baseline, Bound, Json, Ledger};
 use ipr_bench::{env_usize, object};
 use ipr_core::required_capacity;
-use ipr_pipeline::{Engine, EngineConfig, InPlaceDelta};
+use ipr_pipeline::{Engine, InPlaceDelta};
 use ipr_workloads::chain::{ChainPattern, VersionChain};
 use ipr_workloads::content::ContentKind;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -135,12 +135,6 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, Measure) {
     )
 }
 
-/// The engine configuration under test: one worker, so stage costs are
-/// the algorithms' own (thread spawning is the scaling benches' topic).
-fn bench_config() -> EngineConfig {
-    EngineConfig::with_threads(1)
-}
-
 fn main() {
     let compare = baseline::compare_arg("pipeline_reuse");
     let hops = env_usize("IPR_BENCH_HOPS", 100);
@@ -157,14 +151,14 @@ fn main() {
     let mut cold = Measure::default();
     for (reference, version) in chain.hops() {
         let (_, m) = measured(|| {
-            let mut engine = Engine::with_config(bench_config());
+            let mut engine = Engine::new();
             engine.update(reference, version).expect("update succeeds")
         });
         cold.add(m);
     }
 
     // Warm, first pass: one engine, arenas growing to the high-water mark.
-    let mut engine = Engine::with_config(bench_config());
+    let mut engine = Engine::new();
     let warm_fill = warm_pass(&mut engine, &chain);
 
     // Warm, steady state: second pass over the chain — every buffer the

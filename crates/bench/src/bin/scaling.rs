@@ -7,9 +7,12 @@
 //! scales), on both realistic corpora and the quadratic-edge adversarial
 //! input (where `|E| = Θ(L_V)` dominates).
 //!
+//! Each conversion is timed [`REPS`] times; a row prints the median and
+//! the p25–p75 range, and the time ratio is the ratio of medians.
+//!
 //! Run: `cargo run -p ipr-bench --release --bin scaling`
 
-use ipr_bench::{bytes, fastest, Table};
+use ipr_bench::{bytes, quartiles, Table};
 use ipr_core::{convert_to_in_place, ConversionConfig, CrwiGraph};
 use ipr_delta::diff::{Differ, GreedyDiffer};
 use ipr_workloads::adversarial::quadratic_edges;
@@ -17,16 +20,30 @@ use ipr_workloads::content::{generate, ContentKind};
 use ipr_workloads::mutate::{mutate, MutationProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
+
+/// Timed runs per row.
+const REPS: usize = 21;
+
+/// The median and p25–p75 cells of a row, in µs.
+fn time_cells([p25, p50, p75]: [Duration; 3]) -> [String; 2] {
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    [
+        format!("{:.1} µs", us(p50)),
+        format!("{:.1}–{:.1} µs", us(p25), us(p75)),
+    ]
+}
 
 fn main() {
-    println!("§4.3 scaling: conversion time vs input size (best of 5 runs)\n");
+    println!("§4.3 scaling: conversion time vs input size (median of {REPS} runs)\n");
 
     println!("Realistic corpus pairs (moderate revisions):\n");
     let mut t = Table::new(vec![
         "version size",
         "copies",
         "edges",
-        "convert time",
+        "convert median",
+        "p25–p75",
         "time ratio",
     ]);
     let mut prev: Option<f64> = None;
@@ -38,15 +55,17 @@ fn main() {
         let script = GreedyDiffer::default().diff(&reference, &version);
         let config = ConversionConfig::default();
         let out = convert_to_in_place(&script, &reference, &config).expect("cannot fail");
-        let time = fastest(5, || {
+        let times = quartiles(REPS, || {
             convert_to_in_place(&script, &reference, &config).expect("ok")
         });
-        let secs = time.as_secs_f64();
+        let secs = times[1].as_secs_f64();
+        let [median, range] = time_cells(times);
         t.row(vec![
             bytes(len as u64),
             script.copy_count().to_string(),
             out.report.edges.to_string(),
-            format!("{:.1} µs", secs * 1e6),
+            median,
+            range,
             prev.map_or("-".into(), |p| format!("{:.2}x", secs / p)),
         ]);
         prev = Some(secs);
@@ -58,7 +77,8 @@ fn main() {
         "L_V",
         "commands",
         "edges",
-        "build+sort time",
+        "build+sort median",
+        "p25–p75",
         "time ratio",
     ]);
     let mut prev: Option<f64> = None;
@@ -67,23 +87,26 @@ fn main() {
         let copies = case.script.copies();
         let crwi = CrwiGraph::build(copies.clone());
         let config = ConversionConfig::default();
-        let time = fastest(5, || {
+        let times = quartiles(REPS, || {
             convert_to_in_place(&case.script, &case.reference, &config).expect("ok")
         });
-        let secs = time.as_secs_f64();
+        let secs = times[1].as_secs_f64();
+        let [median, range] = time_cells(times);
         t.row(vec![
             bytes(case.script.target_len()),
             copies.len().to_string(),
             crwi.edge_count().to_string(),
-            format!("{:.1} µs", secs * 1e6),
+            median,
+            range,
             prev.map_or("-".into(), |p| format!("{:.2}x", secs / p)),
         ]);
         prev = Some(secs);
     }
     t.print();
     println!(
-        "\nEach row quadruples L_V (and the edge count); the time ratio\n\
-         should track ~4x, confirming the O(n log n + L_V) bound with the\n\
-         edge term dominating on this input."
+        "\nEach row quadruples L_V (and the edge count), and the median time\n\
+         grows about 3-4x per row: linear in L_V, the O(n log n + L_V) bound\n\
+         with the edge term dominating on this input. A ratio is only as\n\
+         steady as the p25-p75 ranges of its two rows."
     );
 }

@@ -94,6 +94,14 @@ pub fn fastest<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
         .expect("at least one run")
 }
 
+/// The 25th, 50th and 75th percentiles (nearest rank) of `reps` timed
+/// runs of `f`.
+pub fn quartiles<R>(reps: usize, mut f: impl FnMut() -> R) -> [Duration; 3] {
+    let mut times: Vec<Duration> = (0..reps.max(1)).map(|_| timed(&mut f).1).collect();
+    times.sort_unstable();
+    [1, 2, 3].map(|q| times[(times.len() - 1) * q / 4])
+}
+
 /// Times a closure.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();

@@ -17,7 +17,6 @@ pub struct EngineCli {
     positional: Vec<String>,
     options: Vec<(String, String)>,
     config: EngineConfig,
-    threads_set: bool,
 }
 
 impl EngineCli {
@@ -43,7 +42,6 @@ impl EngineCli {
             positional,
             options,
             config: EngineConfig::default(),
-            threads_set: false,
         })
     }
 
@@ -75,20 +73,6 @@ impl EngineCli {
         parse: impl FnOnce(&str) -> Result<T, String>,
     ) -> Result<Option<T>, String> {
         self.take(key).map(|v| parse(&v)).transpose()
-    }
-
-    /// `--threads N`: recorded in the engine config and returned, so
-    /// commands can distinguish "absent" from an explicit count.
-    pub fn take_threads(&mut self) -> Result<Option<usize>, String> {
-        let threads = self.take_with("threads", |v| {
-            v.parse()
-                .map_err(|_| format!("--threads needs a number, got `{v}`"))
-        })?;
-        if let Some(n) = threads {
-            self.config.threads = n;
-            self.threads_set = true;
-        }
-        Ok(threads)
     }
 
     /// `--format F`: recorded as the engine's wire format and returned.
@@ -167,20 +151,14 @@ impl EngineCli {
         &mut self.config
     }
 
-    /// An engine session over the accumulated configuration. Without an
-    /// explicit `--threads`, stages run on one worker (the CLI's
-    /// historical serial default); `--threads 0` sizes to the host.
+    /// An engine session over the accumulated configuration.
     pub fn engine(&self) -> Engine {
         self.engine_with(GreedyDiffer::sampled())
     }
 
     /// Like [`EngineCli::engine`], differencing with `differ`.
     pub fn engine_with<D: IndexedDiffer>(&self, differ: D) -> Engine<D> {
-        let mut config = self.config;
-        if !self.threads_set {
-            config.threads = 1;
-        }
-        Engine::with_differ(differ, config)
+        Engine::with_differ(differ, self.config)
     }
 
     /// Reads and decodes a delta file.
@@ -280,39 +258,21 @@ mod tests {
 
     #[test]
     fn takers_accumulate_into_the_config() {
-        let mut cli = EngineCli::parse(&s(&[
-            "--threads",
-            "3",
-            "--format",
-            "improved",
-            "--policy",
-            "constant",
-        ]))
-        .unwrap();
-        assert_eq!(cli.take_threads().unwrap(), Some(3));
+        let mut cli =
+            EngineCli::parse(&s(&["--format", "improved", "--policy", "constant"])).unwrap();
         assert_eq!(cli.take_format().unwrap(), Some(Format::Improved));
         assert_eq!(cli.take_policy().unwrap(), Some(CyclePolicy::ConstantTime));
         cli.finish_options().unwrap();
         let config = cli.config();
-        assert_eq!(config.threads, 3);
         assert_eq!(config.format, Format::Improved);
         assert_eq!(config.conversion.policy, CyclePolicy::ConstantTime);
-        assert_eq!(cli.engine().config().threads, 3);
-    }
-
-    #[test]
-    fn engine_defaults_to_one_worker_without_threads_flag() {
-        let cli = EngineCli::parse(&[]).unwrap();
-        assert_eq!(cli.engine().config().threads, 1);
-        let mut cli = EngineCli::parse(&s(&["--threads", "0"])).unwrap();
-        cli.take_threads().unwrap();
-        assert_eq!(cli.engine().config().threads, 0);
+        assert_eq!(cli.engine().config(), config);
     }
 
     #[test]
     fn bad_option_values_are_reported() {
-        let mut cli = EngineCli::parse(&s(&["--threads", "lots"])).unwrap();
-        assert!(cli.take_threads().is_err());
+        let mut cli = EngineCli::parse(&s(&["--format", "lots"])).unwrap();
+        assert!(cli.take_format().is_err());
     }
 
     #[test]

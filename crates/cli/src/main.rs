@@ -152,7 +152,7 @@ fn print_usage() {
          \n\
          subcommands:\n\
          \x20 diff <reference> <version> <delta>  [--differ greedy|one-pass|correcting]\n\
-         \x20      [--threads N] [--format F]     (--threads: parallel diff; 0 = all cores)\n\
+         \x20      [--format F]\n\
          \x20 diff --signature <sig> <version> <delta>  [--format F]\n\
          \x20      (remote diff: stream <version> against a signature, reference not needed)\n\
          \x20 signature <reference> <sig>    [--block N | --cdc MIN:AVG:MAX |\n\
@@ -188,7 +188,6 @@ fn cmd_diff(args: &[String]) -> CliResult {
     let mut cli = EngineCli::parse(args)?;
     cli.config_mut().format = Format::Ordered; // plain deltas by default
     cli.take_format()?;
-    cli.take_threads()?;
     if let Some(signature_path) = cli.take("signature") {
         return cmd_diff_signature(cli, &signature_path);
     }

@@ -440,73 +440,68 @@ fn stats_json_matches_conversion_report_on_adversarial_workload() {
 }
 
 #[test]
-fn parallel_diff_threads_emits_stats() {
-    let dir = std::env::temp_dir().join(format!("ipr-cli-pdiff-{}", std::process::id()));
+fn diff_stats_show_one_index_build_and_one_scan() {
+    let dir = std::env::temp_dir().join(format!("ipr-cli-diff-stats-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
-    // 160 KiB version -> 3 chunks at the default 64 KiB chunk size.
     let reference: Vec<u8> = (0..160 * 1024u32).map(|i| (i % 251) as u8).collect();
     let mut version = reference.clone();
     version[40_000] ^= 0x2a;
     version[120_000] ^= 0x2a;
     std::fs::write(p("old"), &reference).unwrap();
     std::fs::write(p("new"), &version).unwrap();
-    let diff_stats = |threads: &str| {
-        let out = p(&format!("diff-stats-{threads}.json"));
-        run(&s(&[
-            "diff",
-            &p("old"),
-            &p("new"),
-            &p("d"),
-            "--threads",
-            threads,
-            "--stats-out",
-            &out,
-        ]))
-        .unwrap();
-        // The parallel delta must apply back to the version file.
-        run(&s(&["apply", &p("old"), &p("d"), &p("rebuilt")])).unwrap();
-        assert_eq!(std::fs::read(p("rebuilt")).unwrap(), version);
-        let raw = std::fs::read_to_string(&out).unwrap();
-        let v = ipr_trace::json::parse(&raw).expect("stats output is valid JSON");
-        (raw, v)
-    };
-    let (raw, v) = diff_stats("2");
+    let out = p("diff-stats.json");
+    run(&s(&[
+        "diff",
+        &p("old"),
+        &p("new"),
+        &p("d"),
+        "--stats-out",
+        &out,
+    ]))
+    .unwrap();
+    run(&s(&["apply", &p("old"), &p("d"), &p("rebuilt")])).unwrap();
+    assert_eq!(std::fs::read(p("rebuilt")).unwrap(), version);
+    let raw = std::fs::read_to_string(&out).unwrap();
+    let v = ipr_trace::json::parse(&raw).expect("stats output is valid JSON");
     let spans = v.get("spans").unwrap();
-    for name in ["diff", "diff.index_build", "diff.scan", "diff.stitch"] {
+    for name in ["diff", "diff.index_build", "diff.scan"] {
         let span = spans
             .get(name)
             .unwrap_or_else(|| panic!("span {name} missing in {raw}"));
         assert_eq!(span.get("count").unwrap().as_u64(), Some(1), "{name}");
     }
-    let counter = |v: &ipr_trace::json::Value, name: &str| {
+    let counter = |name: &str| {
         v.get("counters")
             .and_then(|c| c.get(name))
             .and_then(|c| c.as_u64())
             .unwrap_or_else(|| panic!("counter {name} missing in {raw}"))
     };
     // Cross-checks: the counters must agree with the input files.
-    assert_eq!(counter(&v, "diff.reference_bytes"), reference.len() as u64);
-    assert_eq!(counter(&v, "diff.version_bytes"), version.len() as u64);
-    assert_eq!(counter(&v, "diff.chunks"), 3);
-    let gauge = |name: &str| {
-        v.get("gauges")
-            .and_then(|g| g.get(name))
-            .and_then(|g| g.as_u64())
-    };
-    assert_eq!(
-        gauge("diff.threads"),
-        Some(2),
-        "diff.threads gauge in {raw}"
-    );
-    assert!(gauge("diff.index_bytes").is_some_and(|b| b > 0), "{raw}");
-    // The scan workers' counters reach the report, and the scan does the
-    // same work at every thread count.
-    let (_, serial) = diff_stats("1");
+    assert_eq!(counter("diff.reference_bytes"), reference.len() as u64);
+    assert_eq!(counter("diff.version_bytes"), version.len() as u64);
     for name in ["diff.probes", "diff.extend_bytes"] {
-        assert!(counter(&v, name) > 0, "{name} in {raw}");
-        assert_eq!(counter(&v, name), counter(&serial, name), "{name}");
+        assert!(counter(name) > 0, "{name} in {raw}");
     }
+    let index_bytes = v
+        .get("gauges")
+        .and_then(|g| g.get("diff.index_bytes"))
+        .and_then(|g| g.as_u64());
+    assert!(index_bytes.is_some_and(|b| b > 0), "{raw}");
+    // The diff runs on the calling thread and takes no thread count.
+    let err = run(&s(&[
+        "diff",
+        &p("old"),
+        &p("new"),
+        &p("d"),
+        "--threads",
+        "2",
+    ]))
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("unknown option --threads"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -750,7 +745,7 @@ fn cli_pipeline_matches_engine_update() {
     run(&s(&["diff", &p("old"), &p("new"), &p("delta")])).unwrap();
     run(&s(&["convert", &p("old"), &p("delta"), &p("delta-ip")])).unwrap();
 
-    let mut engine = Engine::with_config(ipr_pipeline::EngineConfig::with_threads(1));
+    let mut engine = Engine::new();
     let update = engine.update(&reference, &version).unwrap();
     assert_eq!(std::fs::read(p("delta-ip")).unwrap(), update.payload);
 

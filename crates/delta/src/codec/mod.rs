@@ -400,13 +400,15 @@ pub fn encode_with_crc(
     Ok(out)
 }
 
-/// Encoded size of `script` under `format`, without materializing the file.
+/// Encoded size of `script` under `format`: the length of the file
+/// [`encode`] writes, which it encodes into a temporary buffer to
+/// measure. [`encoded_size_bound`] bounds the size without encoding.
 ///
 /// # Errors
 ///
 /// Same failure cases as [`encode`].
 pub fn encoded_size(script: &DeltaScript, format: Format) -> Result<u64, EncodeError> {
-    // Header cost is computed exactly; command cost via the cost model.
+    // The encoder is the one size model: measure what it writes.
     let bytes = encode(script, format)?;
     Ok(bytes.len() as u64)
 }

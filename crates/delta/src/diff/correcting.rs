@@ -14,13 +14,12 @@
 //!   the pending literal run, *correcting* bytes that were provisionally
 //!   classified as adds before the match was discovered.
 
+use super::indexed::{build_footprint_index, FootprintIndex, IndexedDiffer};
 use super::kernel;
-use super::parallel::{build_footprint_index, FootprintIndex, IndexedDiffer};
 use super::rolling::RollingHash;
 use super::scratch::{self, IndexScratch, Seg, EMPTY};
 use super::Differ;
 use crate::script::DeltaScript;
-use std::ops::Range;
 
 /// Linear-time differencing with match correction.
 ///
@@ -89,42 +88,26 @@ impl IndexedDiffer for CorrectingDiffer {
     fn build_index<'s>(
         &self,
         reference: &[u8],
-        shards: usize,
         scratch: &'s mut IndexScratch,
     ) -> FootprintIndex<'s> {
-        build_footprint_index(
-            reference,
-            self.seed_len,
-            self.table_bits,
-            true,
-            shards,
-            scratch,
-        )
+        build_footprint_index(reference, self.seed_len, self.table_bits, true, scratch)
     }
 
-    fn scan_chunk(
+    fn scan(
         &self,
         index: &FootprintIndex<'_>,
         reference: &[u8],
         version: &[u8],
-        range: Range<usize>,
         segs: &mut Vec<Seg>,
     ) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
-        let (mut v, end) = (range.start, range.end);
-        if v >= end {
-            return;
-        }
-        if v > last_window {
-            scratch::push_lit(segs, (end - v) as u64);
-            return;
-        }
+        let mut v = 0;
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
-        let mut h = RollingHash::new(&version[v..v + seed_len]);
+        let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v;
-        while v < end && v <= last_window {
+        while v <= last_window {
             if hash_pos < v {
                 // Re-seed in O(seed_len) after a long copy instead of
                 // rolling through every skipped byte.
@@ -163,9 +146,7 @@ impl IndexedDiffer for CorrectingDiffer {
             }
             if best_len >= seed_len {
                 // Correction: extend the match backwards over the pending
-                // literal run (never across the chunk start — bytes
-                // before it belong to earlier chunks; the stitcher
-                // extends across seams with the full picture).
+                // literal run.
                 let pending = match segs.last() {
                     Some(Seg::Literal { len }) => *len as usize,
                     _ => 0,
@@ -185,17 +166,15 @@ impl IndexedDiffer for CorrectingDiffer {
                         _ => unreachable!("reclaimable is bounded by the pending literal"),
                     }
                 }
-                // Truncate at the chunk boundary; stitching re-extends.
-                let fwd = best_len.min(end - v);
-                scratch::push_copy(segs, (best_from - back) as u64, (fwd + back) as u64);
-                v += fwd;
+                scratch::push_copy(segs, (best_from - back) as u64, (best_len + back) as u64);
+                v += best_len;
             } else {
                 scratch::push_lit(segs, 1);
                 v += 1;
             }
         }
-        if v < end {
-            scratch::push_lit(segs, (end - v) as u64);
+        if v < version.len() {
+            scratch::push_lit(segs, (version.len() - v) as u64);
         }
         if probes > 0 {
             ipr_trace::with(|r| {
@@ -208,12 +187,7 @@ impl IndexedDiffer for CorrectingDiffer {
 
 impl Differ for CorrectingDiffer {
     fn diff(&self, reference: &[u8], version: &[u8]) -> DeltaScript {
-        let _span = ipr_trace::span("diff");
-        ipr_trace::with(|r| {
-            r.add("diff.reference_bytes", reference.len() as u64);
-            r.add("diff.version_bytes", version.len() as u64);
-        });
-        scratch::with_thread_scratch(|s| super::parallel::diff_serial(self, s, reference, version))
+        scratch::with_thread_scratch(|s| self.diff_with(s, reference, version))
     }
 
     fn name(&self) -> &'static str {

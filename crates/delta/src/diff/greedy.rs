@@ -12,13 +12,12 @@
 //! fill whose few distinct windows all fail the test, is still indexed at
 //! a bounded gap and probed at every position.
 
+use super::indexed::IndexedDiffer;
 use super::kernel;
-use super::parallel::IndexedDiffer;
 use super::rolling::RollingHash;
 use super::scratch::{self, IndexScratch, Seg};
 use super::Differ;
 use crate::script::DeltaScript;
-use std::ops::Range;
 
 /// Greedy byte-granularity differencing (after Reichenberger '91).
 ///
@@ -377,17 +376,11 @@ impl IndexedDiffer for GreedyDiffer {
         self.seed_len
     }
 
-    /// Builds the sorted index, serially; `shards` is ignored. At
-    /// checkpoint interval 1 it rolls the hash twice, and every other
-    /// pass streams through memory or stays within one L2-sized
-    /// partition. Above 1 it rolls once into the partition buffer and
-    /// sorts only what it kept.
-    fn build_index<'s>(
-        &self,
-        reference: &[u8],
-        _shards: usize,
-        scratch: &'s mut IndexScratch,
-    ) -> GreedyIndex<'s> {
+    /// Builds the sorted index. At checkpoint interval 1 it rolls the
+    /// hash twice, and every other pass streams through memory or stays
+    /// within one L2-sized partition. Above 1 it rolls once into the
+    /// partition buffer and sorts only what it kept.
+    fn build_index<'s>(&self, reference: &[u8], scratch: &'s mut IndexScratch) -> GreedyIndex<'s> {
         let seed_len = self.seed_len;
         let positions = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
         let IndexScratch {
@@ -506,35 +499,21 @@ impl IndexedDiffer for GreedyDiffer {
         }
     }
 
-    fn scan_chunk(
-        &self,
-        index: &GreedyIndex<'_>,
-        reference: &[u8],
-        version: &[u8],
-        range: Range<usize>,
-        segs: &mut Vec<Seg>,
-    ) {
+    fn scan(&self, index: &GreedyIndex<'_>, reference: &[u8], version: &[u8], segs: &mut Vec<Seg>) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
-        let (mut v, end) = (range.start, range.end);
-        if v >= end {
-            return;
-        }
-        if v > last_window {
-            scratch::push_lit(segs, (end - v) as u64);
-            return;
-        }
+        let mut v = 0;
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
-        // Non-checkpoints in a row since the chunk start, the last
+        // Non-checkpoints in a row since the version start, the last
         // checkpoint or the last copy. From `max_gap` on the reference
         // may hold a gap entry for this content, so every position is
         // probed.
         let max_gap = self.max_gap();
         let mut run = 0;
-        let mut h = RollingHash::new(&version[v..v + seed_len]);
+        let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v; // position the rolling hash currently covers
-        while v < end && v <= last_window {
+        while v <= last_window {
             // Advance the rolling hash to position v: roll byte by byte
             // for short hops, re-seed in O(seed_len) after a long copy
             // (the catch-up would otherwise cost O(copy_len)).
@@ -590,8 +569,7 @@ impl IndexedDiffer for GreedyDiffer {
             }
             if best_len >= seed_len {
                 // Between checkpoints the scan emitted literals without
-                // looking; reclaim those the match extends backward over
-                // (within this chunk: the stitcher extends across seams).
+                // looking; reclaim those the match extends backward over.
                 // At interval 1 every byte before the match was probed
                 // already; the full index skips this, so its output stays
                 // what it was.
@@ -601,10 +579,8 @@ impl IndexedDiffer for GreedyDiffer {
                     0
                 };
                 extend_bytes += back as u64;
-                // Truncate at the chunk boundary; stitching re-extends.
-                let emit = best_len.min(end - v);
-                scratch::push_copy(segs, (best_from - back) as u64, (emit + back) as u64);
-                v += emit;
+                scratch::push_copy(segs, (best_from - back) as u64, (best_len + back) as u64);
+                v += best_len;
                 run = 0;
             } else {
                 scratch::push_lit(segs, 1);
@@ -612,8 +588,8 @@ impl IndexedDiffer for GreedyDiffer {
             }
         }
         // Tail shorter than a seed: emit literally.
-        if v < end {
-            scratch::push_lit(segs, (end - v) as u64);
+        if v < version.len() {
+            scratch::push_lit(segs, (version.len() - v) as u64);
         }
         if probes > 0 {
             ipr_trace::with(|r| {
@@ -652,12 +628,7 @@ fn reclaim_literals(
 
 impl Differ for GreedyDiffer {
     fn diff(&self, reference: &[u8], version: &[u8]) -> DeltaScript {
-        let _span = ipr_trace::span("diff");
-        ipr_trace::with(|r| {
-            r.add("diff.reference_bytes", reference.len() as u64);
-            r.add("diff.version_bytes", version.len() as u64);
-        });
-        scratch::with_thread_scratch(|s| super::parallel::diff_serial(self, s, reference, version))
+        scratch::with_thread_scratch(|s| self.diff_with(s, reference, version))
     }
 
     fn name(&self) -> &'static str {
@@ -709,7 +680,7 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let differ = GreedyDiffer::new(seed_len).with_checkpoint_interval(interval);
         let model = naive_index(&differ, reference);
-        let index = differ.build_index(reference, 1, scratch);
+        let index = differ.build_index(reference, scratch);
         for (&hash, chain) in &model {
             let got: Vec<usize> = index.candidates(mix(hash)).collect();
             prop_assert_eq!(&got, chain, "seed hash {:#x} at p = {}", hash, interval);
@@ -827,7 +798,7 @@ mod tests {
         let mut scratch = IndexScratch::default();
         {
             let _guard = ipr_trace::install(stats.clone());
-            let _ = differ.build_index(&reference, 1, &mut scratch);
+            let _ = differ.build_index(&reference, &mut scratch);
         }
         let bytes = stats.report().gauge("diff.index_bytes");
         assert_eq!(bytes, Some(scratch.retained_bytes()));

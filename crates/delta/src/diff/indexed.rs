@@ -1,0 +1,213 @@
+//! The one differencing path every engine runs: index the reference
+//! once, scan the whole version against that index in one forward pass,
+//! and replay the scan into the script. The phases:
+//!
+//! 1. **Index build** (`diff.index_build` span) — one immutable index over
+//!    the reference, built serially into the arena. The footprint family
+//!    rolls the hash over the reference once and stores each slot's
+//!    first (and, for the correcting differ, last) offset. The greedy
+//!    family sorts its entries by seed hash with a radix partition and
+//!    per-partition counting sorts that stay in L2. With every offset
+//!    indexed it rolls the hash over the reference twice; with
+//!    checkpoints it rolls once and sorts only the offsets it keeps. The
+//!    `diff.index_bytes` gauge reports what the arena holds afterwards.
+//! 2. **Scan** (`diff.scan` span) — one forward pass over the version
+//!    file, emitting compact [`Seg`] runs into the arena's reused
+//!    buffer. A match runs to its true end, so no unchanged byte is
+//!    compared twice.
+//!
+//! The segments are then replayed into a [`ScriptBuilder`] that draws its
+//! storage from the arena's script pool.
+
+use super::scratch::{self, DiffScratch, IndexScratch, Seg, EMPTY};
+use super::{Differ, RollingHash, ScriptBuilder};
+use crate::script::DeltaScript;
+
+/// A differencing engine split into *build an index of the reference*
+/// and *scan a version against it*, run by
+/// [`IndexedDiffer::diff_with`].
+///
+/// Implemented by [`GreedyDiffer`](super::GreedyDiffer),
+/// [`OnePassDiffer`](super::OnePassDiffer) and
+/// [`CorrectingDiffer`](super::CorrectingDiffer); each one's
+/// [`Differ::diff`] is `diff_with` on a per-thread arena.
+pub trait IndexedDiffer: Differ {
+    /// The immutable reference index the scan probes. Borrows the arena
+    /// it was built into.
+    type Index<'s>
+    where
+        Self: 's;
+
+    /// Seed (minimum match) length.
+    fn seed_len(&self) -> usize;
+
+    /// Builds the reference index into `scratch`.
+    fn build_index<'s>(&self, reference: &[u8], scratch: &'s mut IndexScratch) -> Self::Index<'s>;
+
+    /// Scans the whole of `version` against the index, appending
+    /// [`Seg`]s that exactly tile it. Both files are at least
+    /// [`seed_len`](IndexedDiffer::seed_len) bytes long.
+    fn scan(&self, index: &Self::Index<'_>, reference: &[u8], version: &[u8], segs: &mut Vec<Seg>);
+
+    /// Diffs `version` against `reference` through an explicit arena:
+    /// one index build, one scan, and the segments replayed into the
+    /// script. A warm arena allocates nothing.
+    #[must_use]
+    fn diff_with(
+        &self,
+        scratch: &mut DiffScratch,
+        reference: &[u8],
+        version: &[u8],
+    ) -> DeltaScript {
+        let _span = ipr_trace::span("diff");
+        ipr_trace::with(|r| {
+            r.add("diff.reference_bytes", reference.len() as u64);
+            r.add("diff.version_bytes", version.len() as u64);
+        });
+        let source_len = reference.len() as u64;
+        let DiffScratch { index, segs, pool } = scratch;
+        let mut builder = ScriptBuilder::from_pool(pool);
+        if version.len() < self.seed_len() || reference.len() < self.seed_len() {
+            builder.push_literal(version);
+            return builder.finish_into_pool(source_len, pool);
+        }
+        let idx = {
+            let _span = ipr_trace::span("diff.index_build");
+            self.build_index(reference, index)
+        };
+        segs.clear();
+        {
+            let _span = ipr_trace::span("diff.scan");
+            self.scan(&idx, reference, version, segs);
+        }
+        let mut pos = 0usize;
+        for seg in segs.iter() {
+            match *seg {
+                Seg::Literal { len } => {
+                    builder.push_literal(&version[pos..pos + len as usize]);
+                    pos += len as usize;
+                }
+                Seg::Copy { from, len } => {
+                    builder.push_copy(from, len);
+                    pos += len as usize;
+                }
+            }
+        }
+        debug_assert_eq!(pos, version.len(), "segments must tile the version");
+        builder.finish_into_pool(source_len, pool)
+    }
+}
+
+/// Footprint-table index (one-pass and correcting differs).
+///
+/// `lasts` is empty for the one-pass differ, which keeps only the
+/// first-writer candidate.
+pub struct FootprintIndex<'s> {
+    firsts: &'s [u32],
+    lasts: &'s [u32],
+    mask: u64,
+}
+
+impl FootprintIndex<'_> {
+    /// First reference offset whose footprint landed in `hash`'s slot,
+    /// or [`EMPTY`].
+    #[inline]
+    pub(crate) fn first(&self, hash: u64) -> u32 {
+        self.firsts[(hash & self.mask) as usize]
+    }
+
+    /// Most recent reference offset for `hash`'s slot, or [`EMPTY`].
+    /// Only meaningful when built with `with_lasts`.
+    #[inline]
+    pub(crate) fn last(&self, hash: u64) -> u32 {
+        self.lasts[(hash & self.mask) as usize]
+    }
+}
+
+/// Builds the footprint table shared by the constant-space differs: per
+/// slot, the smallest reference offset hashing there and, `with_lasts`,
+/// the largest.
+pub(crate) fn build_footprint_index<'s>(
+    reference: &[u8],
+    seed_len: usize,
+    table_bits: u32,
+    with_lasts: bool,
+    scratch: &'s mut IndexScratch,
+) -> FootprintIndex<'s> {
+    let size = 1usize << table_bits;
+    let mask = (size - 1) as u64;
+    scratch.firsts.clear();
+    scratch.firsts.resize(size, EMPTY);
+    scratch.lasts.clear();
+    if with_lasts {
+        scratch.lasts.resize(size, EMPTY);
+    }
+    // Offsets are u32 below the EMPTY sentinel: a reference past 4 GiB is
+    // indexed up to the last offset that fits.
+    let n = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
+    if n > 0 {
+        let mut h = RollingHash::new(&reference[..seed_len]);
+        for (i, offset) in (0..n).zip(0u32..) {
+            if i > 0 {
+                h.roll(reference[i - 1], reference[i + seed_len - 1]);
+            }
+            let slot = (h.hash() & mask) as usize;
+            if scratch.firsts[slot] == EMPTY {
+                scratch.firsts[slot] = offset;
+            }
+            if with_lasts {
+                scratch.lasts[slot] = offset;
+            }
+        }
+    }
+    scratch.record_bytes();
+    FootprintIndex {
+        firsts: &scratch.firsts,
+        lasts: &scratch.lasts,
+        mask,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apply::apply;
+    use crate::diff::{CorrectingDiffer, GreedyDiffer};
+
+    fn pair(len: usize) -> (Vec<u8>, Vec<u8>) {
+        let reference: Vec<u8> = (0..len as u32).map(|i| (i * 17 % 251) as u8).collect();
+        let mut version = reference.clone();
+        for pos in [len / 7, len / 3, len / 2, 5 * len / 6] {
+            version[pos] ^= 0x5a;
+        }
+        version.splice(len / 4..len / 4, (0..40u8).map(|b| b ^ 0xc3));
+        (reference, version)
+    }
+
+    #[test]
+    fn recycling_scripts_into_the_pool_keeps_output_identical() {
+        let (reference, version) = pair(5_000);
+        let differ = GreedyDiffer::default();
+        let baseline = differ.diff_with(&mut DiffScratch::new(), &reference, &version);
+        let mut scratch = DiffScratch::new();
+        for _ in 0..3 {
+            let script = differ.diff_with(&mut scratch, &reference, &version);
+            assert_eq!(script, baseline);
+            scratch.pool_mut().recycle(script);
+        }
+        assert!(scratch.pool_mut().spare_commands() > 0);
+    }
+
+    #[test]
+    fn explicit_scratch_is_reusable_across_engines() {
+        let mut scratch = DiffScratch::new();
+        let (reference, version) = pair(5_000);
+        let (g, c) = (GreedyDiffer::default(), CorrectingDiffer::default());
+        for _ in 0..3 {
+            let sg = g.diff_with(&mut scratch, &reference, &version);
+            let sc = c.diff_with(&mut scratch, &reference, &version);
+            assert_eq!(apply(&sg, &reference).unwrap(), version);
+            assert_eq!(apply(&sc, &reference).unwrap(), version);
+        }
+    }
+}

@@ -16,15 +16,12 @@
 //! version file, so `apply(diff(r, v), r) == v` always holds.
 //!
 //! Each engine also implements [`IndexedDiffer`], splitting differencing
-//! into *build a shared reference index* and *scan a version range
-//! against it*. [`ParallelDiffer`] exploits that split: the index is
-//! built once (the footprint tables' construction sharded across scoped
-//! threads), the version scan is partitioned into chunks diffed
-//! concurrently, and a serial stitcher re-extends matches across chunk
-//! seams. Output is
-//! deterministic — identical for every thread count, including 1.
-//! Per-call working storage lives in a reusable [`DiffScratch`] arena,
-//! so steady-state diffing performs no table or buffer allocations.
+//! into *build a reference index* and *scan the version against it*.
+//! Every diff runs the same method, [`IndexedDiffer::diff_with`]: one
+//! index build, then one forward scan over the whole version on the
+//! calling thread. Per-call working storage lives in a reusable
+//! [`DiffScratch`] arena, so steady-state diffing performs no table or
+//! buffer allocations.
 //!
 //! All engines share the [`kernel`] match primitives — word-wide seed
 //! verification and forward/backward match extension — so the inner
@@ -32,16 +29,16 @@
 
 mod correcting;
 mod greedy;
+mod indexed;
 pub mod kernel;
 mod onepass;
-mod parallel;
 mod rolling;
 mod scratch;
 
 pub use correcting::CorrectingDiffer;
 pub use greedy::{GreedyDiffer, GreedyIndex};
+pub use indexed::{FootprintIndex, IndexedDiffer};
 pub use onepass::OnePassDiffer;
-pub use parallel::{FootprintIndex, IndexedDiffer, ParallelDiffer, DEFAULT_CHUNK_BYTES};
 pub use rolling::{hash_of, RollingHash};
 pub use scratch::{DiffScratch, IndexScratch, Seg};
 
@@ -279,7 +276,7 @@ mod tests {
     }
 
     /// Differs must be behaviourally interchangeable.
-    fn check_differ(d: &dyn Differ, reference: &[u8], version: &[u8]) {
+    fn check_differ(d: &dyn Differ, reference: &[u8], version: &[u8]) -> DeltaScript {
         let script = d.diff(reference, version);
         assert_eq!(
             apply(&script, reference).unwrap(),
@@ -290,6 +287,7 @@ mod tests {
             version.len()
         );
         assert!(script.is_write_ordered());
+        script
     }
 
     #[test]
@@ -299,6 +297,18 @@ mod tests {
             &OnePassDiffer::default(),
             &CorrectingDiffer::default(),
         ];
+        // 32 KiB of xorshift bytes: every seed window is unique.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: Vec<u8> = (0..32 * 1024)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect();
+        let zeros = vec![0u8; 8 * 1024];
+        let unrelated: Vec<u8> = (0..8 * 1024u32).map(|i| (i * 37 % 251) as u8 | 1).collect();
         for d in differs {
             check_differ(d, b"", b"");
             check_differ(d, b"", b"hello world, entirely new data");
@@ -307,6 +317,13 @@ mod tests {
             check_differ(d, b"abc", b"xyz");
             let same = vec![7u8; 10_000];
             check_differ(d, &same, &same);
+            // Identical inputs add nothing.
+            let script = check_differ(d, &noise, &noise);
+            assert_eq!(script.added_bytes(), 0, "{} on identical inputs", d.name());
+            // A version sharing nothing with the reference is one add.
+            let script = check_differ(d, &zeros, &unrelated);
+            assert_eq!(script.added_bytes(), unrelated.len() as u64, "{}", d.name());
+            assert_eq!(script.add_count(), 1, "{}: adds must coalesce", d.name());
         }
     }
 }

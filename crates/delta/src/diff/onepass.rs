@@ -1,12 +1,11 @@
 //! Linear-time, constant-space differencing (after Burns & Long '97).
 
+use super::indexed::{build_footprint_index, FootprintIndex, IndexedDiffer};
 use super::kernel;
-use super::parallel::{build_footprint_index, FootprintIndex, IndexedDiffer};
 use super::rolling::RollingHash;
 use super::scratch::{self, IndexScratch, Seg, EMPTY};
 use super::Differ;
 use crate::script::DeltaScript;
-use std::ops::Range;
 
 /// One-pass differencing with a fixed-size footprint table.
 ///
@@ -85,42 +84,26 @@ impl IndexedDiffer for OnePassDiffer {
     fn build_index<'s>(
         &self,
         reference: &[u8],
-        shards: usize,
         scratch: &'s mut IndexScratch,
     ) -> FootprintIndex<'s> {
-        build_footprint_index(
-            reference,
-            self.seed_len,
-            self.table_bits,
-            false,
-            shards,
-            scratch,
-        )
+        build_footprint_index(reference, self.seed_len, self.table_bits, false, scratch)
     }
 
-    fn scan_chunk(
+    fn scan(
         &self,
         index: &FootprintIndex<'_>,
         reference: &[u8],
         version: &[u8],
-        range: Range<usize>,
         segs: &mut Vec<Seg>,
     ) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
-        let (mut v, end) = (range.start, range.end);
-        if v >= end {
-            return;
-        }
-        if v > last_window {
-            scratch::push_lit(segs, (end - v) as u64);
-            return;
-        }
+        let mut v = 0;
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
-        let mut h = RollingHash::new(&version[v..v + seed_len]);
+        let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v;
-        while v < end && v <= last_window {
+        while v <= last_window {
             if hash_pos < v {
                 // Re-seed in O(seed_len) after a long copy instead of
                 // rolling through every skipped byte.
@@ -146,10 +129,8 @@ impl IndexedDiffer for OnePassDiffer {
                             &version[v + seed_len..],
                         );
                     extend_bytes += (len - seed_len) as u64;
-                    // Truncate at the chunk boundary; stitching re-extends.
-                    let emit = len.min(end - v);
-                    scratch::push_copy(segs, c as u64, emit as u64);
-                    v += emit;
+                    scratch::push_copy(segs, c as u64, len as u64);
+                    v += len;
                     matched = true;
                 }
             }
@@ -158,8 +139,8 @@ impl IndexedDiffer for OnePassDiffer {
                 v += 1;
             }
         }
-        if v < end {
-            scratch::push_lit(segs, (end - v) as u64);
+        if v < version.len() {
+            scratch::push_lit(segs, (version.len() - v) as u64);
         }
         if probes > 0 {
             ipr_trace::with(|r| {
@@ -172,12 +153,7 @@ impl IndexedDiffer for OnePassDiffer {
 
 impl Differ for OnePassDiffer {
     fn diff(&self, reference: &[u8], version: &[u8]) -> DeltaScript {
-        let _span = ipr_trace::span("diff");
-        ipr_trace::with(|r| {
-            r.add("diff.reference_bytes", reference.len() as u64);
-            r.add("diff.version_bytes", version.len() as u64);
-        });
-        scratch::with_thread_scratch(|s| super::parallel::diff_serial(self, s, reference, version))
+        scratch::with_thread_scratch(|s| self.diff_with(s, reference, version))
     }
 
     fn name(&self) -> &'static str {

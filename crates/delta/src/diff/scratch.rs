@@ -3,7 +3,7 @@
 //!
 //! Every differ needs per-call working storage — footprint tables for the
 //! constant-space family, the sorted seed-hash index for the greedy
-//! family, and per-chunk segment buffers for the parallel scan.
+//! family, and the segment buffer the scan fills.
 //! Allocating those on every `diff` call puts the allocator on the
 //! critical path of the pipeline's dominant phase (differencing is ~97%
 //! of end-to-end time in `results/BENCH_phase_breakdown.json`). A
@@ -12,7 +12,7 @@
 //! performs no table or buffer allocations at all.
 //!
 //! Callers can hold an explicit arena and pass it to
-//! [`ParallelDiffer::diff_with`](super::ParallelDiffer::diff_with); the
+//! [`IndexedDiffer::diff_with`](super::IndexedDiffer::diff_with); the
 //! plain [`Differ::diff`](super::Differ) entry points of every engine
 //! route through a per-thread arena automatically.
 
@@ -85,11 +85,11 @@ impl IndexScratch {
     }
 }
 
-/// One segment of a chunk scan, relative to a running version offset.
+/// One segment of a version scan, relative to a running version offset.
 ///
-/// Chunk scans record *where version bytes come from*, not the bytes
+/// The scan records *where version bytes come from*, not the bytes
 /// themselves; literal payloads are sliced out of the version file only
-/// when the stitcher builds the final script.
+/// when the final script is built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Seg {
     /// Copy `len` bytes from reference offset `from`.
@@ -149,8 +149,8 @@ pub(crate) fn push_copy(segs: &mut Vec<Seg>, from: u64, len: u64) {
 pub struct DiffScratch {
     /// Reference-index storage.
     pub(crate) index: IndexScratch,
-    /// Per-chunk segment buffers for the version scan.
-    pub(crate) segs: Vec<Vec<Seg>>,
+    /// Segment buffer the version scan fills.
+    pub(crate) segs: Vec<Seg>,
     /// Recycled script storage the produced script is built from.
     pub(crate) pool: crate::ScriptPool,
 }
@@ -253,11 +253,11 @@ mod tests {
     fn thread_scratch_reuses_capacity() {
         with_thread_scratch(|s| {
             s.index.firsts.resize(1024, EMPTY);
-            s.segs.push(Vec::with_capacity(64));
+            s.segs.reserve(64);
         });
         with_thread_scratch(|s| {
             assert!(s.index.firsts.capacity() >= 1024);
-            assert!(!s.segs.is_empty());
+            assert!(s.segs.capacity() >= 64);
         });
     }
 }

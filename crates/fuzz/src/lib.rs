@@ -12,16 +12,16 @@
 //!   bit-exactly and no byte string makes a decoder panic;
 //! * **convert** ([`oracles::check_convert_case`]): scratch-space apply
 //!   is ground truth, and conversion must reproduce it under both cycle
-//!   policies across the serial, parallel, resumable (with simulated
-//!   power cuts and torn writes) and spilled engines;
+//!   policies across the serial, resumable (with simulated power cuts
+//!   and torn writes) and spilled engines;
 //! * **crwi** ([`oracles::check_crwi_case`]): a standalone Equation 2
 //!   validator ([`check`]) that agrees with the production verifier and
 //!   the device's run-time detector on arbitrary command orders;
-//! * **diff** ([`oracles::check_diff_case`]): the parallel diff engine
+//! * **diff** ([`oracles::check_diff_case`]): every differ family
 //!   produces scripts that apply correctly
-//!   (`apply(diff(r, v), r) == v`) and are deterministic — identical
-//!   commands for repeated runs and across thread counts — for every
-//!   wrapped differ, over a seed-driven sweep of chunk sizes;
+//!   (`apply(diff(r, v), r) == v`), emits identical commands when run
+//!   again, and keeps its probe and extension counters within the
+//!   bounds its candidate limit sets;
 //! * **remote** ([`oracles::check_remote_case`]): the signature-based
 //!   streaming generator — `apply(generate_delta(sign(r), v), r) == v`
 //!   byte for byte, over a seed-driven sweep of fixed block sizes and
@@ -32,7 +32,7 @@
 //!   pooled conversion, checked encoding, checked serial apply — emits
 //!   byte-identical commands, wire bytes and applied buffers to the
 //!   legacy free-function pipeline, over a seed-driven sweep of cycle
-//!   policies, thread counts and wire formats, and stays identical when
+//!   policies and wire formats, and stays identical when
 //!   the same engine (with its recycled arenas) runs the case again;
 //! * **store** ([`oracles::check_store_case`]): the versioned object
 //!   store — a drifting version history written into a throwaway
@@ -77,7 +77,7 @@ pub enum Oracle {
     Convert,
     /// Independent Equation 2 checker vs the production verifier.
     Crwi,
-    /// Parallel diff correctness and determinism across thread counts.
+    /// Diff correctness, determinism and bounded work.
     Diff,
     /// Session-layer `Engine` path vs the legacy free-function pipeline.
     Engine,

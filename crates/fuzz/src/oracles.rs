@@ -22,13 +22,12 @@
 //!   the unsafe orders without writing, the device's run-time detector
 //!   faults on exactly those orders at the first clobbered byte, and
 //!   safety implies in-place application correctness.
-//! * [`check_diff_case`] — the parallel diff engine, wrapped around
-//!   every differ family and the checkpointed greedy differ, produces
-//!   scripts that apply back to the version file and are deterministic:
-//!   repeated runs and *different thread counts* must emit identical
-//!   command sequences, and the `diff.probes` work counter must match
-//!   across thread counts and stay within the per-position candidate
-//!   limit times the version length.
+//! * [`check_diff_case`] — every differ family and the checkpointed
+//!   greedy differ produce scripts that apply back to the version file
+//!   and are deterministic (repeated runs emit identical command
+//!   sequences), and the scan's work counters stay within their bounds:
+//!   `diff.probes` within the per-position candidate limit k times the
+//!   version length, `diff.extend_bytes` within (k + 1) times it.
 //! * [`check_engine_case`] — the session-layer
 //!   [`Engine`](ipr_pipeline::Engine) one-call path
 //!   (diff through owned arenas → pooled conversion → checked encoding →
@@ -58,9 +57,7 @@ use ipr_core::{
 };
 use ipr_delta::codec::stream::StreamDecoder;
 use ipr_delta::codec::{decode, encode, encode_checked, DecodeError, EncodeError, Format};
-use ipr_delta::diff::{
-    CorrectingDiffer, Differ, GreedyDiffer, IndexedDiffer, OnePassDiffer, ParallelDiffer,
-};
+use ipr_delta::diff::{CorrectingDiffer, Differ, GreedyDiffer, OnePassDiffer};
 use ipr_delta::remote::{
     generate_delta, generate_delta_bytes, generate_delta_scalar, CdcParams, Chunking, Signature,
 };
@@ -535,7 +532,7 @@ pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
         orders.push(case.script.permuted(&perm));
     }
 
-    let mut engine = ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig::with_threads(1));
+    let mut engine = ipr_pipeline::Engine::new();
     let mut writes = Vec::new();
     for (trial, script) in orders.iter().enumerate() {
         let ours = check::eq2_violation(script);
@@ -621,121 +618,89 @@ pub fn check_crwi_case(case: &FuzzCase, salt: u64) -> CheckResult {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 4: parallel diff correctness and determinism
+// Oracle 4: diff correctness, determinism and bounded work
 // ---------------------------------------------------------------------------
 
-/// Chunk sizes swept by the diff oracle; the salt picks one per case, so
-/// consecutive seeds exercise single-byte chunks through chunks larger
-/// than most generated files.
-const DIFF_CHUNKS: [usize; 5] = [1, 3, 17, 64, 256];
-
-/// Checks the parallel-diff oracle on one valid case.
+/// Checks the diff oracle on one valid case.
 ///
-/// The generated reference/version pair is diffed with [`ParallelDiffer`]
-/// around each differ family, and around the greedy differ at the
-/// checkpoint interval of [`GreedyDiffer::sampled`], at a salt-chosen
-/// chunk size and thread count. Four properties must hold for each
-/// engine:
+/// The generated reference/version pair is diffed by each differ family
+/// and by the greedy differ at the checkpoint interval of
+/// [`GreedyDiffer::sampled`]. Three properties must hold for each:
 ///
 /// 1. **correctness** — the emitted script applies back to the version
 ///    file (`apply(diff(r, v), r) == v`);
-/// 2. **determinism** — running the same configuration twice emits an
-///    identical command sequence;
-/// 3. **thread independence** — a different thread count emits the *same*
-///    command sequence (chunk boundaries depend only on input length, so
-///    output is invariant across thread counts, a stronger guarantee
-///    than per-thread-count determinism);
-/// 4. **bounded work** — the `diff.probes` counter, recorded under the
-///    oracle's own [`ipr_trace::StatsRecorder`], is the same at both
-///    thread counts and at most the engine's per-position candidate
-///    limit times the version length (`max_probes × |V|` for greedy).
-pub fn check_diff_case(case: &FuzzCase, salt: u64) -> CheckResult {
+/// 2. **determinism** — running the same differ again, on the arena the
+///    first run warmed, emits an identical command sequence;
+/// 3. **bounded work** — under the oracle's own
+///    [`ipr_trace::StatsRecorder`], the `diff.probes` counter is at most
+///    the differ's per-position candidate limit k times the version
+///    length, and `diff.extend_bytes` at most (k + 1) times it (k is
+///    `max_probes` for greedy, 1 for one-pass, 2 for correcting).
+///
+/// The `diff` salt is unused: every case runs every differ.
+pub fn check_diff_case(case: &FuzzCase, _salt: u64) -> CheckResult {
     let version = scratch_apply(case)?;
-    let chunk = DIFF_CHUNKS[(salt % DIFF_CHUNKS.len() as u64) as usize];
-    let threads = 1 + (salt / DIFF_CHUNKS.len() as u64 % 4) as usize;
     let greedy = GreedyDiffer::new(4).with_max_probes(GREEDY_MAX_PROBES);
     let sampled = greedy
         .clone()
         .with_checkpoint_interval(GreedyDiffer::sampled().checkpoint_interval());
     let (one_pass, correcting) = (OnePassDiffer::new(4, 10), CorrectingDiffer::new(4, 10));
 
-    check_diff_engine(greedy, GREEDY_MAX_PROBES, case, &version, chunk, threads)?;
-    check_diff_engine(sampled, GREEDY_MAX_PROBES, case, &version, chunk, threads)
+    check_diff_engine(&greedy, GREEDY_MAX_PROBES, case, &version)?;
+    check_diff_engine(&sampled, GREEDY_MAX_PROBES, case, &version)
         .map_err(|e| format!("sampled {e}"))?;
-    check_diff_engine(one_pass, 1, case, &version, chunk, threads)?;
-    check_diff_engine(correcting, 2, case, &version, chunk, threads)
+    check_diff_engine(&one_pass, 1, case, &version)?;
+    check_diff_engine(&correcting, 2, case, &version)
 }
 
 /// The greedy differ's candidate limit in the diff oracle (its default).
 const GREEDY_MAX_PROBES: usize = 64;
 
-/// Runs `diff` under a fresh stats recorder, returning its script and
-/// the `diff.probes` count it recorded.
-fn diff_probes(diff: impl FnOnce() -> DeltaScript) -> (DeltaScript, u64) {
-    let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
-    let script = {
-        let _guard = ipr_trace::install(stats.clone());
-        diff()
-    };
-    let probes = stats.report().counter("diff.probes").unwrap_or(0);
-    (script, probes)
-}
-
-/// Runs the four diff-oracle properties for one wrapped differ, which
-/// verifies at most `max_probes` candidates per version position.
-fn check_diff_engine<D: IndexedDiffer + Clone>(
-    inner: D,
+/// Runs the three diff-oracle properties for one differ, which verifies
+/// at most `max_probes` candidates per version position.
+fn check_diff_engine(
+    differ: &dyn Differ,
     max_probes: usize,
     case: &FuzzCase,
     version: &[u8],
-    chunk: usize,
-    threads: usize,
 ) -> CheckResult {
-    let differ = ParallelDiffer::new(inner.clone())
-        .with_threads(threads)
-        .with_chunk_bytes(chunk);
     let name = differ.name();
-    let (script, probes) = diff_probes(|| differ.diff(&case.reference, version));
+    let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
+    let script = {
+        let _guard = ipr_trace::install(stats.clone());
+        differ.diff(&case.reference, version)
+    };
+    let report = stats.report();
 
     let applied = ipr_delta::apply(&script, &case.reference)
-        .map_err(|e| format!("{name}(chunk={chunk},threads={threads}): apply failed: {e}"))?;
+        .map_err(|e| format!("{name}: apply failed: {e}"))?;
     if applied != version {
-        return fail(format!(
-            "{name}(chunk={chunk},threads={threads}): applied output differs from version"
-        ));
+        return fail(format!("{name}: applied output differs from version"));
     }
 
     let again = differ.diff(&case.reference, version);
     if again.commands() != script.commands() {
-        return fail(format!(
-            "{name}(chunk={chunk},threads={threads}): repeated run emitted different commands"
-        ));
+        return fail(format!("{name}: repeated run emitted different commands"));
     }
 
-    let other_threads = threads % 4 + 1;
-    let (cross, cross_probes) = diff_probes(|| {
-        ParallelDiffer::new(inner)
-            .with_threads(other_threads)
-            .with_chunk_bytes(chunk)
-            .diff(&case.reference, version)
-    });
-    if cross.commands() != script.commands() {
-        return fail(format!(
-            "{name}(chunk={chunk}): {threads} and {other_threads} threads emitted \
-             different commands"
-        ));
-    }
-    if cross_probes != probes {
-        return fail(format!(
-            "{name}(chunk={chunk}): {threads} threads counted {probes} probes, \
-             {other_threads} threads {cross_probes}"
-        ));
-    }
-    let bound = max_probes as u64 * version.len() as u64;
+    let v_len = version.len() as u64;
+    let probes = report.counter("diff.probes").unwrap_or(0);
+    let bound = max_probes as u64 * v_len;
     if probes > bound {
         return fail(format!(
-            "{name}(chunk={chunk},threads={threads}): {probes} probes exceed \
-             {max_probes} per version byte ({bound})"
+            "{name}: {probes} probes exceed {max_probes} per version byte ({bound})"
+        ));
+    }
+    // Each probed candidate extends forward at most as far as the match
+    // the scan then takes and steps over, so forward extension sums to
+    // at most k steps per version byte; backward extension reclaims a
+    // literal byte into a copy at most once, one more |V|.
+    let extend_bytes = report.counter("diff.extend_bytes").unwrap_or(0);
+    let bound = (max_probes as u64 + 1) * v_len;
+    if extend_bytes > bound {
+        return fail(format!(
+            "{name}: {extend_bytes} extended bytes exceed {} per version byte ({bound})",
+            max_probes + 1
         ));
     }
     Ok(())
@@ -751,11 +716,11 @@ const ENGINE_FORMATS: [Format; 3] = [Format::InPlace, Format::Improved, Format::
 
 /// Checks the engine-equivalence oracle on one valid case.
 ///
-/// The salt picks a cycle policy, thread count and wire format. An
+/// The salt picks a cycle policy and wire format. An
 /// [`Engine`](ipr_pipeline::Engine) configured with them must produce — twice in a row, so the
 /// second run exercises recycled arenas — exactly the commands, wire
 /// bytes and applied buffer of the legacy free-function pipeline
-/// (`ParallelDiffer::diff` → [`convert_to_in_place`] →
+/// ([`GreedyDiffer::sampled`]'s `diff` → [`convert_to_in_place`] →
 /// [`encode_checked`] → [`apply_in_place`]), and its conversion
 /// report must keep Lemma 1: at most one CRWI edge per version byte.
 pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
@@ -765,20 +730,20 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     } else {
         CyclePolicy::LocallyMinimum
     };
-    let threads = 1 + (salt / 2 % 4) as usize;
-    let format = ENGINE_FORMATS[(salt / 8 % ENGINE_FORMATS.len() as u64) as usize];
+    let format = ENGINE_FORMATS[(salt / 2 % ENGINE_FORMATS.len() as u64) as usize];
 
-    let mut config = ipr_pipeline::EngineConfig::with_threads(threads);
-    config.conversion = ConversionConfig {
-        policy,
-        cost_format: format,
+    let config = ipr_pipeline::EngineConfig {
+        conversion: ConversionConfig {
+            policy,
+            cost_format: format,
+        },
+        format,
+        ..ipr_pipeline::EngineConfig::default()
     };
-    config.format = format;
-    let tag = format!("engine(policy={policy},threads={threads},format={format:?})");
+    let tag = format!("engine(policy={policy},format={format:?})");
 
     // The legacy path, from the same primitives the engine wraps.
-    let differ = ParallelDiffer::new(GreedyDiffer::sampled()).with_threads(threads);
-    let script = differ.diff(&case.reference, &version);
+    let script = GreedyDiffer::sampled().diff(&case.reference, &version);
     let legacy = convert_to_in_place(&script, &case.reference, &config.conversion)
         .map_err(|e| format!("{tag}: legacy conversion failed: {e}"))?;
     let legacy_wire = encode_checked(&legacy.script, format, &version)
@@ -1151,8 +1116,10 @@ pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
 
     // Ground truth: the target the delta declares, applied offline.
     let version = scratch_apply(case)?;
-    let mut config = ipr_pipeline::EngineConfig::with_threads(1);
-    config.format = format;
+    let mut config = ipr_pipeline::EngineConfig {
+        format,
+        ..ipr_pipeline::EngineConfig::default()
+    };
     config.conversion.cost_format = format;
     let mut engine = ipr_pipeline::Engine::with_config(config);
     let stream = engine
@@ -1323,8 +1290,8 @@ mod tests {
 
     #[test]
     fn engine_oracle_clean_on_seeds() {
-        // 24 consecutive seeds cover every (policy, thread, format)
-        // combination the salt sweep can pick.
+        // 24 consecutive seeds cover every (policy, format) combination
+        // the salt sweep can pick.
         for seed in 0..24u64 {
             let c = case(&mut rng_for(seed));
             check_engine_case(&c, seed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));

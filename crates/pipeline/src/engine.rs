@@ -7,7 +7,7 @@ use ipr_core::{
 };
 use ipr_delta::codec::{self, Format};
 use ipr_delta::compose_chain;
-use ipr_delta::diff::{DiffScratch, GreedyDiffer, IndexedDiffer, ParallelDiffer};
+use ipr_delta::diff::{DiffScratch, GreedyDiffer, IndexedDiffer};
 use ipr_delta::remote::{self, BlockSize, Chunking, Signature, SignatureError};
 use ipr_delta::DeltaScript;
 
@@ -18,9 +18,9 @@ pub struct EngineConfig {
     pub conversion: ConversionConfig,
     /// Wire format updates are encoded in.
     pub format: Format,
-    /// Worker count for the parallel diff scan; `0` means
-    /// [`std::thread::available_parallelism`]. Application is always
-    /// serial, in the script's order (the paper's §4.1).
+    /// Ignored: every stage runs on the calling thread, the diff as one
+    /// scan of the version and application in the script's order (the
+    /// paper's §4.1). Defaults to 1, the thread count that describes it.
     pub threads: usize,
     /// Block chunking for [`Engine::sign`] — the remote-differencing
     /// signature path (docs/REMOTE.md).
@@ -37,20 +37,9 @@ impl Default for EngineConfig {
         Self {
             conversion: ConversionConfig::default(),
             format: Format::InPlace,
-            threads: 0,
+            threads: 1,
             chunking: Chunking::default(),
             block_size: None,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// A config pinned to `threads` workers, other knobs at defaults.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
         }
     }
 }
@@ -90,12 +79,12 @@ impl InPlaceDelta {
 /// diff → convert → apply pipeline and exposes the stages as methods
 /// (see the [crate docs](crate) for the storage inventory).
 ///
-/// One engine is single-threaded state (`&mut self` methods) — only the
-/// diff scan fans out across worker threads, per
-/// [`EngineConfig::threads`]. Create one engine per pipeline thread.
+/// One engine is single-threaded state (`&mut self` methods), and every
+/// stage runs on the calling thread. Create one engine per pipeline
+/// thread.
 #[derive(Debug)]
 pub struct Engine<D: IndexedDiffer = GreedyDiffer> {
-    differ: ParallelDiffer<D>,
+    differ: D,
     config: EngineConfig,
     diff_scratch: DiffScratch,
     convert_scratch: ConvertScratch,
@@ -126,14 +115,9 @@ impl Engine<GreedyDiffer> {
 }
 
 impl<D: IndexedDiffer> Engine<D> {
-    /// An engine differencing with `differ` under `config`. The diff
-    /// scan cuts the version into
-    /// [`DEFAULT_CHUNK_BYTES`](ipr_delta::diff::DEFAULT_CHUNK_BYTES)
-    /// chunks, so its output depends only on the version length, never
-    /// on `threads`.
+    /// An engine differencing with `differ` under `config`.
     #[must_use]
     pub fn with_differ(differ: D, config: EngineConfig) -> Self {
-        let differ = ParallelDiffer::new(differ).with_threads(config.threads);
         Self {
             differ,
             config,
@@ -150,8 +134,9 @@ impl<D: IndexedDiffer> Engine<D> {
     }
 
     /// Stage 1: differences `version` against `reference` through the
-    /// engine's arena. Output is identical to the wrapped differ's
-    /// free-standing `diff` for every thread count.
+    /// engine's arena ([`IndexedDiffer::diff_with`]: one index build and
+    /// one scan). Output is identical to the differ's free-standing
+    /// `diff`.
     pub fn diff(&mut self, reference: &[u8], version: &[u8]) -> DeltaScript {
         self.differ
             .diff_with(&mut self.diff_scratch, reference, version)
@@ -318,32 +303,6 @@ impl<D: IndexedDiffer> Engine<D> {
         // The script is not part of the stream; return it to the pool.
         self.recycle_script(delta.script);
         Ok(stream)
-    }
-
-    /// Batched [`Engine::update`]: one delta per version, each hop diffed
-    /// against the previous image (`reference` for the first). All hops
-    /// share the engine's arenas.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::update`]; already-produced deltas are dropped on
-    /// error.
-    pub fn update_many<'a, I>(
-        &mut self,
-        reference: &'a [u8],
-        versions: I,
-    ) -> Result<Vec<InPlaceDelta>, EngineError>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let _span = ipr_trace::span("engine.update_many");
-        let mut prev = reference;
-        let mut deltas = Vec::new();
-        for version in versions {
-            deltas.push(self.update(prev, version)?);
-            prev = version;
-        }
-        Ok(deltas)
     }
 
     /// Composes a chain of consecutive deltas into one equivalent

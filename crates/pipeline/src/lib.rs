@@ -2,7 +2,8 @@
 //! scratch arena of the diff → convert → apply pipeline.
 //!
 //! The lower crates expose each stage as a free function plus an optional
-//! scratch-based core (`ParallelDiffer::diff_with`,
+//! scratch-based core
+//! ([`IndexedDiffer::diff_with`](ipr_delta::diff::IndexedDiffer::diff_with),
 //! [`convert_in_place_pooled`](ipr_core::convert_in_place_pooled),
 //! [`check_in_place_safe_with`](ipr_core::check_in_place_safe_with)
 //! ahead of the serial [`apply_in_place`](ipr_core::apply_in_place)). The

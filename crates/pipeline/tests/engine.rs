@@ -2,7 +2,7 @@
 
 use ipr_core::{apply_in_place, convert_to_in_place, CyclePolicy};
 use ipr_delta::codec::{self, Format};
-use ipr_delta::diff::{Differ, GreedyDiffer, OnePassDiffer, ParallelDiffer};
+use ipr_delta::diff::{Differ, GreedyDiffer, OnePassDiffer};
 use ipr_delta::{apply, compose_chain};
 use ipr_pipeline::{Engine, EngineConfig, EngineError};
 
@@ -21,45 +21,40 @@ fn corpus_pair(len: usize, rot: usize) -> (Vec<u8>, Vec<u8>) {
 /// pipeline byte for byte: same commands, same wire bytes.
 #[test]
 fn update_matches_legacy_pipeline() {
-    let (reference, version) = corpus_pair(40_000, 5_000);
+    let (reference, version) = corpus_pair(200_000, 25_000);
+    let legacy_script = GreedyDiffer::sampled().diff(&reference, &version);
     for policy in [
         CyclePolicy::ConstantTime,
         CyclePolicy::LocallyMinimum,
         CyclePolicy::Exhaustive { limit: 24 },
     ] {
-        for threads in [1, 2, 4] {
-            let mut config = EngineConfig::with_threads(threads);
-            config.conversion.policy = policy;
-            let mut engine = Engine::with_config(config);
+        let mut config = EngineConfig::default();
+        config.conversion.policy = policy;
+        let mut engine = Engine::with_config(config);
 
-            let legacy_script = ParallelDiffer::new(GreedyDiffer::sampled())
-                .with_threads(threads)
-                .diff(&reference, &version);
-            let legacy =
-                convert_to_in_place(&legacy_script, &reference, &config.conversion).unwrap();
-            let legacy_payload =
-                codec::encode_checked(&legacy.script, Format::InPlace, &version).unwrap();
+        let legacy = convert_to_in_place(&legacy_script, &reference, &config.conversion).unwrap();
+        let legacy_payload =
+            codec::encode_checked(&legacy.script, Format::InPlace, &version).unwrap();
 
-            // Two updates through the same engine: the second runs on a
-            // warm, recycled arena and must still be identical.
-            for round in 0..2 {
-                let delta = engine.update(&reference, &version).unwrap();
-                assert_eq!(
-                    delta.script.commands(),
-                    legacy.script.commands(),
-                    "{policy} threads={threads} round={round}"
-                );
-                assert_eq!(delta.payload, legacy_payload);
-                assert_eq!(delta.report.cycles_broken, legacy.report.cycles_broken);
-                assert_eq!(delta.version_len, version.len() as u64);
+        // Two updates through the same engine: the second runs on a
+        // warm, recycled arena and must still be identical.
+        for round in 0..2 {
+            let delta = engine.update(&reference, &version).unwrap();
+            assert_eq!(
+                delta.script.commands(),
+                legacy.script.commands(),
+                "{policy} round={round}"
+            );
+            assert_eq!(delta.payload, legacy_payload);
+            assert_eq!(delta.report.cycles_broken, legacy.report.cycles_broken);
+            assert_eq!(delta.version_len, version.len() as u64);
 
-                let mut buf = reference.clone();
-                buf.resize(buf.len().max(version.len()), 0);
-                engine.apply_in_place(&delta.script, &mut buf).unwrap();
-                buf.truncate(version.len());
-                assert_eq!(buf, version);
-                engine.recycle(delta);
-            }
+            let mut buf = reference.clone();
+            buf.resize(buf.len().max(version.len()), 0);
+            engine.apply_in_place(&delta.script, &mut buf).unwrap();
+            buf.truncate(version.len());
+            assert_eq!(buf, version);
+            engine.recycle(delta);
         }
     }
 }
@@ -85,7 +80,7 @@ fn stage_methods_compose_like_the_one_call_path() {
 }
 
 #[test]
-fn update_many_walks_the_chain_hop_by_hop() {
+fn updates_walk_the_chain_hop_by_hop() {
     let v0: Vec<u8> = (0..9_000u32).map(|i| (i * 17 % 249) as u8).collect();
     let mut v1 = v0.clone();
     v1.rotate_left(700);
@@ -93,20 +88,20 @@ fn update_many_walks_the_chain_hop_by_hop() {
     v2.truncate(8_000);
     let mut v3 = v2.clone();
     v3.extend_from_slice(&[0xAB; 444]);
-    let versions: [&[u8]; 3] = [&v1, &v2, &v3];
 
+    // One engine diffs each hop against the previous image, and each
+    // hop applies in place over it.
     let mut engine = Engine::new();
-    let deltas = engine.update_many(&v0, versions).unwrap();
-    assert_eq!(deltas.len(), 3);
-
-    // Each hop applies in place over the previous image.
     let images: [&[u8]; 4] = [&v0, &v1, &v2, &v3];
-    for (i, delta) in deltas.iter().enumerate() {
-        let mut buf = images[i].to_vec();
-        buf.resize(buf.len().max(images[i + 1].len()), 0);
+    for (i, hop) in images.windows(2).enumerate() {
+        let (prev, next) = (hop[0], hop[1]);
+        let delta = engine.update(prev, next).unwrap();
+        let mut buf = prev.to_vec();
+        buf.resize(buf.len().max(next.len()), 0);
         engine.apply_in_place(&delta.script, &mut buf).unwrap();
-        buf.truncate(images[i + 1].len());
-        assert_eq!(buf, images[i + 1], "hop {i}");
+        buf.truncate(next.len());
+        assert_eq!(buf, next, "hop {i}");
+        engine.recycle(delta);
     }
 }
 
@@ -148,7 +143,7 @@ fn custom_differ_sessions_work() {
     let (reference, version) = corpus_pair(30_000, 2_222);
     let mut engine = Engine::with_differ(OnePassDiffer::default(), EngineConfig::default());
     let delta = engine.update(&reference, &version).unwrap();
-    let legacy_script = ParallelDiffer::new(OnePassDiffer::default()).diff(&reference, &version);
+    let legacy_script = OnePassDiffer::default().diff(&reference, &version);
     let legacy = convert_to_in_place(
         &legacy_script,
         &reference,

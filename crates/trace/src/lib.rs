@@ -25,8 +25,8 @@
 //!
 //! [`StatsRecorder`] is the built-in aggregating recorder behind the
 //! CLI's `--stats[=json]` flag and the bench per-phase breakdowns. It is
-//! thread-safe: worker threads of the parallel diff scan install a clone
-//! of the same handle and their counters aggregate into one report.
+//! thread-safe: threads that install clones of one handle aggregate
+//! into one report.
 //!
 //! # Example
 //!
@@ -73,9 +73,7 @@ thread_local! {
 /// restores the previous one (usually none) when dropped.
 ///
 /// Instrumentation is per thread by design: the guard pattern lets tests
-/// and CLI commands scope their collection precisely, and code that fans
-/// out to worker threads re-installs a clone of the handle obtained from
-/// [`installed`] inside each worker (see the parallel diff scan).
+/// and CLI commands scope their collection precisely.
 pub fn install(recorder: Arc<dyn Recorder>) -> RecorderGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(recorder));
     // The new recorder never saw the spans currently on this thread's
@@ -83,15 +81,6 @@ pub fn install(recorder: Arc<dyn Recorder>) -> RecorderGuard {
     // stack's depth on drop.
     let prev_depth = DEPTH.with(|d| d.replace(0));
     RecorderGuard { prev, prev_depth }
-}
-
-/// A clone of this thread's installed recorder handle, if any.
-///
-/// Pass the clone into spawned threads and [`install`] it there so
-/// cross-thread events aggregate into the same recorder.
-#[must_use]
-pub fn installed() -> Option<Arc<dyn Recorder>> {
-    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Whether a recorder is installed on this thread.

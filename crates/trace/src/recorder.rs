@@ -3,9 +3,9 @@
 /// A sink for instrumentation events.
 ///
 /// All methods have empty default bodies, so a recorder implements only
-/// what it cares about. Implementations must be thread-safe: the
-/// parallel diff scan installs one shared handle on every worker
-/// thread, and counters from all of them must aggregate.
+/// what it cares about. Implementations must be thread-safe: one
+/// shared handle may be installed on several threads, and counters from
+/// all of them must aggregate.
 ///
 /// Event names are `&'static str` on purpose: the set of span, counter,
 /// gauge and histogram names is a closed, documented contract (see

@@ -1,13 +1,16 @@
 //! Property tests for the [`ipr::Engine`] session layer: a reused
 //! engine — arenas warm, pools full of recycled storage — must behave
 //! exactly like a fresh engine built per call, across heterogeneous
-//! input sequences, for every cycle policy and thread count.
+//! input sequences, for every cycle policy; and its diff must do work
+//! bounded by one pass over the version.
 
 use ipr::core::{check_in_place_safe, required_capacity, CyclePolicy};
 use ipr::delta::apply;
 use ipr::pipeline::{Engine, EngineConfig, EngineError};
+use ipr::trace::StatsRecorder;
 use ipr::Stage;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Cycle policies the reuse property is checked under.
 const POLICIES: [CyclePolicy; 3] = [
@@ -15,9 +18,6 @@ const POLICIES: [CyclePolicy; 3] = [
     CyclePolicy::LocallyMinimum,
     CyclePolicy::Exhaustive { limit: 10 },
 ];
-
-/// Worker counts the reuse property is checked under (0 = all cores).
-const THREADS: [usize; 3] = [1, 2, 0];
 
 /// A version derived from a reference by random edit operations, so the
 /// pair is realistically delta-compressible.
@@ -61,9 +61,9 @@ fn edited_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     })
 }
 
-/// An engine config for one (policy, threads) combination.
-fn config_for(policy: CyclePolicy, threads: usize) -> EngineConfig {
-    let mut config = EngineConfig::with_threads(threads);
+/// An engine config for one cycle policy.
+fn config_for(policy: CyclePolicy) -> EngineConfig {
+    let mut config = EngineConfig::default();
     config.conversion.policy = policy;
     config
 }
@@ -128,45 +128,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// One engine reused across a heterogeneous sequence of inputs is
-    /// indistinguishable from a fresh engine per call, for every policy
-    /// and thread count.
+    /// indistinguishable from a fresh engine per call, for every policy.
     #[test]
     fn reused_engine_matches_fresh_per_call(
         pairs in proptest::collection::vec(edited_pair(), 2..5),
     ) {
         for policy in POLICIES {
-            for threads in THREADS {
-                let config = config_for(policy, threads);
-                let mut engine = Engine::with_config(config);
-                for (reference, version) in &pairs {
-                    step_matches_fresh(&mut engine, config, reference, version)?;
-                }
+            let config = config_for(policy);
+            let mut engine = Engine::with_config(config);
+            for (reference, version) in &pairs {
+                step_matches_fresh(&mut engine, config, reference, version)?;
             }
         }
     }
 
-    /// `update_many` over a version chain equals one fresh engine per
-    /// hop, and its deltas chain hop by hop.
+    /// Many updates on one engine walking a version chain, each hop
+    /// diffed against the previous version, equal one fresh engine per
+    /// hop, and each hop's delta rebuilds its version in place.
     #[test]
     fn update_many_matches_fresh_per_hop(
         reference in proptest::collection::vec(any::<u8>(), 0..512),
         versions in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..512), 1..4),
     ) {
-        let config = config_for(CyclePolicy::LocallyMinimum, 1);
+        let config = config_for(CyclePolicy::LocallyMinimum);
         let mut engine = Engine::with_config(config);
-        let version_refs: Vec<&[u8]> = versions.iter().map(Vec::as_slice).collect();
-        let deltas = engine
-            .update_many(&reference, version_refs)
-            .expect("default policy never refuses");
-        prop_assert_eq!(deltas.len(), versions.len());
         let mut prev: &[u8] = &reference;
-        for (delta, version) in deltas.iter().zip(&versions) {
-            let fresh = Engine::with_config(config)
-                .update(prev, version)
-                .expect("default policy never refuses");
-            prop_assert_eq!(delta.script.commands(), fresh.script.commands());
-            prop_assert_eq!(&delta.payload, &fresh.payload);
+        for version in &versions {
+            let converted = step_matches_fresh(&mut engine, config, prev, version)?;
+            prop_assert!(converted, "the default policy never refuses");
             prev = version;
         }
     }
@@ -180,7 +170,7 @@ proptest! {
         versions in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..512), 1..4),
     ) {
-        let config = config_for(CyclePolicy::LocallyMinimum, 1);
+        let config = config_for(CyclePolicy::LocallyMinimum);
         let mut engine = Engine::with_config(config);
         // Warm the engine up first so compose sees reused arenas.
         for version in &versions {
@@ -214,7 +204,7 @@ fn apply_in_place_rejects_unsafe_script_untouched() {
         .collect();
     let mut version = reference.clone();
     version.rotate_left(4_096); // a block move: write order reads what it wrote
-    let mut engine = Engine::with_config(EngineConfig::with_threads(1));
+    let mut engine = Engine::new();
     let diffed = engine.diff(&reference, &version);
     let violation = check_in_place_safe(&diffed).expect_err("write order conflicts");
 
@@ -233,4 +223,41 @@ fn apply_in_place_rejects_unsafe_script_untouched() {
         .apply_in_place(&converted.script, &mut buf)
         .expect("converted script applies");
     assert_eq!(&buf[..version.len()], &version[..]);
+}
+
+/// The default engine's diff is one scan, so an unchanged byte is
+/// compared about once: on a 1 MiB image diffed against itself and
+/// against its rotation by a third, the scan verifies one candidate per
+/// copy it emits and extends over at most the version's length.
+#[test]
+fn default_diff_work_stays_within_one_pass() {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let image: Vec<u8> = (0..1 << 20)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 56) as u8
+        })
+        .collect();
+    let mut rotated = image.clone();
+    rotated.rotate_left(image.len() / 3);
+    for (name, version, copies) in [("identical", &image, 1), ("rotated", &rotated, 2)] {
+        let stats = Arc::new(StatsRecorder::new());
+        let script = {
+            let _guard = ipr::trace::install(stats.clone());
+            Engine::new().diff(&image, version)
+        };
+        let report = stats.report();
+        let counter = |counter: &str| report.counter(counter).unwrap_or(0);
+        assert_eq!(script.copy_count(), copies, "{name}");
+        assert_eq!(script.added_bytes(), 0, "{name}");
+        assert!(counter("diff.probes") <= 2, "{name}: {report:?}");
+        let extend = counter("diff.extend_bytes");
+        assert!(
+            extend <= version.len() as u64,
+            "{name}: extended over {extend} bytes, {:.2} x |V|",
+            extend as f64 / version.len() as f64
+        );
+    }
 }
