@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run -p ipr-bench --release --bin ablation`
 
-use ipr_bench::{bytes, experiment_corpus, pct, timed, Table};
+use ipr_bench::{bytes, experiment_corpus, pct, quartiles, timed, Table};
 use ipr_core::{
     apply_in_place, apply_in_place_buffered, convert_to_in_place, required_capacity,
     ConversionConfig, CyclePolicy,
@@ -22,6 +22,10 @@ use ipr_core::{
 use ipr_delta::codec::{encoded_size, Format};
 use ipr_delta::diff::{Differ, GreedyDiffer};
 use ipr_workloads::corpus::CorpusSpec;
+use std::time::Duration;
+
+/// Timed passes over the corpus per differ in ablation 4.
+const DIFF_PASSES: usize = 7;
 
 fn main() {
     policy_gap();
@@ -95,35 +99,44 @@ fn spill_curve() {
 /// how much of the gap the correcting pass recovers.
 fn differ_comparison() {
     use ipr_delta::diff::{CorrectingDiffer, OnePassDiffer};
-    println!("\n== Ablation 4: differencing engines ==\n");
+    println!("\n== Ablation 4: differencing engines (median of {DIFF_PASSES} passes) ==\n");
     let corpus = experiment_corpus();
     let differs: [&dyn Differ; 3] = [
         &GreedyDiffer::default(),
         &OnePassDiffer::default(),
         &CorrectingDiffer::default(),
     ];
-    let mut t = Table::new(vec!["differ", "delta bytes", "compression", "diff time"]);
+    let mut t = Table::new(vec![
+        "differ",
+        "delta bytes",
+        "compression",
+        "diff time",
+        "p25–p75",
+    ]);
     let mut version_total = 0u64;
     for pair in &corpus {
         version_total += pair.version.len() as u64;
     }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     for differ in differs {
-        // Only the diffs are timed; the scripts are sized afterwards.
-        let (scripts, time) = timed(|| {
+        let diff_all = || {
             corpus
                 .iter()
                 .map(|pair| differ.diff(&pair.reference, &pair.version))
                 .collect::<Vec<_>>()
-        });
-        let delta: u64 = scripts
+        };
+        let delta: u64 = diff_all()
             .iter()
             .map(|script| encoded_size(script, Format::Ordered).expect("write-ordered"))
             .sum();
+        // Only the diffs are timed: each pass's scripts drop untimed.
+        let [p25, p50, p75] = quartiles(DIFF_PASSES, diff_all);
         t.row(vec![
             differ.name().into(),
             bytes(delta),
             pct(delta as f64 / version_total as f64),
-            format!("{:.0} ms", time.as_secs_f64() * 1e3),
+            format!("{:.0} ms", ms(p50)),
+            format!("{:.0}–{:.0} ms", ms(p25), ms(p75)),
         ]);
     }
     t.print();

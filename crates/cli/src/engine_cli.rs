@@ -88,7 +88,7 @@ impl EngineCli {
     pub fn take_policy(&mut self) -> Result<Option<CyclePolicy>, String> {
         let policy = self.take_with("policy", parse_policy)?;
         if let Some(p) = policy {
-            self.config.conversion.policy = p;
+            self.config.policy = p;
         }
         Ok(policy)
     }
@@ -265,7 +265,7 @@ mod tests {
         cli.finish_options().unwrap();
         let config = cli.config();
         assert_eq!(config.format, Format::Improved);
-        assert_eq!(config.conversion.policy, CyclePolicy::ConstantTime);
+        assert_eq!(config.policy, CyclePolicy::ConstantTime);
         assert_eq!(cli.engine().config(), config);
     }
 

@@ -308,7 +308,6 @@ fn cmd_convert(args: &[String]) -> CliResult {
         if !format.supports_out_of_order() {
             return Err(format!("format `{format}` cannot carry in-place deltas").into());
         }
-        cli.config_mut().conversion.cost_format = format;
     }
     cli.finish_options()?;
     let [reference_path, delta_path, out_path] =

@@ -14,11 +14,11 @@
 //!   the pending literal run, *correcting* bytes that were provisionally
 //!   classified as adds before the match was discovered.
 
-use super::indexed::{build_footprint_index, FootprintIndex, IndexedDiffer};
+use super::indexed::{build_footprint_index, extend_back, FootprintIndex, IndexedDiffer};
 use super::kernel;
 use super::rolling::RollingHash;
-use super::scratch::{self, IndexScratch, Seg, EMPTY};
-use super::Differ;
+use super::scratch::{self, IndexScratch, EMPTY};
+use super::{Differ, ScriptBuilder};
 use crate::script::DeltaScript;
 
 /// Linear-time differencing with match correction.
@@ -98,29 +98,19 @@ impl IndexedDiffer for CorrectingDiffer {
         index: &FootprintIndex<'_>,
         reference: &[u8],
         version: &[u8],
-        segs: &mut Vec<Seg>,
+        out: &mut ScriptBuilder,
     ) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
         let mut v = 0;
+        let mut lit_start = 0; // where the pending literal run starts
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
         let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v;
         while v <= last_window {
-            if hash_pos < v {
-                // Re-seed in O(seed_len) after a long copy instead of
-                // rolling through every skipped byte.
-                if v - hash_pos >= seed_len {
-                    h.reseed(&version[v..v + seed_len]);
-                    hash_pos = v;
-                } else {
-                    while hash_pos < v {
-                        h.roll(version[hash_pos], version[hash_pos + seed_len]);
-                        hash_pos += 1;
-                    }
-                }
-            }
+            h.slide(version, hash_pos, v);
+            hash_pos = v;
             let hash = h.hash();
             let mut best_from = 0usize;
             let mut best_len = 0usize;
@@ -147,35 +137,17 @@ impl IndexedDiffer for CorrectingDiffer {
             if best_len >= seed_len {
                 // Correction: extend the match backwards over the pending
                 // literal run.
-                let pending = match segs.last() {
-                    Some(Seg::Literal { len }) => *len as usize,
-                    _ => 0,
-                };
-                let reclaimable = pending.min(best_from).min(v);
-                let back = kernel::common_suffix(
-                    &reference[best_from - reclaimable..best_from],
-                    &version[v - reclaimable..v],
-                );
+                let back = extend_back(reference, best_from, version, lit_start, v);
                 extend_bytes += back as u64;
-                if back > 0 {
-                    match segs.last_mut() {
-                        Some(Seg::Literal { len }) if *len as usize == back => {
-                            segs.pop();
-                        }
-                        Some(Seg::Literal { len }) => *len -= back as u64,
-                        _ => unreachable!("reclaimable is bounded by the pending literal"),
-                    }
-                }
-                scratch::push_copy(segs, (best_from - back) as u64, (best_len + back) as u64);
+                out.push_literal(&version[lit_start..v - back]);
+                out.push_copy((best_from - back) as u64, (best_len + back) as u64);
                 v += best_len;
+                lit_start = v;
             } else {
-                scratch::push_lit(segs, 1);
                 v += 1;
             }
         }
-        if v < version.len() {
-            scratch::push_lit(segs, (version.len() - v) as u64);
-        }
+        out.push_literal(&version[lit_start..]);
         if probes > 0 {
             ipr_trace::with(|r| {
                 r.add("diff.probes", probes);

@@ -12,11 +12,11 @@
 //! fill whose few distinct windows all fail the test, is still indexed at
 //! a bounded gap and probed at every position.
 
-use super::indexed::IndexedDiffer;
+use super::indexed::{extend_back, IndexedDiffer};
 use super::kernel;
 use super::rolling::RollingHash;
-use super::scratch::{self, IndexScratch, Seg};
-use super::Differ;
+use super::scratch::{self, IndexScratch};
+use super::{Differ, ScriptBuilder};
 use crate::script::DeltaScript;
 
 /// Greedy byte-granularity differencing (after Reichenberger '91).
@@ -499,10 +499,17 @@ impl IndexedDiffer for GreedyDiffer {
         }
     }
 
-    fn scan(&self, index: &GreedyIndex<'_>, reference: &[u8], version: &[u8], segs: &mut Vec<Seg>) {
+    fn scan(
+        &self,
+        index: &GreedyIndex<'_>,
+        reference: &[u8],
+        version: &[u8],
+        out: &mut ScriptBuilder,
+    ) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
         let mut v = 0;
+        let mut lit_start = 0; // where the pending literal run starts
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
         // Non-checkpoints in a row since the version start, the last
@@ -514,24 +521,11 @@ impl IndexedDiffer for GreedyDiffer {
         let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v; // position the rolling hash currently covers
         while v <= last_window {
-            // Advance the rolling hash to position v: roll byte by byte
-            // for short hops, re-seed in O(seed_len) after a long copy
-            // (the catch-up would otherwise cost O(copy_len)).
-            if hash_pos < v {
-                if v - hash_pos >= seed_len {
-                    h.reseed(&version[v..v + seed_len]);
-                    hash_pos = v;
-                } else {
-                    while hash_pos < v {
-                        h.roll(version[hash_pos], version[hash_pos + seed_len]);
-                        hash_pos += 1;
-                    }
-                }
-            }
+            h.slide(version, hash_pos, v);
+            hash_pos = v;
             let key = mix(h.hash());
             run = if self.is_checkpoint(key) { 0 } else { run + 1 };
             if run > 0 && run < max_gap {
-                scratch::push_lit(segs, 1);
                 v += 1;
                 continue;
             }
@@ -568,29 +562,28 @@ impl IndexedDiffer for GreedyDiffer {
                 }
             }
             if best_len >= seed_len {
-                // Between checkpoints the scan emitted literals without
-                // looking; reclaim those the match extends backward over.
-                // At interval 1 every byte before the match was probed
+                // Between checkpoints the scan passed literals without
+                // looking; the match extends backward over them. At
+                // interval 1 every byte before the match was probed
                 // already; the full index skips this, so its output stays
                 // what it was.
                 let back = if self.interval > 1 {
-                    reclaim_literals(segs, reference, version, best_from, v)
+                    extend_back(reference, best_from, version, lit_start, v)
                 } else {
                     0
                 };
                 extend_bytes += back as u64;
-                scratch::push_copy(segs, (best_from - back) as u64, (best_len + back) as u64);
+                out.push_literal(&version[lit_start..v - back]);
+                out.push_copy((best_from - back) as u64, (best_len + back) as u64);
                 v += best_len;
+                lit_start = v;
                 run = 0;
             } else {
-                scratch::push_lit(segs, 1);
                 v += 1;
             }
         }
-        // Tail shorter than a seed: emit literally.
-        if v < version.len() {
-            scratch::push_lit(segs, (version.len() - v) as u64);
-        }
+        // The pending literal run, with the tail shorter than a seed.
+        out.push_literal(&version[lit_start..]);
         if probes > 0 {
             ipr_trace::with(|r| {
                 r.add("diff.probes", probes);
@@ -598,32 +591,6 @@ impl IndexedDiffer for GreedyDiffer {
             });
         }
     }
-}
-
-/// Extends a match of `version[v..]` against `reference[from..]` backward
-/// over the literal run that ends `segs`, shrinking or removing that run.
-/// Returns how many bytes the match grew by.
-fn reclaim_literals(
-    segs: &mut Vec<Seg>,
-    reference: &[u8],
-    version: &[u8],
-    from: usize,
-    v: usize,
-) -> usize {
-    let Some(&Seg::Literal { len: pending }) = segs.last() else {
-        return 0;
-    };
-    let reclaimable = (pending as usize).min(from);
-    let back = kernel::common_suffix(
-        &reference[from - reclaimable..from],
-        &version[v - reclaimable..v],
-    );
-    if back as u64 == pending {
-        segs.pop();
-    } else if let Some(Seg::Literal { len }) = segs.last_mut() {
-        *len -= back as u64;
-    }
-    back
 }
 
 impl Differ for GreedyDiffer {

@@ -1,6 +1,6 @@
 //! The one differencing path every engine runs: index the reference
-//! once, scan the whole version against that index in one forward pass,
-//! and replay the scan into the script. The phases:
+//! once, then scan the whole version against that index in one forward
+//! pass that writes the script. The phases:
 //!
 //! 1. **Index build** (`diff.index_build` span) — one immutable index over
 //!    the reference, built serially into the arena. The footprint family
@@ -12,15 +12,13 @@
 //!    checkpoints it rolls once and sorts only the offsets it keeps. The
 //!    `diff.index_bytes` gauge reports what the arena holds afterwards.
 //! 2. **Scan** (`diff.scan` span) — one forward pass over the version
-//!    file, emitting compact [`Seg`] runs into the arena's reused
-//!    buffer. A match runs to its true end, so no unchanged byte is
+//!    file. It pushes each literal run and each copy, as it finds them,
+//!    into a [`ScriptBuilder`] that draws its storage from the arena's
+//!    script pool. A match runs to its true end, so no unchanged byte is
 //!    compared twice.
-//!
-//! The segments are then replayed into a [`ScriptBuilder`] that draws its
-//! storage from the arena's script pool.
 
-use super::scratch::{self, DiffScratch, IndexScratch, Seg, EMPTY};
-use super::{Differ, RollingHash, ScriptBuilder};
+use super::scratch::{self, DiffScratch, IndexScratch, EMPTY};
+use super::{kernel, Differ, RollingHash, ScriptBuilder};
 use crate::script::DeltaScript;
 
 /// A differencing engine split into *build an index of the reference*
@@ -44,14 +42,20 @@ pub trait IndexedDiffer: Differ {
     /// Builds the reference index into `scratch`.
     fn build_index<'s>(&self, reference: &[u8], scratch: &'s mut IndexScratch) -> Self::Index<'s>;
 
-    /// Scans the whole of `version` against the index, appending
-    /// [`Seg`]s that exactly tile it. Both files are at least
-    /// [`seed_len`](IndexedDiffer::seed_len) bytes long.
-    fn scan(&self, index: &Self::Index<'_>, reference: &[u8], version: &[u8], segs: &mut Vec<Seg>);
+    /// Scans the whole of `version` against the index, pushing literal
+    /// runs and copies that exactly tile it into `out`. Both files are
+    /// at least [`seed_len`](IndexedDiffer::seed_len) bytes long.
+    fn scan(
+        &self,
+        index: &Self::Index<'_>,
+        reference: &[u8],
+        version: &[u8],
+        out: &mut ScriptBuilder,
+    );
 
     /// Diffs `version` against `reference` through an explicit arena:
-    /// one index build, one scan, and the segments replayed into the
-    /// script. A warm arena allocates nothing.
+    /// one index build, then one scan that writes the script. A warm
+    /// arena allocates nothing.
     #[must_use]
     fn diff_with(
         &self,
@@ -64,38 +68,38 @@ pub trait IndexedDiffer: Differ {
             r.add("diff.reference_bytes", reference.len() as u64);
             r.add("diff.version_bytes", version.len() as u64);
         });
-        let source_len = reference.len() as u64;
-        let DiffScratch { index, segs, pool } = scratch;
+        let DiffScratch { index, pool } = scratch;
         let mut builder = ScriptBuilder::from_pool(pool);
         if version.len() < self.seed_len() || reference.len() < self.seed_len() {
             builder.push_literal(version);
-            return builder.finish_into_pool(source_len, pool);
-        }
-        let idx = {
-            let _span = ipr_trace::span("diff.index_build");
-            self.build_index(reference, index)
-        };
-        segs.clear();
-        {
+        } else {
+            let idx = {
+                let _span = ipr_trace::span("diff.index_build");
+                self.build_index(reference, index)
+            };
             let _span = ipr_trace::span("diff.scan");
-            self.scan(&idx, reference, version, segs);
+            self.scan(&idx, reference, version, &mut builder);
         }
-        let mut pos = 0usize;
-        for seg in segs.iter() {
-            match *seg {
-                Seg::Literal { len } => {
-                    builder.push_literal(&version[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                Seg::Copy { from, len } => {
-                    builder.push_copy(from, len);
-                    pos += len as usize;
-                }
-            }
-        }
-        debug_assert_eq!(pos, version.len(), "segments must tile the version");
-        builder.finish_into_pool(source_len, pool)
+        builder.finish_into_pool(reference.len() as u64, pool)
     }
+}
+
+/// How far a match of `version[v..]` against `reference[from..]` extends
+/// backward over the literal run `version[lit_start..v]` before it: the
+/// bytes a scan passed as literal before it found the match.
+#[inline]
+pub(crate) fn extend_back(
+    reference: &[u8],
+    from: usize,
+    version: &[u8],
+    lit_start: usize,
+    v: usize,
+) -> usize {
+    let reclaimable = (v - lit_start).min(from);
+    kernel::common_suffix(
+        &reference[from - reclaimable..from],
+        &version[v - reclaimable..v],
+    )
 }
 
 /// Footprint-table index (one-pass and correcting differs).

@@ -40,7 +40,7 @@ pub use greedy::{GreedyDiffer, GreedyIndex};
 pub use indexed::{FootprintIndex, IndexedDiffer};
 pub use onepass::OnePassDiffer;
 pub use rolling::{hash_of, RollingHash};
-pub use scratch::{DiffScratch, IndexScratch, Seg};
+pub use scratch::{DiffScratch, IndexScratch};
 
 use crate::command::Command;
 use crate::script::DeltaScript;
@@ -128,31 +128,6 @@ impl ScriptBuilder {
     /// Appends one literal byte at the cursor.
     pub fn push_byte(&mut self, byte: u8) {
         self.pending.push(byte);
-    }
-
-    /// Number of literal bytes pending (not yet flushed into an add
-    /// command). These are the bytes a backward-extending matcher may
-    /// still reclaim.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Discards the last `n` pending literal bytes, handing the cursor
-    /// back so a copy command can cover them instead (backward match
-    /// extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`ScriptBuilder::pending_len`] — only
-    /// uncommitted literals can be reclaimed.
-    pub fn reclaim_pending(&mut self, n: usize) {
-        assert!(
-            n <= self.pending.len(),
-            "cannot reclaim {n} bytes, only {} pending",
-            self.pending.len()
-        );
-        self.pending.truncate(self.pending.len() - n);
     }
 
     /// Appends a copy of `len` reference bytes starting at `from`.

@@ -3,8 +3,8 @@
 use super::indexed::{build_footprint_index, FootprintIndex, IndexedDiffer};
 use super::kernel;
 use super::rolling::RollingHash;
-use super::scratch::{self, IndexScratch, Seg, EMPTY};
-use super::Differ;
+use super::scratch::{self, IndexScratch, EMPTY};
+use super::{Differ, ScriptBuilder};
 use crate::script::DeltaScript;
 
 /// One-pass differencing with a fixed-size footprint table.
@@ -94,31 +94,20 @@ impl IndexedDiffer for OnePassDiffer {
         index: &FootprintIndex<'_>,
         reference: &[u8],
         version: &[u8],
-        segs: &mut Vec<Seg>,
+        out: &mut ScriptBuilder,
     ) {
         let seed_len = self.seed_len;
         let last_window = version.len() - seed_len;
         let mut v = 0;
+        let mut lit_start = 0; // where the pending literal run starts
         let mut probes = 0u64;
         let mut extend_bytes = 0u64;
         let mut h = RollingHash::new(&version[..seed_len]);
         let mut hash_pos = v;
         while v <= last_window {
-            if hash_pos < v {
-                // Re-seed in O(seed_len) after a long copy instead of
-                // rolling through every skipped byte.
-                if v - hash_pos >= seed_len {
-                    h.reseed(&version[v..v + seed_len]);
-                    hash_pos = v;
-                } else {
-                    while hash_pos < v {
-                        h.roll(version[hash_pos], version[hash_pos + seed_len]);
-                        hash_pos += 1;
-                    }
-                }
-            }
+            h.slide(version, hash_pos, v);
+            hash_pos = v;
             let cand = index.first(h.hash());
-            let mut matched = false;
             if cand != EMPTY {
                 probes += 1;
                 let c = cand as usize;
@@ -129,19 +118,16 @@ impl IndexedDiffer for OnePassDiffer {
                             &version[v + seed_len..],
                         );
                     extend_bytes += (len - seed_len) as u64;
-                    scratch::push_copy(segs, c as u64, len as u64);
+                    out.push_literal(&version[lit_start..v]);
+                    out.push_copy(c as u64, len as u64);
                     v += len;
-                    matched = true;
+                    lit_start = v;
+                    continue;
                 }
             }
-            if !matched {
-                scratch::push_lit(segs, 1);
-                v += 1;
-            }
+            v += 1;
         }
-        if v < version.len() {
-            scratch::push_lit(segs, (version.len() - v) as u64);
-        }
+        out.push_literal(&version[lit_start..]);
         if probes > 0 {
             ipr_trace::with(|r| {
                 r.add("diff.probes", probes);

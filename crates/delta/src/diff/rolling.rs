@@ -79,6 +79,22 @@ impl RollingHash {
         self.hash = hash;
     }
 
+    /// Moves the window from `data[from..]` to `data[to..]`, `from <= to`:
+    /// rolls over a hop shorter than the window, and re-seeds after a
+    /// longer one, such as a copy, where rolling would cost one step per
+    /// skipped byte.
+    #[inline]
+    pub(crate) fn slide(&mut self, data: &[u8], from: usize, to: usize) {
+        if to - from >= self.width {
+            self.reseed(&data[to..to + self.width]);
+        } else {
+            let incoming = &data[from + self.width..to + self.width];
+            for (&outgoing, &incoming) in data[from..to].iter().zip(incoming) {
+                self.roll(outgoing, incoming);
+            }
+        }
+    }
+
     /// Current hash value.
     #[must_use]
     pub fn hash(&self) -> u64 {
@@ -150,6 +166,16 @@ mod tests {
         // Rolling continues correctly from the reseeded window.
         h.roll(data[40], data[56]);
         assert_eq!(h.hash(), hash_of(&data[41..57]));
+    }
+
+    #[test]
+    fn slide_equals_fresh_hash_over_any_hop() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 29 % 251) as u8).collect();
+        for hop in [0, 1, 7, 15, 16, 17, 60] {
+            let mut h = RollingHash::new(&data[3..19]);
+            h.slide(&data, 3, 3 + hop);
+            assert_eq!(h.hash(), hash_of(&data[3 + hop..19 + hop]), "hop {hop}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every differ needs per-call working storage — footprint tables for the
 //! constant-space family, the sorted seed-hash index for the greedy
-//! family, and the segment buffer the scan fills.
+//! family, and the storage of the script the scan builds.
 //! Allocating those on every `diff` call puts the allocator on the
 //! critical path of the pipeline's dominant phase (differencing is ~97%
 //! of end-to-end time in `results/BENCH_phase_breakdown.json`). A
@@ -85,58 +85,6 @@ impl IndexScratch {
     }
 }
 
-/// One segment of a version scan, relative to a running version offset.
-///
-/// The scan records *where version bytes come from*, not the bytes
-/// themselves; literal payloads are sliced out of the version file only
-/// when the final script is built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Seg {
-    /// Copy `len` bytes from reference offset `from`.
-    Copy {
-        /// Reference offset the bytes come from.
-        from: u64,
-        /// Number of bytes copied.
-        len: u64,
-    },
-    /// `len` literal bytes taken from the version file at the running
-    /// offset.
-    Literal {
-        /// Number of literal bytes.
-        len: u64,
-    },
-}
-
-/// Appends a literal run, coalescing with a trailing literal segment.
-pub(crate) fn push_lit(segs: &mut Vec<Seg>, len: u64) {
-    if len == 0 {
-        return;
-    }
-    if let Some(Seg::Literal { len: prev }) = segs.last_mut() {
-        *prev += len;
-        return;
-    }
-    segs.push(Seg::Literal { len });
-}
-
-/// Appends a copy, coalescing with a trailing contiguous copy segment.
-pub(crate) fn push_copy(segs: &mut Vec<Seg>, from: u64, len: u64) {
-    if len == 0 {
-        return;
-    }
-    if let Some(Seg::Copy {
-        from: prev_from,
-        len: prev_len,
-    }) = segs.last_mut()
-    {
-        if *prev_from + *prev_len == from {
-            *prev_len += len;
-            return;
-        }
-    }
-    segs.push(Seg::Copy { from, len });
-}
-
 /// Reusable differencing arena; see the module docs.
 ///
 /// A `DiffScratch` is plain storage — it carries no configuration, so one
@@ -149,8 +97,6 @@ pub(crate) fn push_copy(segs: &mut Vec<Seg>, from: u64, len: u64) {
 pub struct DiffScratch {
     /// Reference-index storage.
     pub(crate) index: IndexScratch,
-    /// Segment buffer the version scan fills.
-    pub(crate) segs: Vec<Seg>,
     /// Recycled script storage the produced script is built from.
     pub(crate) pool: crate::ScriptPool,
 }
@@ -217,47 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn literal_segments_coalesce() {
-        let mut segs = Vec::new();
-        push_lit(&mut segs, 3);
-        push_lit(&mut segs, 0);
-        push_lit(&mut segs, 2);
-        assert_eq!(segs, vec![Seg::Literal { len: 5 }]);
-    }
-
-    #[test]
-    fn contiguous_copies_coalesce() {
-        let mut segs = Vec::new();
-        push_copy(&mut segs, 10, 4);
-        push_copy(&mut segs, 14, 2);
-        push_copy(&mut segs, 30, 1);
-        assert_eq!(
-            segs,
-            vec![
-                Seg::Copy { from: 10, len: 6 },
-                Seg::Copy { from: 30, len: 1 }
-            ]
-        );
-    }
-
-    #[test]
-    fn literal_breaks_copy_coalescing() {
-        let mut segs = Vec::new();
-        push_copy(&mut segs, 0, 4);
-        push_lit(&mut segs, 1);
-        push_copy(&mut segs, 4, 4);
-        assert_eq!(segs.len(), 3);
-    }
-
-    #[test]
     fn thread_scratch_reuses_capacity() {
         with_thread_scratch(|s| {
             s.index.firsts.resize(1024, EMPTY);
-            s.segs.reserve(64);
         });
         with_thread_scratch(|s| {
             assert!(s.index.firsts.capacity() >= 1024);
-            assert!(s.segs.capacity() >= 64);
         });
     }
 }

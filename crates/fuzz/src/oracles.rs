@@ -733,10 +733,7 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let format = ENGINE_FORMATS[(salt / 2 % ENGINE_FORMATS.len() as u64) as usize];
 
     let config = ipr_pipeline::EngineConfig {
-        conversion: ConversionConfig {
-            policy,
-            cost_format: format,
-        },
+        policy,
         format,
         ..ipr_pipeline::EngineConfig::default()
     };
@@ -744,7 +741,11 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
 
     // The legacy path, from the same primitives the engine wraps.
     let script = GreedyDiffer::sampled().diff(&case.reference, &version);
-    let legacy = convert_to_in_place(&script, &case.reference, &config.conversion)
+    let conversion = ConversionConfig {
+        policy,
+        cost_format: format,
+    };
+    let legacy = convert_to_in_place(&script, &case.reference, &conversion)
         .map_err(|e| format!("{tag}: legacy conversion failed: {e}"))?;
     let legacy_wire = encode_checked(&legacy.script, format, &version)
         .map_err(|e| format!("{tag}: legacy encode failed: {e}"))?;
@@ -1116,12 +1117,10 @@ pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
 
     // Ground truth: the target the delta declares, applied offline.
     let version = scratch_apply(case)?;
-    let mut config = ipr_pipeline::EngineConfig {
+    let mut engine = ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig {
         format,
         ..ipr_pipeline::EngineConfig::default()
-    };
-    config.conversion.cost_format = format;
-    let mut engine = ipr_pipeline::Engine::with_config(config);
+    });
     let stream = engine
         .stream_update(&case.reference, &version, chunk)
         .map_err(|e| format!("{tag}: stream_update failed: {e}"))?;

@@ -3,7 +3,7 @@
 use crate::error::EngineError;
 use ipr_core::{
     apply_in_place, check_in_place_safe_with, convert_in_place_pooled, ConversionConfig,
-    ConversionReport, ConvertError, ConvertScratch, InPlaceOutcome,
+    ConversionReport, ConvertError, ConvertScratch, CyclePolicy, InPlaceOutcome,
 };
 use ipr_delta::codec::{self, Format};
 use ipr_delta::compose_chain;
@@ -14,9 +14,10 @@ use ipr_delta::DeltaScript;
 /// Configuration shared by every stage of an [`Engine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// In-place conversion settings (cycle policy + cost format).
-    pub conversion: ConversionConfig,
-    /// Wire format updates are encoded in.
+    /// Cycle-breaking policy of in-place conversion.
+    pub policy: CyclePolicy,
+    /// Wire format updates are encoded in, and the format conversion
+    /// costs the copies it breaks in.
     pub format: Format,
     /// Ignored: every stage runs on the calling thread, the diff as one
     /// scan of the version and application in the script's order (the
@@ -35,7 +36,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            conversion: ConversionConfig::default(),
+            policy: CyclePolicy::default(),
             format: Format::InPlace,
             threads: 1,
             chunking: Chunking::default(),
@@ -181,8 +182,10 @@ impl<D: IndexedDiffer> Engine<D> {
         remote::generate_delta(signature, version)
     }
 
-    /// Stage 2: converts `script` for in-place reconstruction, consuming
-    /// it (its storage is recycled into the engine's pool).
+    /// Stage 2: converts `script` for in-place reconstruction under the
+    /// engine's [`policy`](EngineConfig::policy), costing the copies it
+    /// breaks in its [`format`](EngineConfig::format), and consumes it
+    /// (its storage is recycled into the engine's pool).
     ///
     /// # Errors
     ///
@@ -195,7 +198,10 @@ impl<D: IndexedDiffer> Engine<D> {
         convert_in_place_pooled(
             script,
             reference,
-            &self.config.conversion,
+            &ConversionConfig {
+                policy: self.config.policy,
+                cost_format: self.config.format,
+            },
             &mut self.convert_scratch,
             self.diff_scratch.pool_mut(),
         )

@@ -1,6 +1,6 @@
 //! Engine stage equivalence and session-reuse behaviour.
 
-use ipr_core::{apply_in_place, convert_to_in_place, CyclePolicy};
+use ipr_core::{apply_in_place, convert_to_in_place, ConversionConfig, CyclePolicy};
 use ipr_delta::codec::{self, Format};
 use ipr_delta::diff::{Differ, GreedyDiffer, OnePassDiffer};
 use ipr_delta::{apply, compose_chain};
@@ -28,11 +28,17 @@ fn update_matches_legacy_pipeline() {
         CyclePolicy::LocallyMinimum,
         CyclePolicy::Exhaustive { limit: 24 },
     ] {
-        let mut config = EngineConfig::default();
-        config.conversion.policy = policy;
-        let mut engine = Engine::with_config(config);
+        let mut engine = Engine::with_config(EngineConfig {
+            policy,
+            ..EngineConfig::default()
+        });
 
-        let legacy = convert_to_in_place(&legacy_script, &reference, &config.conversion).unwrap();
+        let legacy = convert_to_in_place(
+            &legacy_script,
+            &reference,
+            &ConversionConfig::with_policy(policy),
+        )
+        .unwrap();
         let legacy_payload =
             codec::encode_checked(&legacy.script, Format::InPlace, &version).unwrap();
 
@@ -144,12 +150,8 @@ fn custom_differ_sessions_work() {
     let mut engine = Engine::with_differ(OnePassDiffer::default(), EngineConfig::default());
     let delta = engine.update(&reference, &version).unwrap();
     let legacy_script = OnePassDiffer::default().diff(&reference, &version);
-    let legacy = convert_to_in_place(
-        &legacy_script,
-        &reference,
-        &EngineConfig::default().conversion,
-    )
-    .unwrap();
+    let legacy =
+        convert_to_in_place(&legacy_script, &reference, &ConversionConfig::default()).unwrap();
     assert_eq!(delta.script, legacy.script);
 }
 

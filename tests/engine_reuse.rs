@@ -63,9 +63,10 @@ fn edited_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
 
 /// An engine config for one cycle policy.
 fn config_for(policy: CyclePolicy) -> EngineConfig {
-    let mut config = EngineConfig::default();
-    config.conversion.policy = policy;
-    config
+    EngineConfig {
+        policy,
+        ..EngineConfig::default()
+    }
 }
 
 /// One update on `engine`, compared against a fresh engine with the same
