@@ -19,7 +19,13 @@
 //!   [`apply_in_place`](ipr_pipeline::Engine::apply_in_place) → encode)
 //!   separately, so allocator traffic is attributed per stage. The apply
 //!   stage is the engine's checked serial applier run on the converted
-//!   script, into a buffer prepared outside the measured region.
+//!   script, into a buffer prepared outside the measured region;
+//! * **fan-out** — one reference, the chain's first release, with every
+//!   later release diffed against it, as a server prepares updates for
+//!   one fielded image. Cold is a fresh engine per update, so each one
+//!   builds the reference index and cold builds stay measured; warm is
+//!   one engine over two passes (fill, then steady), which indexes the
+//!   reference once and scans it for every release after.
 //!
 //! Allocations are counted by a `#[global_allocator]` wrapper around the
 //! system allocator. The contract: at steady state **every** stage —
@@ -40,7 +46,12 @@
 //!   within-run gate: it holds on any host and any chain size);
 //! * **allocator traffic** — steady-state allocations per update may not
 //!   exceed the baseline's by more than [`ALLOC_TOLERANCE`] (counts are
-//!   deterministic, so growth is a real buffering regression, not noise).
+//!   deterministic, so growth is a real buffering regression, not noise);
+//! * **fan-out** (within the run) — every warm payload is byte-identical
+//!   to the cold one for the same release; a fresh engine's warm pass,
+//!   run on its own under a [`StatsRecorder`](ipr_trace::StatsRecorder)
+//!   so the measured passes stay unrecorded, builds exactly one index;
+//!   and the steady warm fan-out makes no allocation.
 //!
 //! Absolute times are printed but never gated. The baseline file is left
 //! untouched in this mode.
@@ -53,6 +64,7 @@ use ipr_workloads::chain::{ChainPattern, VersionChain};
 use ipr_workloads::content::ContentKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Gate: steady-state allocations per update may grow at most this much
@@ -159,11 +171,11 @@ fn main() {
 
     // Warm, first pass: one engine, arenas growing to the high-water mark.
     let mut engine = Engine::new();
-    let warm_fill = warm_pass(&mut engine, &chain);
+    let warm_fill = warm_pass(&mut engine, chain.hops(), |_, _| {});
 
     // Warm, steady state: second pass over the chain — every buffer the
     // pipeline needs has already reached its final size.
-    let warm_steady = warm_pass(&mut engine, &chain);
+    let warm_steady = warm_pass(&mut engine, chain.hops(), |_, _| {});
 
     // Stage attribution at steady state: drive the stages separately so
     // each one's allocator traffic is measured on its own. Two passes —
@@ -215,6 +227,41 @@ fn main() {
     }
     let [diff, convert, apply, encode] = stages;
 
+    // Fan-out: every later release against the first. The cold payloads
+    // are what each warm pass must reproduce.
+    let (fielded, releases) = chain
+        .releases()
+        .split_first()
+        .expect("the chain has a first release");
+    let mut fan_cold = Measure::default();
+    let mut cold_payloads = Vec::with_capacity(releases.len());
+    for version in releases {
+        let (delta, m) = measured(|| {
+            let mut engine = Engine::new();
+            engine.update(fielded, version).expect("update succeeds")
+        });
+        cold_payloads.push(delta.payload);
+        fan_cold.add(m);
+    }
+    let fan_out = || releases.iter().map(|version| (&fielded[..], &version[..]));
+    let mut fan_differ = 0;
+    let mut check = |i: usize, delta: &InPlaceDelta| {
+        fan_differ += usize::from(delta.payload != cold_payloads[i]);
+    };
+    let mut engine = Engine::new();
+    let fan_fill = warm_pass(&mut engine, fan_out(), &mut check);
+    let fan_steady = warm_pass(&mut engine, fan_out(), &mut check);
+    let recorder = Arc::new(ipr_trace::StatsRecorder::new());
+    {
+        let _guard = ipr_trace::install(recorder.clone());
+        warm_pass(&mut Engine::new(), fan_out(), &mut check);
+    }
+    let fan_builds = recorder
+        .report()
+        .span("diff.index_build")
+        .map_or(0, |span| span.count);
+    let fan_speedup = fan_cold.total_ns as f64 / fan_steady.total_ns.max(1) as f64;
+
     let per_update = |m: &Measure| m.allocs as f64 / hops as f64;
     let speedup = cold.total_ns as f64 / warm_steady.total_ns.max(1) as f64;
     println!(
@@ -258,6 +305,28 @@ fn main() {
             per_update(m)
         );
     }
+    println!("\nFan-out: {} releases against the first\n", releases.len());
+    println!(
+        "{:<14} {:>12} {:>12} {:>14} {:>14}",
+        "pass", "total ms", "allocs", "allocs/update", "alloc KiB"
+    );
+    for (label, m) in [
+        ("cold", &fan_cold),
+        ("warm fill", &fan_fill),
+        ("warm steady", &fan_steady),
+    ] {
+        println!(
+            "{:<14} {:>12.2} {:>12} {:>14.1} {:>14}",
+            label,
+            m.total_ns as f64 / 1e6,
+            m.allocs,
+            m.allocs as f64 / releases.len() as f64,
+            m.alloc_bytes / 1024
+        );
+    }
+    println!(
+        "\nwarm steady fan-out is {fan_speedup:.2}x cold; a warm pass builds {fan_builds} index(es)"
+    );
 
     let Some(path) = compare else {
         baseline::write(
@@ -274,6 +343,14 @@ fn main() {
                     "convert": convert.json(),
                     "apply": apply.json(),
                     "encode": encode.json(),
+                },
+                "fan_out": object! {
+                    "releases": releases.len(),
+                    "warm_index_builds": fan_builds,
+                    "warm_steady_speedup": fixed(fan_speedup, 3),
+                    "cold": fan_cold.json(),
+                    "warm_fill": fan_fill.json(),
+                    "warm_steady": fan_steady.json(),
                 },
             },
         );
@@ -305,14 +382,35 @@ fn main() {
         Bound::AtMost(base_rate * ALLOC_TOLERANCE),
         &format!("{rate:.1} vs baseline {base_rate:.1} x {ALLOC_TOLERANCE}"),
     );
+    // Fan-out, within the run: reuse changes no byte, indexes once and
+    // allocates nothing once warm.
+    gates.bound(
+        "fan-out warm payloads differing from cold",
+        fan_differ as f64,
+        Bound::AtMost(0.0),
+        &format!("{fan_differ} of {}", 3 * releases.len()),
+    );
+    gates.exact("fan-out warm index builds", fan_builds, 1);
+    gates.bound(
+        "steady fan-out allocations",
+        fan_steady.allocs as f64,
+        Bound::AtMost(0.0),
+        &fan_steady.allocs.to_string(),
+    );
     gates.finish();
 }
 
-/// One full pass of the chain through `engine`, deltas recycled.
-fn warm_pass(engine: &mut Engine, chain: &VersionChain) -> Measure {
+/// One pass of `pairs` through `engine`, each delta shown to `check`
+/// with its index outside the measured region, then recycled.
+fn warm_pass<'a>(
+    engine: &mut Engine,
+    pairs: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    mut check: impl FnMut(usize, &InPlaceDelta),
+) -> Measure {
     let mut total = Measure::default();
-    for (reference, version) in chain.hops() {
+    for (i, (reference, version)) in pairs.enumerate() {
         let (delta, m) = measured(|| engine.update(reference, version).expect("update succeeds"));
+        check(i, &delta);
         engine.recycle(delta);
         total.add(m);
     }

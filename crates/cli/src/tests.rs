@@ -465,11 +465,28 @@ fn diff_stats_show_one_index_build_and_one_scan() {
     let raw = std::fs::read_to_string(&out).unwrap();
     let v = ipr_trace::json::parse(&raw).expect("stats output is valid JSON");
     let spans = v.get("spans").unwrap();
-    for name in ["diff", "diff.index_build", "diff.scan"] {
+    for name in [
+        "diff",
+        "diff.index_build",
+        "diff.index_build.roll",
+        "diff.index_build.scatter",
+        "diff.index_build.sort",
+        "diff.scan",
+    ] {
         let span = spans
             .get(name)
             .unwrap_or_else(|| panic!("span {name} missing in {raw}"));
         assert_eq!(span.get("count").unwrap().as_u64(), Some(1), "{name}");
+    }
+    // The build's phases are its children.
+    let depth = |name: &str| spans.get(name).and_then(|s| s.get("depth")?.as_u64());
+    for phase in ["roll", "scatter", "sort"] {
+        let name = format!("diff.index_build.{phase}");
+        assert_eq!(
+            depth(&name),
+            depth("diff.index_build").map(|d| d + 1),
+            "{name} in {raw}"
+        );
     }
     let counter = |name: &str| {
         v.get("counters")

@@ -14,7 +14,9 @@
 //!   the pending literal run, *correcting* bytes that were provisionally
 //!   classified as adds before the match was discovered.
 
-use super::indexed::{build_footprint_index, extend_back, FootprintIndex, IndexedDiffer};
+use super::indexed::{
+    build_footprint_index, extend_back, footprint_index, FootprintIndex, IndexedDiffer,
+};
 use super::kernel;
 use super::rolling::RollingHash;
 use super::scratch::{self, IndexScratch, EMPTY};
@@ -85,12 +87,12 @@ impl IndexedDiffer for CorrectingDiffer {
     }
 
     /// Footprint table with first-seen and last-seen offsets per slot.
-    fn build_index<'s>(
-        &self,
-        reference: &[u8],
-        scratch: &'s mut IndexScratch,
-    ) -> FootprintIndex<'s> {
-        build_footprint_index(reference, self.seed_len, self.table_bits, true, scratch)
+    fn build_index(&self, reference: &[u8], scratch: &mut IndexScratch) {
+        build_footprint_index(reference, self.seed_len, self.table_bits, true, scratch);
+    }
+
+    fn index<'s>(&self, scratch: &'s IndexScratch) -> FootprintIndex<'s> {
+        footprint_index(self.table_bits, scratch)
     }
 
     fn scan(
@@ -139,8 +141,11 @@ impl IndexedDiffer for CorrectingDiffer {
                 // literal run.
                 let back = extend_back(reference, best_from, version, lit_start, v);
                 extend_bytes += back as u64;
-                out.push_literal(&version[lit_start..v - back]);
-                out.push_copy((best_from - back) as u64, (best_len + back) as u64);
+                out.push_literal_then_copy(
+                    &version[lit_start..v - back],
+                    (best_from - back) as u64,
+                    (best_len + back) as u64,
+                );
                 v += best_len;
                 lit_start = v;
             } else {

@@ -163,6 +163,12 @@ const INSERTION_MOVES: usize = 32;
 /// bucket number, so buckets come out nearly sorted.
 const SUB_BITS: u32 = 2;
 
+/// Bucket-number bits of an index of `n` entries: about n/4 buckets, a
+/// power of two in (n/6, n/3]. A key's bucket is its top this-many bits.
+fn bucket_bits(n: usize) -> u32 {
+    (n / 3).max(2).ilog2()
+}
+
 /// The splitmix64 finalizer. It is a bijection on `u64`, so two offsets
 /// share a key exactly when they share a seed hash; and its top bits,
 /// which pick the partition and bucket, are uniform where the
@@ -379,8 +385,10 @@ impl IndexedDiffer for GreedyDiffer {
     /// Builds the sorted index. At checkpoint interval 1 it rolls the
     /// hash twice, and every other pass streams through memory or stays
     /// within one L2-sized partition. Above 1 it rolls once into the
-    /// partition buffer and sorts only what it kept.
-    fn build_index<'s>(&self, reference: &[u8], scratch: &'s mut IndexScratch) -> GreedyIndex<'s> {
+    /// partition buffer and sorts only what it kept. Each phase is a
+    /// child span of `diff.index_build`: `.roll` (above 1 only; at 1 the
+    /// hash is rolled inside the scatter), `.scatter` and `.sort`.
+    fn build_index(&self, reference: &[u8], scratch: &mut IndexScratch) {
         let seed_len = self.seed_len;
         let positions = scratch::indexed_len((reference.len() + 1).saturating_sub(seed_len));
         let IndexScratch {
@@ -401,6 +409,7 @@ impl IndexedDiffer for GreedyDiffer {
             };
             (every, positions)
         } else {
+            let _span = ipr_trace::span("diff.index_build.roll");
             self.roll_checkpoints(reference, positions, part_keys, part_offsets);
             let sampled = Entries::Sampled {
                 keys: part_keys,
@@ -408,10 +417,9 @@ impl IndexedDiffer for GreedyDiffer {
             };
             (sampled, part_keys.len())
         };
-        // About n/4 buckets (a power of two in (n/6, n/3]), in
-        // partitions of 16–32 Ki entries; each partition owns
-        // `1 << local_bits` consecutive buckets.
-        let bucket_bits = (n / 3).max(2).ilog2();
+        // About n/4 buckets, in partitions of 16–32 Ki entries; each
+        // partition owns `1 << local_bits` consecutive buckets.
+        let bucket_bits = bucket_bits(n);
         let part_bits = (n >> PARTITION_LOG2).max(1).ilog2().min(bucket_bits);
         let local_bits = bucket_bits - part_bits;
         let (parts, per_part) = (1usize << part_bits, 1usize << local_bits);
@@ -419,6 +427,7 @@ impl IndexedDiffer for GreedyDiffer {
         let part_of = |key: u64| (key >> shift) as usize >> local_bits;
         counts.clear();
         counts.resize(parts.max(per_part << SUB_BITS), 0);
+        let scatter = ipr_trace::span("diff.index_build.scatter");
 
         // 1. Count each partition's entries.
         entries.for_each(|key, _| counts[part_of(key)] += 1);
@@ -446,6 +455,8 @@ impl IndexedDiffer for GreedyDiffer {
             offsets[*cursor as usize] = offset;
             *cursor += 1;
         });
+        drop(scatter);
+        let _span = ipr_trace::span("diff.index_build.sort");
 
         // 3. Counting-sort each partition through the partition buffer
         //    into its buckets, order each bucket by key, and copy it back.
@@ -490,12 +501,16 @@ impl IndexedDiffer for GreedyDiffer {
             offsets[lo..hi].copy_from_slice(&part_offsets[..hi - lo]);
         }
         scratch.record_bytes();
+    }
+
+    /// The four tables, and the bucket shift their entry count fixes.
+    fn index<'s>(&self, scratch: &'s IndexScratch) -> GreedyIndex<'s> {
         GreedyIndex {
             keys: &scratch.keys,
             offsets: &scratch.offsets,
             starts: &scratch.starts,
             filters: &scratch.filters,
-            shift,
+            shift: 64 - bucket_bits(scratch.keys.len()),
         }
     }
 
@@ -573,8 +588,11 @@ impl IndexedDiffer for GreedyDiffer {
                     0
                 };
                 extend_bytes += back as u64;
-                out.push_literal(&version[lit_start..v - back]);
-                out.push_copy((best_from - back) as u64, (best_len + back) as u64);
+                out.push_literal_then_copy(
+                    &version[lit_start..v - back],
+                    (best_from - back) as u64,
+                    (best_len + back) as u64,
+                );
                 v += best_len;
                 lit_start = v;
                 run = 0;
@@ -647,7 +665,8 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         let differ = GreedyDiffer::new(seed_len).with_checkpoint_interval(interval);
         let model = naive_index(&differ, reference);
-        let index = differ.build_index(reference, scratch);
+        differ.build_index(reference, scratch);
+        let index = differ.index(scratch);
         for (&hash, chain) in &model {
             let got: Vec<usize> = index.candidates(mix(hash)).collect();
             prop_assert_eq!(&got, chain, "seed hash {:#x} at p = {}", hash, interval);
@@ -765,7 +784,7 @@ mod tests {
         let mut scratch = IndexScratch::default();
         {
             let _guard = ipr_trace::install(stats.clone());
-            let _ = differ.build_index(&reference, &mut scratch);
+            differ.build_index(&reference, &mut scratch);
         }
         let bytes = stats.report().gauge("diff.index_bytes");
         assert_eq!(bytes, Some(scratch.retained_bytes()));

@@ -11,11 +11,15 @@
 //!    indexed it rolls the hash over the reference twice; with
 //!    checkpoints it rolls once and sorts only the offsets it keeps. The
 //!    `diff.index_bytes` gauge reports what the arena holds afterwards.
+//!    A caller that knows the arena already holds this differ's index of
+//!    the same bytes skips the build
+//!    ([`IndexedDiffer::diff_indexed`]).
 //! 2. **Scan** (`diff.scan` span) — one forward pass over the version
-//!    file. It pushes each literal run and each copy, as it finds them,
-//!    into a [`ScriptBuilder`] that draws its storage from the arena's
-//!    script pool. A match runs to its true end, so no unchanged byte is
-//!    compared twice.
+//!    file against the index the arena holds
+//!    ([`IndexedDiffer::index`]). It pushes each literal run and each
+//!    copy, as it finds them, into a [`ScriptBuilder`] that draws its
+//!    storage from the arena's script pool. A match runs to its true end,
+//!    so no unchanged byte is compared twice.
 
 use super::scratch::{self, DiffScratch, IndexScratch, EMPTY};
 use super::{kernel, Differ, RollingHash, ScriptBuilder};
@@ -39,8 +43,22 @@ pub trait IndexedDiffer: Differ {
     /// Seed (minimum match) length.
     fn seed_len(&self) -> usize;
 
-    /// Builds the reference index into `scratch`.
-    fn build_index<'s>(&self, reference: &[u8], scratch: &'s mut IndexScratch) -> Self::Index<'s>;
+    /// Whether a diff of `version` against `reference` builds or scans an
+    /// index: only when both files hold a seed. Otherwise the version is
+    /// one literal run and the arena's index is left as it was.
+    fn uses_index(&self, reference: &[u8], version: &[u8]) -> bool {
+        reference.len() >= self.seed_len() && version.len() >= self.seed_len()
+    }
+
+    /// Builds the reference index into `scratch`, replacing any index it
+    /// held.
+    fn build_index(&self, reference: &[u8], scratch: &mut IndexScratch);
+
+    /// Views the index this differ's last
+    /// [`build_index`](IndexedDiffer::build_index) left in `scratch`.
+    /// The tables belong to whichever differ built into the arena last,
+    /// so only that differ may view them.
+    fn index<'s>(&self, scratch: &'s IndexScratch) -> Self::Index<'s>;
 
     /// Scans the whole of `version` against the index, pushing literal
     /// runs and copies that exactly tile it into `out`. Both files are
@@ -63,22 +81,49 @@ pub trait IndexedDiffer: Differ {
         reference: &[u8],
         version: &[u8],
     ) -> DeltaScript {
+        self.diff_indexed(scratch, reference, version, false)
+    }
+
+    /// The method behind [`diff_with`](IndexedDiffer::diff_with). With
+    /// `indexed`, the scan probes the index already in `scratch` and no
+    /// index is built (the `diff.index_reuses` counter counts it).
+    ///
+    /// Pass `indexed` only when this differ's last
+    /// [`build_index`](IndexedDiffer::build_index) into `scratch` indexed
+    /// bytes equal to `reference`; `ipr_pipeline::Engine` checks that
+    /// against a copy of them. Candidates are verified against the
+    /// bytes, so an index of other bytes never yields a wrong script, but
+    /// it loses matches, and an offset past the end of a shorter
+    /// reference panics. Where [`uses_index`](IndexedDiffer::uses_index)
+    /// is false, nothing is built or probed either way.
+    #[must_use]
+    fn diff_indexed(
+        &self,
+        scratch: &mut DiffScratch,
+        reference: &[u8],
+        version: &[u8],
+        indexed: bool,
+    ) -> DeltaScript {
         let _span = ipr_trace::span("diff");
+        let uses_index = self.uses_index(reference, version);
         ipr_trace::with(|r| {
             r.add("diff.reference_bytes", reference.len() as u64);
             r.add("diff.version_bytes", version.len() as u64);
+            if indexed && uses_index {
+                r.add("diff.index_reuses", 1);
+            }
         });
         let DiffScratch { index, pool } = scratch;
         let mut builder = ScriptBuilder::from_pool(pool);
-        if version.len() < self.seed_len() || reference.len() < self.seed_len() {
+        if !uses_index {
             builder.push_literal(version);
         } else {
-            let idx = {
+            if !indexed {
                 let _span = ipr_trace::span("diff.index_build");
-                self.build_index(reference, index)
-            };
+                self.build_index(reference, index);
+            }
             let _span = ipr_trace::span("diff.scan");
-            self.scan(&idx, reference, version, &mut builder);
+            self.scan(&self.index(index), reference, version, &mut builder);
         }
         builder.finish_into_pool(reference.len() as u64, pool)
     }
@@ -131,13 +176,13 @@ impl FootprintIndex<'_> {
 /// Builds the footprint table shared by the constant-space differs: per
 /// slot, the smallest reference offset hashing there and, `with_lasts`,
 /// the largest.
-pub(crate) fn build_footprint_index<'s>(
+pub(crate) fn build_footprint_index(
     reference: &[u8],
     seed_len: usize,
     table_bits: u32,
     with_lasts: bool,
-    scratch: &'s mut IndexScratch,
-) -> FootprintIndex<'s> {
+    scratch: &mut IndexScratch,
+) {
     let size = 1usize << table_bits;
     let mask = (size - 1) as u64;
     scratch.firsts.clear();
@@ -165,10 +210,15 @@ pub(crate) fn build_footprint_index<'s>(
         }
     }
     scratch.record_bytes();
+}
+
+/// Views the footprint table [`build_footprint_index`] left in `scratch`
+/// at `table_bits`.
+pub(crate) fn footprint_index(table_bits: u32, scratch: &IndexScratch) -> FootprintIndex<'_> {
     FootprintIndex {
         firsts: &scratch.firsts,
         lasts: &scratch.lasts,
-        mask,
+        mask: (1u64 << table_bits) - 1,
     }
 }
 
@@ -176,7 +226,7 @@ pub(crate) fn build_footprint_index<'s>(
 mod tests {
     use super::*;
     use crate::apply::apply;
-    use crate::diff::{CorrectingDiffer, GreedyDiffer};
+    use crate::diff::{CorrectingDiffer, GreedyDiffer, OnePassDiffer};
 
     fn pair(len: usize) -> (Vec<u8>, Vec<u8>) {
         let reference: Vec<u8> = (0..len as u32).map(|i| (i * 17 % 251) as u8).collect();
@@ -200,6 +250,31 @@ mod tests {
             scratch.pool_mut().recycle(script);
         }
         assert!(scratch.pool_mut().spare_commands() > 0);
+    }
+
+    /// Scanning the index a build left in the arena, with no build, gives
+    /// the script a fresh build gives, for every family; the reuse is
+    /// counted and no build is timed.
+    #[test]
+    fn indexed_diff_equals_a_fresh_build() {
+        fn check<D: IndexedDiffer>(d: &D, reference: &[u8], version: &[u8]) {
+            let mut scratch = DiffScratch::new();
+            let built = d.diff_with(&mut scratch, reference, version);
+            let stats = std::sync::Arc::new(ipr_trace::StatsRecorder::new());
+            let reused = {
+                let _guard = ipr_trace::install(stats.clone());
+                d.diff_indexed(&mut scratch, reference, version, true)
+            };
+            assert_eq!(reused, built, "{}", d.name());
+            let report = stats.report();
+            assert_eq!(report.counter("diff.index_reuses"), Some(1), "{}", d.name());
+            assert!(report.span("diff.index_build").is_none(), "{}", d.name());
+        }
+        let (reference, version) = pair(5_000);
+        check(&GreedyDiffer::default(), &reference, &version);
+        check(&GreedyDiffer::sampled(), &reference, &version);
+        check(&OnePassDiffer::default(), &reference, &version);
+        check(&CorrectingDiffer::default(), &reference, &version);
     }
 
     #[test]

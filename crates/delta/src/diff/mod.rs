@@ -61,7 +61,9 @@ pub trait Differ {
 ///
 /// Literal bytes pushed back-to-back coalesce into a single add command;
 /// back-to-back copies from contiguous reference ranges coalesce into a
-/// single copy.
+/// single copy. Coalescing goes through a run buffer, so a literal byte
+/// is copied twice on its way into its add's payload, except through
+/// [`ScriptBuilder::push_literal_then_copy`].
 ///
 /// # Example
 ///
@@ -130,6 +132,21 @@ impl ScriptBuilder {
         self.pending.push(byte);
     }
 
+    /// Appends the literal run `data`, then a copy of `len` reference
+    /// bytes starting at `from`: [`push_literal`](Self::push_literal)
+    /// then [`push_copy`](Self::push_copy), in the order a scan finds
+    /// them. The copy ends the run, so a run pushed while no literal is
+    /// pending goes straight into its payload, one copy of each byte
+    /// where `push_literal` takes two.
+    pub fn push_literal_then_copy(&mut self, data: &[u8], from: u64, len: u64) {
+        if self.pending.is_empty() && len > 0 {
+            self.push_add(data);
+        } else {
+            self.push_literal(data);
+        }
+        self.push_copy(from, len);
+    }
+
     /// Appends a copy of `len` reference bytes starting at `from`.
     ///
     /// Zero-length copies are ignored.
@@ -150,14 +167,23 @@ impl ScriptBuilder {
         self.cursor += len;
     }
 
+    /// Appends an add command of `data` at the cursor (nothing if it is
+    /// empty), its payload drawn from the pool to fit.
+    fn push_add(&mut self, data: &[u8]) {
+        if !data.is_empty() {
+            let mut payload = self.pool.take_bytes(data.len());
+            payload.extend_from_slice(data);
+            self.commands.push(Command::add(self.cursor, payload));
+            self.cursor += data.len() as u64;
+        }
+    }
+
     fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
-            let mut data = self.pool.take_bytes(self.pending.len());
-            data.extend_from_slice(&self.pending);
-            self.pending.clear();
-            let len = data.len() as u64;
-            self.commands.push(Command::add(self.cursor, data));
-            self.cursor += len;
+            let mut pending = std::mem::take(&mut self.pending);
+            self.push_add(&pending);
+            pending.clear();
+            self.pending = pending;
         }
     }
 
@@ -230,6 +256,37 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(s.is_write_ordered());
         assert_eq!(apply(&s, b"abcd").unwrap(), b"abxycd");
+    }
+
+    /// The one-copy path emits what the two pushes do: straight after a
+    /// copy, after pending literals, with an empty run, with a run that
+    /// coalesces with the copy before it, and with a zero-length copy
+    /// the next literal still joins.
+    #[test]
+    fn literal_then_copy_equals_separate_pushes() {
+        type Step = (&'static [u8], u64, u64);
+        let cases: [&[Step]; 5] = [
+            &[(b"ab", 0, 2), (b"cd", 4, 3)],
+            &[(b"", 0, 2), (b"", 2, 2), (b"x", 9, 1)],
+            &[(b"xy", 5, 0), (b"z", 1, 2)],
+            &[(b"", 3, 0), (b"q", 3, 4)],
+            &[(b"long literal run", 1, 8)],
+        ];
+        for (case, steps) in cases.iter().enumerate() {
+            for lead in [&b""[..], b"pending"] {
+                let (mut one, mut two) = (ScriptBuilder::new(), ScriptBuilder::new());
+                one.push_literal(lead);
+                two.push_literal(lead);
+                for &(data, from, len) in *steps {
+                    one.push_literal_then_copy(data, from, len);
+                    two.push_literal(data);
+                    two.push_copy(from, len);
+                }
+                one.push_byte(b'!');
+                two.push_byte(b'!');
+                assert_eq!(one.finish(16), two.finish(16), "case {case}, lead {lead:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Linear-time, constant-space differencing (after Burns & Long '97).
 
-use super::indexed::{build_footprint_index, FootprintIndex, IndexedDiffer};
+use super::indexed::{build_footprint_index, footprint_index, FootprintIndex, IndexedDiffer};
 use super::kernel;
 use super::rolling::RollingHash;
 use super::scratch::{self, IndexScratch, EMPTY};
@@ -81,12 +81,12 @@ impl IndexedDiffer for OnePassDiffer {
 
     /// Footprint table: slot -> reference offset (first writer wins, as
     /// in the constant-space algorithm's forward scan).
-    fn build_index<'s>(
-        &self,
-        reference: &[u8],
-        scratch: &'s mut IndexScratch,
-    ) -> FootprintIndex<'s> {
-        build_footprint_index(reference, self.seed_len, self.table_bits, false, scratch)
+    fn build_index(&self, reference: &[u8], scratch: &mut IndexScratch) {
+        build_footprint_index(reference, self.seed_len, self.table_bits, false, scratch);
+    }
+
+    fn index<'s>(&self, scratch: &'s IndexScratch) -> FootprintIndex<'s> {
+        footprint_index(self.table_bits, scratch)
     }
 
     fn scan(
@@ -118,8 +118,7 @@ impl IndexedDiffer for OnePassDiffer {
                             &version[v + seed_len..],
                         );
                     extend_bytes += (len - seed_len) as u64;
-                    out.push_literal(&version[lit_start..v]);
-                    out.push_copy(c as u64, len as u64);
+                    out.push_literal_then_copy(&version[lit_start..v], c as u64, len as u64);
                     v += len;
                     lit_start = v;
                     continue;

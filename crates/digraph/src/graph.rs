@@ -97,9 +97,10 @@ impl Digraph {
     /// storage through `spare` instead of freeing it.
     ///
     /// Shrinking pushes surplus (cleared) adjacency lists into `spare`;
-    /// growing pops them back. Once `spare` and the graph have reached the
-    /// high-water node count of a workload, repeated resets perform no heap
-    /// allocation.
+    /// growing pops them back, and makes room in `spare` for every list,
+    /// so a smaller graph after a larger one parks its lists without
+    /// growing it. Once the graph has reached the high-water node count of
+    /// a workload, repeated resets perform no heap allocation.
     ///
     /// # Panics
     ///
@@ -119,6 +120,7 @@ impl Digraph {
         while self.adj.len() < nodes {
             self.adj.push(spare.pop().unwrap_or_default());
         }
+        spare.reserve(self.adj.len());
         self.edges = 0;
     }
 

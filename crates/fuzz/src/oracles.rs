@@ -718,11 +718,15 @@ const ENGINE_FORMATS: [Format; 3] = [Format::InPlace, Format::Improved, Format::
 ///
 /// The salt picks a cycle policy and wire format. An
 /// [`Engine`](ipr_pipeline::Engine) configured with them must produce — twice in a row, so the
-/// second run exercises recycled arenas — exactly the commands, wire
-/// bytes and applied buffer of the legacy free-function pipeline
-/// ([`GreedyDiffer::sampled`]'s `diff` → [`convert_to_in_place`] →
-/// [`encode_checked`] → [`apply_in_place`]), and its conversion
-/// report must keep Lemma 1: at most one CRWI edge per version byte.
+/// second run exercises recycled arenas and the kept reference index —
+/// exactly the commands, wire bytes and applied buffer of the legacy
+/// free-function pipeline ([`GreedyDiffer::sampled`]'s `diff` →
+/// [`convert_to_in_place`] → [`encode_checked`] → [`apply_in_place`]),
+/// and its conversion report must keep Lemma 1: at most one CRWI edge
+/// per version byte. A third round through the same engine diffs the
+/// version against a salt-chosen edit of the reference (one byte
+/// flipped, truncated or extended), which must rebuild the index: its
+/// commands, wire bytes and applied buffer must equal a fresh engine's.
 pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
     let version = scratch_apply(case)?;
     let policy = if salt.is_multiple_of(2) {
@@ -803,6 +807,55 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
             ));
         }
         engine.recycle(delta);
+    }
+
+    // Round 2: a reference one edit away from the one the engine
+    // indexed, which any check weaker than an exact compare could take
+    // for it.
+    let mut edited = case.reference.clone();
+    let at = (salt >> 8) as usize;
+    let edit = match (salt / 6 % 3, edited.len()) {
+        (0, n) if n > 0 => {
+            edited[at % n] ^= 0x80;
+            "one byte flipped"
+        }
+        (1, n) if n > 0 => {
+            edited.truncate(at % n);
+            "truncated"
+        }
+        _ => {
+            edited.push(salt as u8);
+            "extended"
+        }
+    };
+    let tag = format!("{tag} round 2 ({edit} reference)");
+    let warm = engine
+        .update(&edited, &version)
+        .map_err(|e| format!("{tag}: update failed: {e}"))?;
+    let cold = ipr_pipeline::Engine::with_config(config)
+        .update(&edited, &version)
+        .map_err(|e| format!("{tag}: fresh update failed: {e}"))?;
+    if warm.script.commands() != cold.script.commands() {
+        return fail(format!(
+            "{tag}: engine commands differ from a fresh engine's"
+        ));
+    }
+    if warm.payload != cold.payload {
+        return fail(format!(
+            "{tag}: engine wire bytes differ from a fresh engine's ({} vs {} bytes)",
+            warm.payload.len(),
+            cold.payload.len()
+        ));
+    }
+    let mut buf = edited;
+    buf.resize(required_capacity(&warm.script) as usize, 0);
+    engine
+        .apply_in_place(&warm.script, &mut buf)
+        .map_err(|e| format!("{tag}: engine apply failed: {e}"))?;
+    if buf[..version.len()] != version[..] {
+        return fail(format!(
+            "{tag}: engine-applied buffer differs from the version file"
+        ));
     }
     Ok(())
 }

@@ -83,11 +83,33 @@ impl InPlaceDelta {
 /// One engine is single-threaded state (`&mut self` methods), and every
 /// stage runs on the calling thread. Create one engine per pipeline
 /// thread.
+///
+/// # Index reuse
+///
+/// A diff indexes the reference, then scans the version against that
+/// index. The engine keeps a copy of the reference its index was built
+/// from, and a [`diff`](Engine::diff), [`update`](Engine::update) or
+/// [`stream_update`](Engine::stream_update) whose reference bytes equal
+/// that copy scans the index already built instead of building it
+/// again: a server preparing many releases against one fielded image
+/// indexes it once. The check is an exact byte compare (a length
+/// compare, then `memcmp`), never a hash or a pointer, so a caller's
+/// buffer changed in place since, or any other reference, rebuilds.
+/// Reuse changes no output byte.
+///
+/// In steady state an engine retains the index of its longest reference
+/// (about 3.4 B per reference byte for the default differ at p = 8,
+/// build scratch included; the `diff.index_bytes` gauge) plus the copy,
+/// 1 B per byte of the longest reference it has indexed.
 #[derive(Debug)]
 pub struct Engine<D: IndexedDiffer = GreedyDiffer> {
     differ: D,
     config: EngineConfig,
     diff_scratch: DiffScratch,
+    /// The reference bytes the index in `diff_scratch` was built from;
+    /// empty until the first build (every build indexes at least a
+    /// seed).
+    indexed_reference: Vec<u8>,
     convert_scratch: ConvertScratch,
     /// Sorted write intervals for the Equation 2 check of
     /// [`Engine::apply_in_place`].
@@ -123,6 +145,7 @@ impl<D: IndexedDiffer> Engine<D> {
             differ,
             config,
             diff_scratch: DiffScratch::new(),
+            indexed_reference: Vec::new(),
             convert_scratch: ConvertScratch::new(),
             safety_writes: Vec::new(),
         }
@@ -135,12 +158,25 @@ impl<D: IndexedDiffer> Engine<D> {
     }
 
     /// Stage 1: differences `version` against `reference` through the
-    /// engine's arena ([`IndexedDiffer::diff_with`]: one index build and
-    /// one scan). Output is identical to the differ's free-standing
-    /// `diff`.
+    /// engine's arena: one index build and one scan, or only the scan
+    /// while `reference` equals the bytes the arena's index was built
+    /// from ([index reuse](Engine#index-reuse),
+    /// [`IndexedDiffer::diff_indexed`]). Output is identical to the
+    /// differ's free-standing `diff`.
     pub fn diff(&mut self, reference: &[u8], version: &[u8]) -> DeltaScript {
+        // A diff that uses no index leaves the index, and its copy, as
+        // they were.
+        let uses_index = self.differ.uses_index(reference, version);
+        let indexed = uses_index && self.indexed_reference == reference;
+        if uses_index && !indexed {
+            // Exact capacity: the copy never outgrows the longest
+            // reference indexed.
+            self.indexed_reference.clear();
+            self.indexed_reference.reserve_exact(reference.len());
+            self.indexed_reference.extend_from_slice(reference);
+        }
         self.differ
-            .diff_with(&mut self.diff_scratch, reference, version)
+            .diff_indexed(&mut self.diff_scratch, reference, version, indexed)
     }
 
     /// Builds the remote-differencing [`Signature`] of `reference` under
@@ -345,5 +381,35 @@ impl<D: IndexedDiffer> Engine<D> {
     /// payload).
     pub fn recycle_script(&mut self, script: DeltaScript) {
         self.diff_scratch.pool_mut().recycle(script);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reference copy's capacity is exactly the longest reference
+    /// the engine has indexed: a shorter one fits in it, and a diff that
+    /// builds no index (a version shorter than a seed) copies nothing.
+    #[test]
+    fn reference_copy_holds_the_longest_reference_indexed() {
+        let reference = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 % 251) as u8).collect() };
+        let mut engine = Engine::new();
+        for (len, version_len, capacity) in [
+            (5_000, 5_000, 5_000),
+            (3_000, 3_000, 5_000),
+            (9_000, 4, 5_000),
+            (7_000, 7_000, 7_000),
+            (6_000, 6_000, 7_000),
+        ] {
+            let r = reference(len);
+            let script = engine.diff(&r, &r[..version_len]);
+            engine.recycle_script(script);
+            assert_eq!(
+                engine.indexed_reference.capacity(),
+                capacity,
+                "reference of {len} B"
+            );
+        }
     }
 }

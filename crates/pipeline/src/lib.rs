@@ -16,6 +16,17 @@
 //! allocator only while the arenas warm up, and not at all in steady
 //! state.
 //!
+//! The diff's reference index outlives the call too. The engine keeps a
+//! copy of the reference it indexed, and a diff whose reference bytes
+//! equal that copy, checked exactly (length, then every byte), scans
+//! the index already built instead of building it again: a server
+//! fanning releases out from one fielded image indexes it once (see
+//! [`Engine`'s index reuse](Engine#index-reuse)). What an engine
+//! retains in steady state is the index of its longest reference,
+//! about 3.4 B per reference byte for the default differ at p = 8,
+//! build scratch included, plus the copy at 1 B per byte, plus the
+//! pooled script storage and conversion buffers of its largest delta.
+//!
 //! Stage outputs are byte-identical to the legacy free-function pipeline:
 //! the free functions *are* thin wrappers over the same cores with
 //! throwaway scratch (validated continuously by the `engine` fuzz

@@ -1,11 +1,14 @@
 //! Property tests for the [`ipr::Engine`] session layer: a reused
-//! engine — arenas warm, pools full of recycled storage — must behave
-//! exactly like a fresh engine built per call, across heterogeneous
-//! input sequences, for every cycle policy; and its diff must do work
-//! bounded by one pass over the version.
+//! engine — arenas warm, pools full of recycled storage, the reference
+//! index kept — must behave exactly like a fresh engine built per call,
+//! across heterogeneous input sequences, for every cycle policy; its
+//! diff must do work bounded by one pass over the version; and it must
+//! index a reference once while the references it gets stay byte-equal,
+//! and rebuild on any other.
 
 use ipr::core::{check_in_place_safe, required_capacity, CyclePolicy};
 use ipr::delta::apply;
+use ipr::delta::diff::{CorrectingDiffer, GreedyDiffer, IndexedDiffer, OnePassDiffer};
 use ipr::pipeline::{Engine, EngineConfig, EngineError};
 use ipr::trace::StatsRecorder;
 use ipr::Stage;
@@ -261,4 +264,215 @@ fn default_diff_work_stays_within_one_pass() {
             extend as f64 / version.len() as f64
         );
     }
+}
+
+/// `len` xorshift bytes from `seed`: every seed window is unique.
+fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 56) as u8
+        })
+        .collect()
+}
+
+/// Runs `f` under a fresh [`StatsRecorder`]; returns its result, and the
+/// `diff.index_build` spans and `diff.index_reuses` it recorded.
+fn recorded<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let stats = Arc::new(StatsRecorder::new());
+    let out = {
+        let _guard = ipr::trace::install(stats.clone());
+        f()
+    };
+    let report = stats.report();
+    let builds = report.span("diff.index_build").map_or(0, |s| s.count);
+    let reuses = report.counter("diff.index_reuses").unwrap_or(0);
+    (out, builds, reuses)
+}
+
+/// An engine differencing with `differ` under the default config.
+fn engine_for<D: IndexedDiffer + Clone>(differ: &D) -> Engine<D> {
+    Engine::with_differ(differ.clone(), EngineConfig::default())
+}
+
+/// Updates `version` over `reference` on the warm `engine`, asserts that
+/// the commands and wire bytes equal a fresh engine's, and returns the
+/// index builds and reuses the warm update recorded.
+fn update_matches_fresh<D: IndexedDiffer + Clone>(
+    engine: &mut Engine<D>,
+    differ: &D,
+    reference: &[u8],
+    version: &[u8],
+    what: &str,
+) -> (u64, u64) {
+    let cold = engine_for(differ)
+        .update(reference, version)
+        .expect("fresh update");
+    let (warm, builds, reuses) = recorded(|| engine.update(reference, version));
+    let warm = warm.expect("warm update");
+    let name = differ.name();
+    assert_eq!(
+        warm.script.commands(),
+        cold.script.commands(),
+        "{name}, {what}: commands differ from a fresh engine's"
+    );
+    assert_eq!(
+        warm.payload, cold.payload,
+        "{name}, {what}: wire bytes differ from a fresh engine's"
+    );
+    engine.recycle(warm);
+    (builds, reuses)
+}
+
+/// Versions of `reference` a release server fans out: point edits, an
+/// insertion, a deletion, a block move, a truncation and an extension.
+fn releases(reference: &[u8]) -> Vec<Vec<u8>> {
+    let len = reference.len();
+    let mut edited = reference.to_vec();
+    for at in [len / 9, len / 2, 7 * len / 8] {
+        edited[at] ^= 0x5a;
+    }
+    let mut inserted = reference.to_vec();
+    inserted.splice(len / 3..len / 3, noise(300, 3));
+    let mut deleted = reference.to_vec();
+    deleted.drain(len / 4..len / 4 + 2_000);
+    let mut moved = reference.to_vec();
+    moved.rotate_left(len / 3);
+    let truncated = [&reference[..len / 2], &noise(1_000, 4)[..]].concat();
+    let extended = [reference, &noise(5_000, 5)[..]].concat();
+    vec![edited, inserted, deleted, moved, truncated, extended]
+}
+
+/// One engine per differ family diffs and updates several releases
+/// against one reference: each script and payload equals a fresh
+/// engine's, and the whole fan-out builds the reference index once.
+#[test]
+fn fan_out_indexes_the_reference_once() {
+    let reference = noise(96 << 10, 0x5eed_1234);
+    let versions = releases(&reference);
+    check_fan_out(&GreedyDiffer::sampled(), &reference, &versions);
+    check_fan_out(&OnePassDiffer::default(), &reference, &versions);
+    check_fan_out(&CorrectingDiffer::default(), &reference, &versions);
+}
+
+fn check_fan_out<D: IndexedDiffer + Clone>(differ: &D, reference: &[u8], versions: &[Vec<u8>]) {
+    let name = differ.name();
+    let cold: Vec<_> = versions
+        .iter()
+        .map(|version| engine_for(differ).diff(reference, version))
+        .collect();
+    let mut engine = engine_for(differ);
+    let mut builds = 0;
+    let mut reuses = 0;
+    for (i, (version, cold)) in versions.iter().zip(&cold).enumerate() {
+        let (script, b, r) = recorded(|| engine.diff(reference, version));
+        assert_eq!(&script, cold, "{name}: diff of release {i}");
+        engine.recycle_script(script);
+        let (b2, r2) = update_matches_fresh(
+            &mut engine,
+            differ,
+            reference,
+            version,
+            &format!("update of release {i}"),
+        );
+        builds += b + b2;
+        reuses += r + r2;
+    }
+    assert_eq!(builds, 1, "{name}: index builds over the fan-out");
+    assert_eq!(
+        reuses,
+        2 * versions.len() as u64 - 1,
+        "{name}: index reuses over the fan-out"
+    );
+}
+
+/// A warm engine whose next reference is not byte-equal to the one it
+/// indexed rebuilds the index and matches a fresh engine: the same
+/// length with one byte flipped, a prefix, an extension, the caller's
+/// buffer changed in place, a version shorter than a seed (which builds
+/// nothing) before a full version, and an empty reference.
+#[test]
+fn stale_references_rebuild_the_index() {
+    check_stale(&GreedyDiffer::sampled());
+    check_stale(&OnePassDiffer::default());
+    check_stale(&CorrectingDiffer::default());
+}
+
+fn check_stale<D: IndexedDiffer + Clone>(differ: &D) {
+    let name = differ.name();
+    let reference = noise(64 << 10, 0x2545_f491);
+    let mut version = reference.clone();
+    version[1_000] ^= 0x01;
+    version.splice(30_000..30_000, noise(200, 9));
+    let mut flipped = reference.clone();
+    flipped[40_000] ^= 0x80;
+    let prefix = &reference[..reference.len() / 2];
+    let extended = [&reference[..], &noise(8 << 10, 11)[..]].concat();
+    let mut extension_first = extended.clone();
+    extension_first.rotate_right(8 << 10);
+    let short = &version[..differ.seed_len() - 1];
+    let warm = || {
+        let mut engine = engine_for(differ);
+        let (builds, _) =
+            update_matches_fresh(&mut engine, differ, &reference, &version, "warm-up");
+        assert_eq!(builds, 1, "{name}: warm-up builds the index");
+        engine
+    };
+
+    // A stale index would miss the extension, and probe offsets past the
+    // end of the prefix.
+    let cases: [(&str, &[u8], &[u8], u64); 4] = [
+        ("one byte flipped", &flipped, &version, 1),
+        ("a prefix", prefix, &reference, 1),
+        ("an extension", &extended, &extension_first, 1),
+        ("an empty reference", &[], &version, 0),
+    ];
+    for (case, next, next_version, want_builds) in cases {
+        let mut engine = warm();
+        let (builds, reuses) = update_matches_fresh(&mut engine, differ, next, next_version, case);
+        assert_eq!((builds, reuses), (want_builds, 0), "{name}: {case}");
+    }
+
+    let mut engine = warm();
+    let (builds, _) = update_matches_fresh(&mut engine, differ, &flipped, short, "short version");
+    assert_eq!(
+        builds, 0,
+        "{name}: a version shorter than a seed builds nothing"
+    );
+    let (builds, reuses) = update_matches_fresh(
+        &mut engine,
+        differ,
+        &flipped,
+        &version,
+        "full version after it",
+    );
+    assert_eq!(
+        (builds, reuses),
+        (1, 0),
+        "{name}: full version after a short one"
+    );
+
+    let mut buf = reference.clone();
+    let mut engine = engine_for(differ);
+    update_matches_fresh(
+        &mut engine,
+        differ,
+        &buf,
+        &version,
+        "buffer before the change",
+    );
+    buf[40_000] ^= 0x80;
+    let (builds, reuses) = update_matches_fresh(
+        &mut engine,
+        differ,
+        &buf,
+        &version,
+        "buffer changed in place",
+    );
+    assert_eq!((builds, reuses), (1, 0), "{name}: buffer changed in place");
+    // Byte-equal again: the index is reused.
+    let (builds, reuses) = update_matches_fresh(&mut engine, differ, &buf, &version, "again");
+    assert_eq!((builds, reuses), (0, 1), "{name}: the same bytes again");
 }
