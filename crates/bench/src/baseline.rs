@@ -363,12 +363,28 @@ impl Ledger {
 
     /// Exact gate: `got` must equal the baseline's `want`.
     pub fn exact<T: PartialEq + fmt::Display>(&mut self, label: &str, got: T, want: T) -> Verdict {
+        self.equal(label, got, want, "baseline")
+    }
+
+    /// Exact gate on a constant of the run, read from no baseline: `got`
+    /// must equal the expected `want`.
+    pub fn expect<T: PartialEq + fmt::Display>(&mut self, label: &str, got: T, want: T) -> Verdict {
+        self.equal(label, got, want, "expected")
+    }
+
+    fn equal<T: PartialEq + fmt::Display>(
+        &mut self,
+        label: &str,
+        got: T,
+        want: T,
+        source: &str,
+    ) -> Verdict {
         let verdict = if got == want {
             Verdict::Ok
         } else {
             Verdict::Regressed
         };
-        self.record(label, &format!("{got} vs baseline {want}"), verdict)
+        self.record(label, &format!("{got} vs {source} {want}"), verdict)
     }
 
     /// Bound gate: `value` must satisfy `bound`; `detail` says what was
@@ -466,6 +482,18 @@ mod tests {
         }
         assert_eq!(ledger.exact("wire_len", 41_205, 41_204), Verdict::Regressed);
         assert_eq!((ledger.breaches, ledger.status()), (4, 1));
+    }
+
+    #[test]
+    fn constants_gate_like_baseline_values() {
+        let mut ledger = Ledger::default();
+        assert_eq!(ledger.expect("fsck findings", 0, 0), Verdict::Ok);
+        assert_eq!(ledger.status(), 0);
+        assert_eq!(
+            ledger.expect("fan-out warm index builds", 8, 1),
+            Verdict::Regressed
+        );
+        assert_eq!(ledger.status(), 1);
     }
 
     #[test]

@@ -390,7 +390,7 @@ fn main() {
         Bound::AtMost(0.0),
         &format!("{fan_differ} of {}", 3 * releases.len()),
     );
-    gates.exact("fan-out warm index builds", fan_builds, 1);
+    gates.expect("fan-out warm index builds", fan_builds, 1);
     gates.bound(
         "steady fan-out allocations",
         fan_steady.allocs as f64,

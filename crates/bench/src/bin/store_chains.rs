@@ -237,7 +237,7 @@ fn main() {
         Bound::AtMost(f64::from(depth_cap)),
         &format!("max depth {}", report.max_depth_after),
     );
-    gates.exact("fsck findings", fsck_report.findings.len() as u64, 0);
+    gates.expect("fsck findings", fsck_report.findings.len() as u64, 0);
     for (key, got) in structure {
         gates.exact(key, got, base.get(key).u64());
     }

@@ -109,17 +109,14 @@ fn main() {
         version[at..end].copy_from_slice(&fresh[..end - at]);
     }
 
-    let mut engine = Engine::new();
-    let stream = engine
-        .stream_update(&reference, &version, chunk)
+    let delta = Engine::new()
+        .update(&reference, &version)
         .expect("prepare streaming update");
-    let wire_len = stream.wire_len();
 
     // Offline ground truth and the decoder's resident-memory bound:
     // the largest possible buffered suffix is one maximal command frame
     // (tag + three ten-byte varints + the largest add literal) plus one
     // not-yet-drained chunk.
-    let delta = engine.update(&reference, &version).expect("offline delta");
     let max_literal = delta
         .script
         .commands()
@@ -131,6 +128,8 @@ fn main() {
         .max()
         .unwrap_or(0);
     let buffer_bound = max_literal + 31 + chunk as u64;
+    let stream = DeltaStream::from_wire(delta.payload, chunk);
+    let wire_len = stream.wire_len();
     let offline = {
         let mut device = fresh_device(&reference, &version);
         let report = complete(

@@ -9,30 +9,22 @@
 //! Run: `cargo run -p ipr-bench --release --bin transfer`
 
 use ipr_bench::{bytes, experiment_corpus, pct, Table};
-use ipr_core::ConversionConfig;
-use ipr_delta::codec::Format;
 use ipr_delta::diff::GreedyDiffer;
-use ipr_device::update::prepare_update;
 use ipr_device::Channel;
+use ipr_pipeline::{Engine, EngineConfig};
 use std::time::Duration;
 
 fn main() {
     let corpus = experiment_corpus();
-    let differ = GreedyDiffer::default();
-    let config = ConversionConfig::default();
+    let mut engine = Engine::with_differ(GreedyDiffer::default(), EngineConfig::default());
 
     let mut factors = Vec::new();
     let mut total_full = 0u64;
     let mut total_delta = 0u64;
     for pair in &corpus {
-        let update = prepare_update(
-            &differ,
-            &pair.reference,
-            &pair.version,
-            &config,
-            Format::InPlace,
-        )
-        .expect("preparation cannot fail on corpus pairs");
+        let update = engine
+            .update(&pair.reference, &pair.version)
+            .expect("preparation cannot fail on corpus pairs");
         total_full += pair.version.len() as u64;
         total_delta += update.payload.len() as u64;
         factors.push(pair.version.len() as f64 / update.payload.len() as f64);
@@ -95,13 +87,13 @@ fn main() {
     }
     t.print();
 
-    distribution_images(&differ, &config);
+    distribution_images(&mut engine);
 }
 
 /// Packaged-distribution images (the paper's actual artifact shape): one
 /// container of many member files per release, members shifting whenever
 /// an earlier member changes size.
-fn distribution_images(differ: &GreedyDiffer, config: &ConversionConfig) {
+fn distribution_images(engine: &mut Engine<GreedyDiffer>) {
     use ipr_workloads::archive::distribution_pair;
     println!("\nPackaged distribution images (container of member files per release):\n");
     let mut t = Table::new(vec![
@@ -120,7 +112,8 @@ fn distribution_images(differ: &GreedyDiffer, config: &ConversionConfig) {
     .enumerate()
     {
         let pair = distribution_pair(100 + i as u64, *members, *lo..*hi);
-        let update = prepare_update(differ, &pair.old, &pair.new, config, Format::InPlace)
+        let update = engine
+            .update(&pair.old, &pair.new)
             .expect("preparation cannot fail");
         t.row(vec![
             format!("{members} members"),

@@ -8,7 +8,7 @@
 use ipr_core::CyclePolicy;
 use ipr_delta::codec::{self, DecodedDelta, Format};
 use ipr_delta::diff::{GreedyDiffer, IndexedDiffer};
-use ipr_delta::remote::{BlockSize, CdcParams, Chunking, DEFAULT_SIGNATURE_BUDGET};
+use ipr_delta::remote::{CdcParams, Chunking, DEFAULT_SIGNATURE_BUDGET};
 use ipr_pipeline::{Engine, EngineConfig};
 
 /// Parsed command line of one subcommand plus the engine configuration
@@ -93,39 +93,18 @@ impl EngineCli {
         Ok(policy)
     }
 
-    /// `--block N` / `--cdc MIN:AVG:MAX` / `--block-size N|auto[:BYTES]`:
-    /// recorded as the engine's signature chunking (all three are
-    /// mutually exclusive). `--block-size` lands in
-    /// [`EngineConfig::block_size`], which resolves per reference at
-    /// signing time — `auto` picks the smallest power-of-two block whose
-    /// wire signature fits the byte budget (docs/REMOTE.md).
+    /// `--block N|auto[:BYTES]` / `--cdc MIN:AVG:MAX`: recorded as the
+    /// engine's signature chunking (the two are mutually exclusive).
+    /// `auto` is [`Chunking::Auto`], which resolves per reference at
+    /// signing time to the smallest power-of-two block whose wire
+    /// signature fits the byte budget (docs/REMOTE.md).
     pub fn take_chunking(&mut self) -> Result<Option<Chunking>, String> {
-        let block = self.take_with("block", |v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--block needs a byte count, got `{v}`"))
-        })?;
+        let block = self.take_with("block", parse_block)?;
         let cdc = self.take_with("cdc", parse_cdc)?;
-        let block_size = self.take_with("block-size", parse_block_size)?;
-        if [block.is_some(), cdc.is_some(), block_size.is_some()]
-            .iter()
-            .filter(|&&set| set)
-            .count()
-            > 1
-        {
-            return Err("--block, --cdc and --block-size are mutually exclusive".into());
+        if block.is_some() && cdc.is_some() {
+            return Err("--block and --cdc are mutually exclusive".into());
         }
-        if let Some(bs) = block_size {
-            if let BlockSize::Fixed(len) = bs {
-                Chunking::Fixed(len).validate().map_err(|e| e.to_string())?;
-            }
-            self.config.block_size = Some(bs);
-            return Ok(None);
-        }
-        let chunking = match (block, cdc) {
-            (Some(len), None) => Some(Chunking::Fixed(len)),
-            (None, Some(params)) => Some(Chunking::Cdc(params)),
-            _ => None,
-        };
+        let chunking = block.or(cdc.map(Chunking::Cdc));
         if let Some(c) = chunking {
             c.validate().map_err(|e| e.to_string())?;
             self.config.chunking = c;
@@ -188,26 +167,26 @@ pub fn parse_policy(name: &str) -> Result<CyclePolicy, String> {
     }
 }
 
-/// Parses a `--block-size` value: a byte count, `auto` (default
-/// signature budget), or `auto:BYTES` (explicit budget).
-pub fn parse_block_size(spec: &str) -> Result<BlockSize, String> {
+/// Parses a `--block` value: a byte count, `auto` (default signature
+/// budget), or `auto:BYTES` (explicit budget).
+pub fn parse_block(spec: &str) -> Result<Chunking, String> {
     if spec == "auto" {
-        return Ok(BlockSize::Auto {
+        return Ok(Chunking::Auto {
             budget: DEFAULT_SIGNATURE_BUDGET,
         });
     }
     if let Some(budget) = spec.strip_prefix("auto:") {
         let budget = budget
             .parse::<usize>()
-            .map_err(|_| format!("--block-size auto:BYTES needs a byte count, got `{budget}`"))?;
+            .map_err(|_| format!("--block auto:BYTES needs a byte count, got `{budget}`"))?;
         if budget == 0 {
-            return Err("--block-size auto budget must be positive".into());
+            return Err("--block auto budget must be positive".into());
         }
-        return Ok(BlockSize::Auto { budget });
+        return Ok(Chunking::Auto { budget });
     }
     spec.parse::<usize>()
-        .map(BlockSize::Fixed)
-        .map_err(|_| format!("--block-size needs a byte count or auto[:BYTES], got `{spec}`"))
+        .map(Chunking::Fixed)
+        .map_err(|_| format!("--block needs a byte count or auto[:BYTES], got `{spec}`"))
 }
 
 /// Parses a `--cdc MIN:AVG:MAX` value (byte counts).
@@ -309,39 +288,31 @@ mod tests {
     }
 
     #[test]
-    fn take_chunking_parses_block_size_policy() {
-        let mut cli = EngineCli::parse(&s(&["--block-size", "2048"])).unwrap();
-        assert_eq!(cli.take_chunking().unwrap(), None);
-        assert_eq!(cli.config().block_size, Some(BlockSize::Fixed(2048)));
-
-        let mut cli = EngineCli::parse(&s(&["--block-size", "auto"])).unwrap();
+    fn take_chunking_parses_auto_blocks() {
+        let mut cli = EngineCli::parse(&s(&["--block", "auto"])).unwrap();
         cli.take_chunking().unwrap();
         assert_eq!(
-            cli.config().block_size,
-            Some(BlockSize::Auto {
+            cli.config().chunking,
+            Chunking::Auto {
                 budget: DEFAULT_SIGNATURE_BUDGET
-            })
+            }
         );
 
-        let mut cli = EngineCli::parse(&s(&["--block-size", "auto:65536"])).unwrap();
-        cli.take_chunking().unwrap();
+        let mut cli = EngineCli::parse(&s(&["--block", "auto:65536"])).unwrap();
         assert_eq!(
-            cli.config().block_size,
-            Some(BlockSize::Auto { budget: 65536 })
+            cli.take_chunking().unwrap(),
+            Some(Chunking::Auto { budget: 65536 })
         );
     }
 
     #[test]
-    fn take_chunking_rejects_bad_block_size_values() {
+    fn take_chunking_rejects_bad_block_values() {
         for bad in ["auto:", "auto:0", "auto:lots", "grande", "0"] {
-            let mut cli = EngineCli::parse(&s(&["--block-size", bad])).unwrap();
+            let mut cli = EngineCli::parse(&s(&["--block", bad])).unwrap();
             assert!(cli.take_chunking().is_err(), "accepted `{bad}`");
         }
-        // Exclusive with both chunking flags.
-        let mut cli = EngineCli::parse(&s(&["--block-size", "auto", "--block", "4096"])).unwrap();
-        assert!(cli.take_chunking().is_err());
-        let mut cli =
-            EngineCli::parse(&s(&["--block-size", "auto", "--cdc", "64:256:1024"])).unwrap();
+        // Exclusive with content-defined chunking.
+        let mut cli = EngineCli::parse(&s(&["--block", "auto", "--cdc", "64:256:1024"])).unwrap();
         assert!(cli.take_chunking().is_err());
     }
 

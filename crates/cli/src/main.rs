@@ -155,9 +155,9 @@ fn print_usage() {
          \x20      [--format F]\n\
          \x20 diff --signature <sig> <version> <delta>  [--format F]\n\
          \x20      (remote diff: stream <version> against a signature, reference not needed)\n\
-         \x20 signature <reference> <sig>    [--block N | --cdc MIN:AVG:MAX |\n\
-         \x20      --block-size N|auto[:BYTES]]   (block signature for remote diffing;\n\
-         \x20      auto sizes blocks so the signature fits a byte budget, default 512 KiB)\n\
+         \x20 signature <reference> <sig>    [--block N|auto[:BYTES] | --cdc MIN:AVG:MAX]\n\
+         \x20      (block signature for remote diffing; auto sizes blocks so the\n\
+         \x20      signature fits a byte budget, default 512 KiB)\n\
          \x20 convert <reference> <delta> <out>   [--policy constant|local-min] [--format F]\n\
          \x20 apply <reference> <delta> <out>\n\
          \x20 apply-in-place <file> <delta>\n\
@@ -262,16 +262,15 @@ fn cmd_signature(args: &[String]) -> CliResult {
     cli.take_chunking()?;
     cli.finish_options()?;
     let [reference_path, sig_path] = cli.positional(
-        "usage: ipr signature <reference> <sig> \
-         [--block N | --cdc MIN:AVG:MAX | --block-size N|auto[:BYTES]]",
+        "usage: ipr signature <reference> <sig> [--block N|auto[:BYTES] | --cdc MIN:AVG:MAX]",
     )?;
-    // `--block-size` resolves against the reference length (from the
+    // The chunking resolves against the reference length (from the
     // file's metadata — the data itself still streams): `auto` picks the
     // smallest power-of-two block whose signature fits the byte budget.
-    let chunking = match cli.config().block_size {
-        Some(bs) => bs.chunking(std::fs::metadata(reference_path)?.len()),
-        None => cli.config().chunking,
-    };
+    let chunking = cli
+        .config()
+        .chunking
+        .resolve(std::fs::metadata(reference_path)?.len());
     // Stream the reference through the chunker: the signature build
     // never holds more than one block window in memory.
     let reference = BufReader::new(std::fs::File::open(reference_path)?);

@@ -585,7 +585,7 @@ fn signature_and_remote_diff_round_trip() {
         "signature",
         &p("old"),
         &p("sig-auto"),
-        "--block-size",
+        "--block",
         "auto:2048",
     ]))
     .unwrap();
@@ -614,24 +614,29 @@ fn signature_and_remote_diff_round_trip() {
 
     // Error paths: bad chunking flags, junk signature, wrong arity.
     assert!(run(&s(&["signature", &p("old"), &p("x"), "--block", "0"])).is_err());
+    assert!(run(&s(&["signature", &p("old"), &p("x"), "--block", "auto:0"])).is_err());
     assert!(run(&s(&[
         "signature",
         &p("old"),
         &p("x"),
-        "--block-size",
-        "auto:0"
-    ]))
-    .is_err());
-    assert!(run(&s(&[
-        "signature",
-        &p("old"),
-        &p("x"),
-        "--block-size",
-        "auto",
         "--block",
-        "512",
+        "auto",
+        "--cdc",
+        "64:256:2048",
     ]))
     .is_err());
+    let err = run(&s(&[
+        "signature",
+        &p("old"),
+        &p("x"),
+        "--block-size",
+        "auto:2048",
+    ]))
+    .unwrap_err();
+    assert!(
+        err.to_string().contains("unknown option --block-size"),
+        "{err}"
+    );
     assert!(run(&s(&[
         "signature",
         &p("old"),

@@ -43,15 +43,6 @@ impl Copy {
     pub fn write_interval(&self) -> Interval {
         Interval::from_offset_len(self.to, self.len)
     }
-
-    /// Whether the command's own read and write intervals overlap.
-    ///
-    /// Such a command does *not* conflict with itself (§4.1): it is applied
-    /// left-to-right when `from >= to` and right-to-left otherwise.
-    #[must_use]
-    pub fn is_self_overlapping(&self) -> bool {
-        self.read_interval().intersects(self.write_interval())
-    }
 }
 
 impl fmt::Display for Copy {
@@ -240,39 +231,6 @@ mod tests {
         };
         assert_eq!(c.read_interval(), Interval::new(5, 15));
         assert_eq!(c.write_interval(), Interval::new(20, 30));
-        assert!(!c.is_self_overlapping());
-    }
-
-    #[test]
-    fn self_overlap_detection() {
-        // Reads [0, 10), writes [5, 15): overlapping.
-        assert!(Copy {
-            from: 0,
-            to: 5,
-            len: 10
-        }
-        .is_self_overlapping());
-        // Reads [5, 15), writes [0, 10): overlapping the other way.
-        assert!(Copy {
-            from: 5,
-            to: 0,
-            len: 10
-        }
-        .is_self_overlapping());
-        // Identity copy overlaps itself entirely.
-        assert!(Copy {
-            from: 3,
-            to: 3,
-            len: 4
-        }
-        .is_self_overlapping());
-        // Abutting intervals do not overlap.
-        assert!(!Copy {
-            from: 0,
-            to: 10,
-            len: 10
-        }
-        .is_self_overlapping());
     }
 
     #[test]

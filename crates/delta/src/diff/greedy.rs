@@ -601,7 +601,7 @@ impl IndexedDiffer for GreedyDiffer {
             }
         }
         // The pending literal run, with the tail shorter than a seed.
-        out.push_literal(&version[lit_start..]);
+        out.end_literal_run(&version[lit_start..]);
         if probes > 0 {
             ipr_trace::with(|r| {
                 r.add("diff.probes", probes);

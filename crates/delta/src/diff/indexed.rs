@@ -116,7 +116,7 @@ pub trait IndexedDiffer: Differ {
         let DiffScratch { index, pool } = scratch;
         let mut builder = ScriptBuilder::from_pool(pool);
         if !uses_index {
-            builder.push_literal(version);
+            builder.end_literal_run(version);
         } else {
             if !indexed {
                 let _span = ipr_trace::span("diff.index_build");

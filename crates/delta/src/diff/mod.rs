@@ -62,8 +62,9 @@ pub trait Differ {
 /// Literal bytes pushed back-to-back coalesce into a single add command;
 /// back-to-back copies from contiguous reference ranges coalesce into a
 /// single copy. Coalescing goes through a run buffer, so a literal byte
-/// is copied twice on its way into its add's payload, except through
-/// [`ScriptBuilder::push_literal_then_copy`].
+/// is copied twice on its way into its add's payload, except in a run
+/// ended by [`ScriptBuilder::end_literal_run`] or
+/// [`ScriptBuilder::push_literal_then_copy`] while none was pending.
 ///
 /// # Example
 ///
@@ -135,16 +136,27 @@ impl ScriptBuilder {
     /// Appends the literal run `data`, then a copy of `len` reference
     /// bytes starting at `from`: [`push_literal`](Self::push_literal)
     /// then [`push_copy`](Self::push_copy), in the order a scan finds
-    /// them. The copy ends the run, so a run pushed while no literal is
-    /// pending goes straight into its payload, one copy of each byte
-    /// where `push_literal` takes two.
+    /// them. The copy ends the run ([`end_literal_run`](Self::end_literal_run)).
     pub fn push_literal_then_copy(&mut self, data: &[u8], from: u64, len: u64) {
-        if self.pending.is_empty() && len > 0 {
-            self.push_add(data);
+        if len > 0 {
+            self.end_literal_run(data);
         } else {
             self.push_literal(data);
         }
         self.push_copy(from, len);
+    }
+
+    /// Appends `data` as the end of the literal run: the same script as
+    /// [`push_literal`](Self::push_literal), provided only a copy or a
+    /// finish follows. A run ended while no literal is pending goes
+    /// straight into its payload, one copy of each byte where
+    /// `push_literal` takes two.
+    pub fn end_literal_run(&mut self, data: &[u8]) {
+        if self.pending.is_empty() {
+            self.push_add(data);
+        } else {
+            self.push_literal(data);
+        }
     }
 
     /// Appends a copy of `len` reference bytes starting at `from`.
@@ -258,19 +270,21 @@ mod tests {
         assert_eq!(apply(&s, b"abcd").unwrap(), b"abxycd");
     }
 
-    /// The one-copy path emits what the two pushes do: straight after a
-    /// copy, after pending literals, with an empty run, with a run that
+    /// The one-copy paths emit what the plain pushes do: straight after
+    /// a copy, after pending literals, with an empty run, with a run that
     /// coalesces with the copy before it, and with a zero-length copy
-    /// the next literal still joins.
+    /// the next literal still joins; so does the run that ends the
+    /// script, the whole script included.
     #[test]
     fn literal_then_copy_equals_separate_pushes() {
         type Step = (&'static [u8], u64, u64);
-        let cases: [&[Step]; 5] = [
+        let cases: [&[Step]; 6] = [
             &[(b"ab", 0, 2), (b"cd", 4, 3)],
             &[(b"", 0, 2), (b"", 2, 2), (b"x", 9, 1)],
             &[(b"xy", 5, 0), (b"z", 1, 2)],
             &[(b"", 3, 0), (b"q", 3, 4)],
             &[(b"long literal run", 1, 8)],
+            &[],
         ];
         for (case, steps) in cases.iter().enumerate() {
             for lead in [&b""[..], b"pending"] {
@@ -282,8 +296,8 @@ mod tests {
                     two.push_literal(data);
                     two.push_copy(from, len);
                 }
-                one.push_byte(b'!');
-                two.push_byte(b'!');
+                one.end_literal_run(b"the end");
+                two.push_literal(b"the end");
                 assert_eq!(one.finish(16), two.finish(16), "case {case}, lead {lead:?}");
             }
         }

@@ -126,7 +126,7 @@ impl IndexedDiffer for OnePassDiffer {
             }
             v += 1;
         }
-        out.push_literal(&version[lit_start..]);
+        out.end_literal_run(&version[lit_start..]);
         if probes > 0 {
             ipr_trace::with(|r| {
                 r.add("diff.probes", probes);

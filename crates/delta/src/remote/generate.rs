@@ -260,6 +260,7 @@ fn generate<R: Read>(
             generate_fixed(&table, version, block_len, &mut builder, batched)?;
         }
         Chunking::Cdc(_) => generate_cdc(&table, version, &mut builder)?,
+        Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
     }
     Ok(builder.finish(signature.source_len()))
 }

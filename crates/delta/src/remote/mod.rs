@@ -8,8 +8,9 @@
 //! (docs/REMOTE.md is the full wire/protocol spec):
 //!
 //! 1. **Sign** — the reference holder splits its file into blocks
-//!    ([`Chunking::Fixed`] or content-defined [`Chunking::Cdc`]) and
-//!    sends a [`Signature`]: per block, a weak 32-bit rolling checksum
+//!    ([`Chunking::Fixed`], [`Chunking::Auto`] sized to a signature
+//!    byte budget, or content-defined [`Chunking::Cdc`]) and sends a
+//!    [`Signature`]: per block, a weak 32-bit rolling checksum
 //!    ([`weak_of`]) and a strong 128-bit hash ([`strong_of`]) — ~21
 //!    bytes per block instead of the block itself.
 //! 2. **Stream-diff** — [`generate_delta`] consumes the new version
@@ -72,7 +73,7 @@ pub use generate::{
 };
 pub use scan::{skip_misses, BatchSkip, WeakFilter};
 pub use signature::{
-    fixed_signature_wire_len, BlockSignature, BlockSize, Chunking, Signature, SignatureError,
+    fixed_signature_wire_len, BlockSignature, Chunking, Signature, SignatureError,
     DEFAULT_BLOCK_LEN, DEFAULT_SIGNATURE_BUDGET, SIGNATURE_MAGIC,
 };
 pub use strong::strong_of;

@@ -42,6 +42,11 @@ const CHUNKING_FIXED: u8 = 0;
 /// Wire byte for content-defined chunking.
 const CHUNKING_CDC: u8 = 1;
 
+/// Default wire-signature byte budget for [`Chunking::Auto`]: 512 KiB
+/// of signature buys ≈ 24 000 blocks, i.e. 1 KiB resolution on a
+/// 24 MiB reference.
+pub const DEFAULT_SIGNATURE_BUDGET: usize = 512 * 1024;
+
 /// How a reference is split into blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Chunking {
@@ -49,6 +54,13 @@ pub enum Chunking {
     /// shorter). Cheap and dense, but an insertion shifts every later
     /// boundary.
     Fixed(usize),
+    /// Fixed-size blocks of the smallest power-of-two length in
+    /// `[MIN_AUTO, MAX_AUTO]` whose encoded signature fits `budget`
+    /// bytes, chosen per reference by [`Chunking::resolve`].
+    Auto {
+        /// Wire-signature byte budget.
+        budget: usize,
+    },
     /// Content-defined (Gear) chunks within [`CdcParams`] bounds; an
     /// insertion disturbs only the O(1) boundaries near the edit.
     Cdc(CdcParams),
@@ -61,6 +73,47 @@ impl Default for Chunking {
 }
 
 impl Chunking {
+    /// Finest block length [`Chunking::Auto`] will pick.
+    pub const MIN_AUTO: usize = 256;
+    /// Coarsest block length [`Chunking::Auto`] will pick.
+    pub const MAX_AUTO: usize = 1 << 20;
+
+    /// The chunking a `source_len`-byte reference is signed with:
+    /// [`Chunking::Auto`] becomes the fixed block length it picks, and
+    /// every other chunking is returned as it is.
+    ///
+    /// Small blocks give high match resolution (less literal spill
+    /// around each edit) but cost ~22 wire bytes per block; `Auto`
+    /// resolves the tension per reference by walking the power-of-two
+    /// ladder `[256, 1 MiB]` and picking the smallest block length whose
+    /// exact encoded signature ([`fixed_signature_wire_len`]) fits the
+    /// budget — largest if none fit.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ipr_delta::remote::Chunking;
+    ///
+    /// let auto = Chunking::Auto { budget: 64 * 1024 };
+    /// // A small reference affords the finest block.
+    /// assert_eq!(auto.resolve(100_000), Chunking::Fixed(256));
+    /// // A large one is coarsened until the signature fits 64 KiB.
+    /// assert_eq!(auto.resolve(100_000_000), Chunking::Fixed(65_536));
+    /// ```
+    #[must_use]
+    pub fn resolve(self, source_len: u64) -> Chunking {
+        let Chunking::Auto { budget } = self else {
+            return self;
+        };
+        let mut len = Self::MIN_AUTO;
+        while len < Self::MAX_AUTO
+            && fixed_signature_wire_len(source_len, len as u64) > budget as u64
+        {
+            len *= 2;
+        }
+        Chunking::Fixed(len)
+    }
+
     /// Validates the parameters (positive block length, CDC bounds).
     ///
     /// # Errors
@@ -74,7 +127,7 @@ impl Chunking {
             Chunking::Fixed(len) if *len as u64 > u64::from(u32::MAX) => Err(
                 SignatureError::BadChunking(format!("fixed block length {len} exceeds u32")),
             ),
-            Chunking::Fixed(_) => Ok(()),
+            Chunking::Fixed(_) | Chunking::Auto { .. } => Ok(()),
             Chunking::Cdc(params) => params.validate().map_err(SignatureError::BadChunking),
         }
     }
@@ -85,6 +138,7 @@ impl Chunking {
     pub fn max_block_len(&self) -> usize {
         match self {
             Chunking::Fixed(len) => *len,
+            Chunking::Auto { .. } => Self::MAX_AUTO,
             Chunking::Cdc(params) => params.max,
         }
     }
@@ -94,92 +148,8 @@ impl fmt::Display for Chunking {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Chunking::Fixed(len) => write!(f, "fixed/{len}"),
+            Chunking::Auto { budget } => write!(f, "auto:{budget}"),
             Chunking::Cdc(p) => write!(f, "cdc/{}:{}:{}", p.min, p.avg, p.max),
-        }
-    }
-}
-
-/// Default wire-signature byte budget for [`BlockSize::Auto`]: 512 KiB
-/// of signature buys ≈ 24 000 blocks, i.e. 1 KiB resolution on a
-/// 24 MiB reference.
-pub const DEFAULT_SIGNATURE_BUDGET: usize = 512 * 1024;
-
-/// Fixed-block size selection: a concrete length, or the smallest block
-/// whose wire signature fits a byte budget.
-///
-/// Small blocks give high match resolution (less literal spill around
-/// each edit) but cost ~22 wire bytes per block; [`BlockSize::Auto`]
-/// resolves the tension per reference by walking the power-of-two
-/// ladder `[256, 1 MiB]` and picking the smallest block length whose
-/// exact encoded signature ([`fixed_signature_wire_len`]) fits the
-/// budget — largest if none fit.
-///
-/// # Example
-///
-/// ```
-/// use ipr_delta::remote::{BlockSize, Chunking};
-///
-/// let auto = BlockSize::Auto { budget: 64 * 1024 };
-/// // A small reference affords the finest block.
-/// assert_eq!(auto.resolve(100_000), 256);
-/// // A large one is coarsened until the signature fits 64 KiB.
-/// assert_eq!(auto.resolve(100_000_000), 65_536);
-/// assert_eq!(auto.chunking(100_000_000), Chunking::Fixed(65_536));
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockSize {
-    /// Use exactly this block length.
-    Fixed(usize),
-    /// Pick the smallest power-of-two block length in
-    /// `[MIN_AUTO, MAX_AUTO]` whose encoded signature fits `budget`
-    /// bytes.
-    Auto {
-        /// Wire-signature byte budget.
-        budget: usize,
-    },
-}
-
-impl BlockSize {
-    /// Finest block length [`BlockSize::Auto`] will pick.
-    pub const MIN_AUTO: usize = 256;
-    /// Coarsest block length [`BlockSize::Auto`] will pick.
-    pub const MAX_AUTO: usize = 1 << 20;
-
-    /// The block length to use for a `source_len`-byte reference.
-    #[must_use]
-    pub fn resolve(self, source_len: u64) -> usize {
-        match self {
-            BlockSize::Fixed(len) => len,
-            BlockSize::Auto { budget } => {
-                let mut len = Self::MIN_AUTO;
-                while len < Self::MAX_AUTO
-                    && fixed_signature_wire_len(source_len, len as u64) > budget as u64
-                {
-                    len *= 2;
-                }
-                len
-            }
-        }
-    }
-
-    /// The [`Chunking`] to build the signature with.
-    #[must_use]
-    pub fn chunking(self, source_len: u64) -> Chunking {
-        Chunking::Fixed(self.resolve(source_len))
-    }
-}
-
-impl Default for BlockSize {
-    fn default() -> Self {
-        BlockSize::Fixed(DEFAULT_BLOCK_LEN)
-    }
-}
-
-impl fmt::Display for BlockSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BlockSize::Fixed(len) => write!(f, "{len}"),
-            BlockSize::Auto { budget } => write!(f, "auto:{budget}"),
         }
     }
 }
@@ -234,7 +204,9 @@ pub struct Signature {
 }
 
 impl Signature {
-    /// Builds the signature of `reference` under `chunking`.
+    /// Builds the signature of `reference` under `chunking`, resolved
+    /// against the reference's length ([`Chunking::resolve`]); the
+    /// signature records the resolved chunking.
     ///
     /// Emits a `remote.sign` span and a `remote.blocks` counter through
     /// [`ipr_trace`].
@@ -253,6 +225,7 @@ impl Signature {
     /// assert_eq!(sig.source_len(), 10_000);
     /// ```
     pub fn build(reference: &[u8], chunking: Chunking) -> Result<Self, SignatureError> {
+        let chunking = chunking.resolve(reference.len() as u64);
         chunking.validate()?;
         let _span = ipr_trace::span("remote.sign");
         let mut blocks = Vec::new();
@@ -281,6 +254,7 @@ impl Signature {
                     offset = end;
                 }
             }
+            Chunking::Auto { .. } => unreachable!("resolved above"),
         }
         ipr_trace::add("remote.blocks", blocks.len() as u64);
         Ok(Self {
@@ -295,11 +269,13 @@ impl Signature {
     /// (`chunking.max_block_len()` bytes) plus the growing block table.
     ///
     /// Produces exactly the same signature as [`Signature::build`] on
-    /// the same bytes.
+    /// the same bytes. The reader's length is not known up front, so a
+    /// [`Chunking::Auto`] must be resolved by the caller first.
     ///
     /// # Errors
     ///
-    /// Invalid chunking parameters surface as
+    /// Invalid chunking parameters and an unresolved
+    /// [`Chunking::Auto`] surface as
     /// [`std::io::ErrorKind::InvalidInput`]; reader errors pass
     /// through.
     pub fn build_streaming<R: Read>(mut reference: R, chunking: Chunking) -> std::io::Result<Self> {
@@ -309,7 +285,6 @@ impl Signature {
         let _span = ipr_trace::span("remote.sign");
         let mut blocks = Vec::new();
         let mut offset = 0u64;
-        let mut buf = vec![0u8; chunking.max_block_len().clamp(1, 1 << 20)];
         let mut push = |offset: &mut u64, data: &[u8]| {
             blocks.push(BlockSignature {
                 offset: *offset,
@@ -334,6 +309,7 @@ impl Signature {
                 }
             }
             Chunking::Cdc(params) => {
+                let mut buf = vec![0u8; params.max.clamp(1, 1 << 20)];
                 let mut chunker = Chunker::new(params);
                 let mut chunk = Vec::with_capacity(params.max);
                 loop {
@@ -352,6 +328,12 @@ impl Signature {
                 if !chunk.is_empty() {
                     push(&mut offset, &chunk);
                 }
+            }
+            Chunking::Auto { .. } => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "auto chunking needs the reference length: resolve it first",
+                ));
             }
         }
         ipr_trace::add("remote.blocks", blocks.len() as u64);
@@ -398,6 +380,7 @@ impl Signature {
                     + varint::encoded_len(p.avg as u64)
                     + varint::encoded_len(p.max as u64)
             }
+            Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
         };
         let blocks: usize = self
             .blocks
@@ -443,6 +426,7 @@ impl Signature {
                 varint::encode(p.avg as u64, &mut out);
                 varint::encode(p.max as u64, &mut out);
             }
+            Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
         }
         varint::encode(self.blocks.len() as u64, &mut out);
         for block in &self.blocks {
@@ -793,27 +777,44 @@ mod tests {
 
     #[test]
     fn auto_block_size_fits_the_budget() {
-        let auto = BlockSize::Auto { budget: 4096 };
+        let auto = Chunking::Auto { budget: 4096 };
         for source_len in [0u64, 1, 1000, 100_000, 1 << 24, 1 << 32] {
-            let block = auto.resolve(source_len);
+            let Chunking::Fixed(block) = auto.resolve(source_len) else {
+                panic!("auto resolves to fixed blocks");
+            };
             assert!(block.is_power_of_two());
-            assert!((BlockSize::MIN_AUTO..=BlockSize::MAX_AUTO).contains(&block));
+            assert!((Chunking::MIN_AUTO..=Chunking::MAX_AUTO).contains(&block));
             let wire = fixed_signature_wire_len(source_len, block as u64);
-            if block < BlockSize::MAX_AUTO {
+            if block < Chunking::MAX_AUTO {
                 assert!(wire <= 4096, "{source_len}: {wire} over budget at {block}");
                 // Smallest such block: one step finer must overflow.
-                if block > BlockSize::MIN_AUTO {
+                if block > Chunking::MIN_AUTO {
                     assert!(fixed_signature_wire_len(source_len, block as u64 / 2) > 4096);
                 }
             }
         }
         // Fixed ignores the source length entirely.
-        assert_eq!(BlockSize::Fixed(1234).resolve(u64::MAX), 1234);
-        assert_eq!(BlockSize::default().resolve(0), DEFAULT_BLOCK_LEN);
+        assert_eq!(
+            Chunking::Fixed(1234).resolve(u64::MAX),
+            Chunking::Fixed(1234)
+        );
+        assert_eq!(
+            Chunking::default().resolve(0),
+            Chunking::Fixed(DEFAULT_BLOCK_LEN)
+        );
         // Impossible budget: clamps to the coarsest rung.
-        let starved = BlockSize::Auto { budget: 0 };
-        assert_eq!(starved.resolve(u64::MAX), BlockSize::MAX_AUTO);
+        let starved = Chunking::Auto { budget: 0 };
+        assert_eq!(
+            starved.resolve(u64::MAX),
+            Chunking::Fixed(Chunking::MAX_AUTO)
+        );
         assert_eq!(format!("{starved}"), "auto:0");
+        // A signature records the length the budget resolved to; a
+        // streamed build, which cannot know the length, refuses `Auto`.
+        let data = pseudo(100_000, 7);
+        let sig = Signature::build(&data, auto).unwrap();
+        assert_eq!(sig.chunking(), auto.resolve(100_000));
+        assert!(Signature::build_streaming(&data[..], auto).is_err());
     }
 
     #[test]

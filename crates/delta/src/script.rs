@@ -2,7 +2,6 @@
 //! version against another.
 
 use crate::command::{Add, Command, Copy};
-use ipr_digraph::Interval;
 use std::fmt;
 
 /// Error returned when a command sequence does not form a well-formed delta
@@ -350,12 +349,6 @@ impl DeltaScript {
     #[must_use]
     pub fn into_parts(self) -> (u64, u64, Vec<Command>) {
         (self.source_len, self.target_len, self.commands)
-    }
-
-    /// The version-file intervals written by each command, in command order.
-    #[must_use]
-    pub fn write_intervals(&self) -> Vec<Interval> {
-        self.commands.iter().map(Command::write_interval).collect()
     }
 }
 

@@ -56,18 +56,6 @@ impl ScriptStats {
     pub fn command_count(&self) -> usize {
         self.copy_count + self.add_count
     }
-
-    /// Fraction of version bytes carried literally in the delta,
-    /// `0.0..=1.0`; `0.0` for an empty version.
-    #[must_use]
-    pub fn literal_fraction(&self) -> f64 {
-        let total = self.copied_bytes + self.added_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.added_bytes as f64 / total as f64
-        }
-    }
 }
 
 impl fmt::Display for ScriptStats {
@@ -235,7 +223,6 @@ mod tests {
         assert_eq!(st.copied_bytes, 40);
         assert_eq!(st.added_bytes, 20);
         assert_eq!(st.command_count(), 2);
-        assert!((st.literal_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!(!st.to_string().is_empty());
     }
 

@@ -5,26 +5,25 @@
 //!   run-time write-before-read fault detector;
 //! * [`Channel`] — deterministic bandwidth/latency model for
 //!   transfer-time results;
-//! * [`update`] — end-to-end OTA sessions: server-side preparation
-//!   ([`update::prepare_update`]) and device-side installation
-//!   ([`update::install_update`]) with CRC verification.
+//! * [`update`] — download-then-apply installation
+//!   ([`update::install_update`]) with CRC verification, and
+//!   [`stream`] — the checkpointed streaming install.
+//!
+//! The server side prepares a payload with
+//! [`Engine::update`](ipr_pipeline::Engine::update); this crate holds
+//! device-side code only.
 //!
 //! # Example
 //!
 //! ```
-//! use ipr_delta::diff::GreedyDiffer;
-//! use ipr_delta::codec::Format;
-//! use ipr_core::ConversionConfig;
 //! use ipr_device::{update, Channel, Device};
+//! use ipr_pipeline::Engine;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let v1 = vec![0u8; 2048];
 //! let mut v2 = v1.clone(); v2[100] = 1;
 //!
-//! let upd = update::prepare_update(
-//!     &GreedyDiffer::default(), &v1, &v2,
-//!     &ConversionConfig::default(), Format::InPlace,
-//! )?;
+//! let upd = Engine::new().update(&v1, &v2)?;
 //!
 //! let mut dev = Device::new(2048);
 //! dev.flash(&v1)?;

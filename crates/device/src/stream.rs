@@ -35,7 +35,7 @@
 
 use crate::channel::LossyChannel;
 use crate::device::{Device, UpdateStats};
-use crate::update::InstallError;
+use crate::update::{verify_image_crc, InstallError};
 use ipr_core::resumable::Journal;
 use ipr_delta::checksum::crc32;
 use ipr_delta::codec::stream::{StreamCheckpoint, StreamDecoder, StreamHeader};
@@ -645,7 +645,7 @@ pub fn stream_install(
     let resumes = install.resumes();
     let high_water = install.buffered_high_water();
     let (header, stats) = install.commit()?;
-    let crc_verified = verify_image_crc(device, &header)?;
+    let crc_verified = verify_image_crc(device, header.target_crc)?;
     ipr_trace::with(|r| {
         r.add("stream.chunks", chunks);
         r.add("stream.commands_pre_eof", commands_pre_eof);
@@ -667,28 +667,13 @@ pub fn stream_install(
     Ok(StreamProgress::Complete(done))
 }
 
-/// Verifies the device image against the header's embedded CRC, if any.
-pub(crate) fn verify_image_crc(
-    device: &Device,
-    header: &StreamHeader,
-) -> Result<bool, InstallError> {
-    match header.target_crc {
-        Some(expected) => {
-            let actual = crc32(device.image());
-            if actual != expected {
-                return Err(InstallError::ChecksumMismatch { expected, actual });
-            }
-            Ok(true)
-        }
-        None => Ok(false),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::Channel;
-    use ipr_pipeline::Engine;
+    use ipr_delta::codec::Format;
+    use ipr_delta::diff::GreedyDiffer;
+    use ipr_pipeline::{Engine, EngineConfig};
 
     fn pair() -> (Vec<u8>, Vec<u8>) {
         let v1: Vec<u8> = (0..16_384u32).map(|i| (i * 13 % 251) as u8).collect();
@@ -704,11 +689,16 @@ mod tests {
         LossyChannel::new(Channel::dialup(), loss, seed)
     }
 
+    /// The `Engine::update` payload of `v1 → v2`, served in
+    /// `chunk_len`-byte chunks.
+    fn served(v1: &[u8], v2: &[u8], chunk_len: usize) -> DeltaStream {
+        DeltaStream::from_wire(Engine::new().update(v1, v2).unwrap().payload, chunk_len)
+    }
+
     #[test]
     fn uninterrupted_stream_install_matches_offline_apply() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
-        let stream = engine.stream_update(&v1, &v2, 1024).unwrap();
+        let stream = served(&v1, &v2, 1024);
 
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
@@ -729,8 +719,7 @@ mod tests {
     #[test]
     fn kill_and_resume_at_every_chunk_boundary() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
-        let stream = engine.stream_update(&v1, &v2, 64).unwrap();
+        let stream = served(&v1, &v2, 64);
         let total_chunks = stream.wire_len().div_ceil(64);
         assert!(total_chunks > 10, "want a real boundary sweep");
 
@@ -769,8 +758,7 @@ mod tests {
         // Replaying the same checkpoint against two copies of the same
         // mid-update storage must converge to identical images.
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
-        let stream = engine.stream_update(&v1, &v2, 64).unwrap();
+        let stream = served(&v1, &v2, 64);
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
         let StreamProgress::Killed { checkpoint, .. } =
@@ -792,8 +780,7 @@ mod tests {
     #[test]
     fn forged_checkpoint_rejected() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
-        let stream = engine.stream_update(&v1, &v2, 64).unwrap();
+        let stream = served(&v1, &v2, 64);
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
         let StreamProgress::Killed { checkpoint, .. } =
@@ -816,7 +803,7 @@ mod tests {
         // the new end but stays inside the old image: `covered` still
         // adds up, and only the target bound catches it.
         let short = &v2[..12_000];
-        let shrinking = engine.stream_update(&v1, short, 64).unwrap();
+        let shrinking = served(&v1, short, 64);
         let mut dev = Device::new(v1.len());
         dev.flash(&v1).unwrap();
         let StreamProgress::Killed { checkpoint, .. } =
@@ -852,9 +839,8 @@ mod tests {
     #[test]
     fn kill_before_header_restarts_from_scratch() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
         // One-byte chunks: the header needs several chunks to arrive.
-        let stream = engine.stream_update(&v1, &v2, 1).unwrap();
+        let stream = served(&v1, &v2, 1);
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
         let StreamProgress::Killed { checkpoint, report } =
@@ -874,8 +860,7 @@ mod tests {
     #[test]
     fn loss_rate_changes_time_not_bytes() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
-        let stream = engine.stream_update(&v1, &v2, 64).unwrap();
+        let stream = served(&v1, &v2, 64);
         let mut times = Vec::new();
         for loss in [0.0, 0.2, 0.6] {
             let mut dev = Device::new(v1.len().max(v2.len()));
@@ -908,22 +893,21 @@ mod tests {
         }
     }
 
-    fn prepared(format: ipr_delta::codec::Format) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    fn prepared(format: Format) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
         let (v1, v2) = pair();
-        let update = crate::update::prepare_update(
-            &ipr_delta::diff::GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ipr_core::ConversionConfig::default(),
+        let config = EngineConfig {
             format,
-        )
-        .unwrap();
+            ..EngineConfig::default()
+        };
+        let update = Engine::with_differ(GreedyDiffer::default(), config)
+            .update(&v1, &v2)
+            .unwrap();
         (v1, v2, update.payload)
     }
 
     #[test]
     fn any_chunking_matches_the_batch_install() {
-        let (v1, v2, payload) = prepared(ipr_delta::codec::Format::Improved);
+        let (v1, v2, payload) = prepared(Format::Improved);
         for chunk in [1usize, 13, 512, payload.len()] {
             let mut dev = Device::new(v1.len().max(v2.len()));
             dev.flash(&v1).unwrap();
@@ -948,7 +932,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let payload = ipr_delta::codec::encode(&script, ipr_delta::codec::Format::InPlace).unwrap();
+        let payload = ipr_delta::codec::encode(&script, Format::InPlace).unwrap();
         let mut dev = Device::new(16);
         dev.flash(&reference).unwrap();
         let err = install_wire(&mut dev, &payload, 4).unwrap_err();
@@ -963,7 +947,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_rejected() {
-        let (v1, v2, payload) = prepared(ipr_delta::codec::Format::InPlace);
+        let (v1, v2, payload) = prepared(Format::InPlace);
         let cut = &payload[..payload.len() / 2];
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
@@ -983,12 +967,10 @@ mod tests {
     #[test]
     fn decoder_memory_stays_bounded() {
         let (v1, v2) = pair();
-        let mut engine = Engine::new();
         let chunk_len = 512usize;
-        let stream = engine.stream_update(&v1, &v2, chunk_len).unwrap();
         // Largest possible command frame: tag + 3 ten-byte varints +
         // the largest add literal in the delta.
-        let delta = engine.update(&v1, &v2).unwrap();
+        let delta = Engine::new().update(&v1, &v2).unwrap();
         let max_literal = delta
             .script
             .commands()
@@ -999,6 +981,7 @@ mod tests {
             })
             .max()
             .unwrap_or(0);
+        let stream = DeltaStream::from_wire(delta.payload, chunk_len);
         let mut dev = Device::new(v1.len().max(v2.len()));
         dev.flash(&v1).unwrap();
         let StreamProgress::Complete(report) =

@@ -1,124 +1,14 @@
-//! End-to-end over-the-air update sessions: server-side preparation and
-//! device-side installation of in-place reconstructible deltas.
+//! Download-then-apply installation of an in-place reconstructible
+//! delta: the device receives the whole payload, decodes it, applies it
+//! in place and checks the rebuilt image's CRC. A server prepares the
+//! payload with [`Engine::update`](ipr_pipeline::Engine::update).
 
 use crate::channel::Channel;
 use crate::device::{Device, DeviceError, UpdateStats};
-use ipr_core::{convert_to_in_place, ConversionConfig, ConversionReport, ConvertError};
 use ipr_delta::checksum::crc32;
-use ipr_delta::codec::{self, DecodeError, EncodeError, Format};
-use ipr_delta::diff::Differ;
+use ipr_delta::codec::{self, DecodeError};
 use std::fmt;
 use std::time::Duration;
-
-/// A serialized in-place update ready for transmission.
-#[derive(Clone, Debug)]
-pub struct PreparedUpdate {
-    /// The encoded delta file (wire bytes).
-    pub payload: Vec<u8>,
-    /// Conversion measurements from the server-side post-processing.
-    pub report: ConversionReport,
-    /// Size of the full new image, for speedup accounting.
-    pub version_len: u64,
-}
-
-impl PreparedUpdate {
-    /// Compression ratio: payload bytes over full-image bytes.
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.version_len == 0 {
-            0.0
-        } else {
-            self.payload.len() as f64 / self.version_len as f64
-        }
-    }
-}
-
-/// Error preparing an update on the server.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PrepareError {
-    /// In-place conversion failed.
-    Convert(ConvertError),
-    /// Encoding the converted script failed.
-    Encode(EncodeError),
-}
-
-impl fmt::Display for PrepareError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PrepareError::Convert(e) => write!(f, "conversion failed: {e}"),
-            PrepareError::Encode(e) => write!(f, "encoding failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PrepareError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PrepareError::Convert(e) => Some(e),
-            PrepareError::Encode(e) => Some(e),
-        }
-    }
-}
-
-impl From<ConvertError> for PrepareError {
-    fn from(e: ConvertError) -> Self {
-        PrepareError::Convert(e)
-    }
-}
-
-impl From<EncodeError> for PrepareError {
-    fn from(e: EncodeError) -> Self {
-        PrepareError::Encode(e)
-    }
-}
-
-/// Server side: difference `version` against `reference`, post-process for
-/// in-place reconstruction and serialize with an embedded target CRC.
-///
-/// `format` must be an explicit-write-offset format
-/// ([`Format::supports_out_of_order`]); the converted command order is the
-/// safety property and must survive serialization.
-///
-/// # Errors
-///
-/// See [`PrepareError`].
-///
-/// # Example
-///
-/// ```
-/// use ipr_delta::diff::GreedyDiffer;
-/// use ipr_delta::codec::Format;
-/// use ipr_core::ConversionConfig;
-/// use ipr_device::update::prepare_update;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let v1 = vec![1u8; 4096];
-/// let mut v2 = v1.clone(); v2[0] = 9;
-/// let update = prepare_update(
-///     &GreedyDiffer::default(), &v1, &v2,
-///     &ConversionConfig::default(), Format::InPlace,
-/// )?;
-/// assert!(update.payload.len() < v2.len());
-/// # Ok(())
-/// # }
-/// ```
-pub fn prepare_update(
-    differ: &dyn Differ,
-    reference: &[u8],
-    version: &[u8],
-    config: &ConversionConfig,
-    format: Format,
-) -> Result<PreparedUpdate, PrepareError> {
-    let _span = ipr_trace::span("device.prepare");
-    let script = differ.diff(reference, version);
-    let outcome = convert_to_in_place(&script, reference, config)?;
-    let payload = codec::encode_checked(&outcome.script, format, version)?;
-    Ok(PreparedUpdate {
-        payload,
-        report: outcome.report,
-        version_len: version.len() as u64,
-    })
-}
 
 /// Error installing an update on the device.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,16 +96,7 @@ pub fn install_update(
     let transfer_time = channel.transfer_time(payload.len() as u64);
     let decoded = codec::decode(payload)?;
     let stats = device.apply_update(&decoded.script)?;
-    let crc_verified = match decoded.target_crc {
-        Some(expected) => {
-            let actual = crc32(device.image());
-            if actual != expected {
-                return Err(InstallError::ChecksumMismatch { expected, actual });
-            }
-            true
-        }
-        None => false,
-    };
+    let crc_verified = verify_image_crc(device, decoded.target_crc)?;
     Ok(InstallReport {
         received_bytes: payload.len() as u64,
         transfer_time,
@@ -224,10 +105,28 @@ pub fn install_update(
     })
 }
 
+/// Checks the device image against `expected`, the CRC a delta header
+/// carried: `Ok(true)` when it matches, `Ok(false)` when there was none.
+pub(crate) fn verify_image_crc(
+    device: &Device,
+    expected: Option<u32>,
+) -> Result<bool, InstallError> {
+    let Some(expected) = expected else {
+        return Ok(false);
+    };
+    let actual = crc32(device.image());
+    if actual != expected {
+        return Err(InstallError::ChecksumMismatch { expected, actual });
+    }
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipr_delta::codec::Format;
     use ipr_delta::diff::GreedyDiffer;
+    use ipr_pipeline::{Engine, EngineConfig, InPlaceDelta};
 
     fn pair() -> (Vec<u8>, Vec<u8>) {
         let v1: Vec<u8> = (0..16_384u32).map(|i| (i * 13 % 251) as u8).collect();
@@ -239,17 +138,20 @@ mod tests {
         (v1, v2)
     }
 
+    fn prepare(v1: &[u8], v2: &[u8], format: Format) -> InPlaceDelta {
+        let config = EngineConfig {
+            format,
+            ..EngineConfig::default()
+        };
+        Engine::with_differ(GreedyDiffer::default(), config)
+            .update(v1, v2)
+            .unwrap()
+    }
+
     #[test]
     fn full_ota_round_trip() {
         let (v1, v2) = pair();
-        let update = prepare_update(
-            &GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let update = prepare(&v1, &v2, Format::InPlace);
         assert!(update.ratio() < 0.7, "ratio {}", update.ratio());
 
         let mut dev = Device::new(v1.len().max(v2.len()));
@@ -266,14 +168,7 @@ mod tests {
     fn all_in_place_formats_install() {
         let (v1, v2) = pair();
         for format in [Format::InPlace, Format::PaperInPlace, Format::Improved] {
-            let update = prepare_update(
-                &GreedyDiffer::default(),
-                &v1,
-                &v2,
-                &ConversionConfig::default(),
-                format,
-            )
-            .unwrap();
+            let update = prepare(&v1, &v2, format);
             let mut dev = Device::new(v1.len().max(v2.len()));
             dev.flash(&v1).unwrap();
             install_update(&mut dev, &update.payload, Channel::isdn()).unwrap();
@@ -293,14 +188,7 @@ mod tests {
     #[test]
     fn corrupted_payload_detected() {
         let (v1, v2) = pair();
-        let mut update = prepare_update(
-            &GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let mut update = prepare(&v1, &v2, Format::InPlace);
         // Flip a literal byte deep in the payload: decoding still succeeds
         // but the rebuilt image no longer matches the CRC.
         let n = update.payload.len();
@@ -320,14 +208,7 @@ mod tests {
     #[test]
     fn delta_update_faster_than_full_image() {
         let (v1, v2) = pair();
-        let update = prepare_update(
-            &GreedyDiffer::default(),
-            &v1,
-            &v2,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let update = prepare(&v1, &v2, Format::InPlace);
         let ch = Channel::dialup();
         let full = ch.transfer_time(v2.len() as u64);
         let delta = ch.transfer_time(update.payload.len() as u64);

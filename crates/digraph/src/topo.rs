@@ -54,46 +54,8 @@ impl std::error::Error for CycleError {}
 /// assert_eq!(topo::kahn(&g).unwrap(), vec![2, 1, 0]);
 /// ```
 pub fn kahn(g: &Digraph) -> Result<Vec<NodeId>, CycleError> {
-    let mut scratch = KahnScratch::new();
-    let mut order = Vec::with_capacity(g.node_count());
-    kahn_into(g, &mut scratch, &mut order)?;
-    Ok(order)
-}
-
-/// Reusable working storage for [`kahn_into`].
-#[derive(Debug, Default)]
-pub struct KahnScratch {
-    indeg: Vec<usize>,
-    queue: VecDeque<NodeId>,
-}
-
-impl KahnScratch {
-    /// Creates an empty scratch; storage is grown on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Allocation-free variant of [`kahn`]: the sort order is written into
-/// `order` (cleared first) and all working storage lives in `scratch`.
-///
-/// Output is identical to [`kahn`] (which is a thin wrapper over this
-/// function).
-///
-/// # Errors
-///
-/// Returns [`CycleError`] (without a witness) if the graph is cyclic;
-/// `order` then holds the partial acyclic prefix.
-pub fn kahn_into(
-    g: &Digraph,
-    scratch: &mut KahnScratch,
-    order: &mut Vec<NodeId>,
-) -> Result<(), CycleError> {
     let n = g.node_count();
-    let KahnScratch { indeg, queue } = scratch;
-    indeg.clear();
-    indeg.resize(n, 0);
+    let mut indeg = vec![0usize; n];
     for u in 0..n as NodeId {
         for &v in g.successors(u) {
             indeg[v as usize] += 1;
@@ -101,9 +63,10 @@ pub fn kahn_into(
     }
     // A binary heap would give strict smallest-first order; a sorted seed
     // plus FIFO suffices for determinism and keeps this O(V + E).
-    queue.clear();
-    queue.extend((0..n as NodeId).filter(|&v| indeg[v as usize] == 0));
-    order.clear();
+    let mut queue: VecDeque<NodeId> = (0..n as NodeId)
+        .filter(|&v| indeg[v as usize] == 0)
+        .collect();
+    let mut order = Vec::with_capacity(n);
     while let Some(u) = queue.pop_front() {
         order.push(u);
         for &v in g.successors(u) {
@@ -114,7 +77,7 @@ pub fn kahn_into(
         }
     }
     if order.len() == n {
-        Ok(())
+        Ok(order)
     } else {
         Err(CycleError { cycle: Vec::new() })
     }
@@ -293,29 +256,5 @@ mod tests {
     #[test]
     fn find_cycle_none_on_dag() {
         assert!(find_cycle(&diamond()).is_none());
-    }
-
-    #[test]
-    fn kahn_scratch_reuse_matches_fresh() {
-        let graphs = [
-            diamond(),
-            Digraph::from_edges(3, [(2, 1), (1, 0)]),
-            Digraph::new(5),
-            Digraph::from_edges(2, [(0, 1), (1, 0)]),
-            Digraph::new(0),
-        ];
-        let mut scratch = KahnScratch::new();
-        let mut order = Vec::new();
-        for g in &graphs {
-            let fresh = kahn(g);
-            let reused = kahn_into(g, &mut scratch, &mut order);
-            match fresh {
-                Ok(o) => {
-                    assert!(reused.is_ok());
-                    assert_eq!(o, order);
-                }
-                Err(_) => assert!(reused.is_err()),
-            }
-        }
     }
 }

@@ -1170,13 +1170,13 @@ pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
 
     // Ground truth: the target the delta declares, applied offline.
     let version = scratch_apply(case)?;
-    let mut engine = ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig {
+    let delta = ipr_pipeline::Engine::with_config(ipr_pipeline::EngineConfig {
         format,
         ..ipr_pipeline::EngineConfig::default()
-    });
-    let stream = engine
-        .stream_update(&case.reference, &version, chunk)
-        .map_err(|e| format!("{tag}: stream_update failed: {e}"))?;
+    })
+    .update(&case.reference, &version)
+    .map_err(|e| format!("{tag}: update failed: {e}"))?;
+    let stream = ipr_pipeline::DeltaStream::from_wire(delta.payload, chunk);
     let capacity = case.reference.len().max(version.len());
     let wire = decode(stream.payload())
         .map_err(|e| format!("{tag}: streamed wire does not decode: {e}"))?;

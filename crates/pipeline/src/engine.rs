@@ -8,7 +8,7 @@ use ipr_core::{
 use ipr_delta::codec::{self, Format};
 use ipr_delta::compose_chain;
 use ipr_delta::diff::{DiffScratch, GreedyDiffer, IndexedDiffer};
-use ipr_delta::remote::{self, BlockSize, Chunking, Signature, SignatureError};
+use ipr_delta::remote::{self, Chunking, Signature, SignatureError};
 use ipr_delta::DeltaScript;
 
 /// Configuration shared by every stage of an [`Engine`].
@@ -24,13 +24,10 @@ pub struct EngineConfig {
     /// paper's §4.1). Defaults to 1, the thread count that describes it.
     pub threads: usize,
     /// Block chunking for [`Engine::sign`] — the remote-differencing
-    /// signature path (docs/REMOTE.md).
+    /// signature path (docs/REMOTE.md). [`Chunking::Auto`] resolves per
+    /// reference to the smallest block whose wire signature fits its
+    /// byte budget.
     pub chunking: Chunking,
-    /// When set, overrides [`chunking`](EngineConfig::chunking) for
-    /// [`Engine::sign`] with a fixed block length resolved per
-    /// reference — [`BlockSize::Auto`] picks the smallest block whose
-    /// wire signature fits the configured byte budget.
-    pub block_size: Option<BlockSize>,
 }
 
 impl Default for EngineConfig {
@@ -40,7 +37,6 @@ impl Default for EngineConfig {
             format: Format::InPlace,
             threads: 1,
             chunking: Chunking::default(),
-            block_size: None,
         }
     }
 }
@@ -88,11 +84,10 @@ impl InPlaceDelta {
 ///
 /// A diff indexes the reference, then scans the version against that
 /// index. The engine keeps a copy of the reference its index was built
-/// from, and a [`diff`](Engine::diff), [`update`](Engine::update) or
-/// [`stream_update`](Engine::stream_update) whose reference bytes equal
-/// that copy scans the index already built instead of building it
-/// again: a server preparing many releases against one fielded image
-/// indexes it once. The check is an exact byte compare (a length
+/// from, and a [`diff`](Engine::diff) or [`update`](Engine::update)
+/// whose reference bytes equal that copy scans the index already built
+/// instead of building it again: a server preparing many releases
+/// against one fielded image indexes it once. The check is an exact byte compare (a length
 /// compare, then `memcmp`), never a hash or a pointer, so a caller's
 /// buffer changed in place since, or any other reference, rebuilds.
 /// Reuse changes no output byte.
@@ -180,22 +175,16 @@ impl<D: IndexedDiffer> Engine<D> {
     }
 
     /// Builds the remote-differencing [`Signature`] of `reference` under
-    /// the engine's [`chunking`](EngineConfig::chunking) — the device
-    /// side of the signature/streaming flow (docs/REMOTE.md). A
-    /// configured [`block_size`](EngineConfig::block_size) takes
-    /// precedence, resolving [`BlockSize::Auto`] against this
-    /// reference's length.
+    /// the engine's [`chunking`](EngineConfig::chunking), resolved
+    /// against this reference's length ([`Chunking::resolve`]) — the
+    /// device side of the signature/streaming flow (docs/REMOTE.md).
     ///
     /// # Errors
     ///
     /// [`SignatureError::BadChunking`] when the configured chunking
     /// parameters are invalid.
     pub fn sign(&mut self, reference: &[u8]) -> Result<Signature, SignatureError> {
-        let chunking = match self.config.block_size {
-            Some(block_size) => block_size.chunking(reference.len() as u64),
-            None => self.config.chunking,
-        };
-        Signature::build(reference, chunking)
+        Signature::build(reference, self.config.chunking)
     }
 
     /// Stage 1, remote flavour: differences a *streamed* version against
@@ -285,7 +274,10 @@ impl<D: IndexedDiffer> Engine<D> {
     }
 
     /// One-call server path: diff, convert and encode — everything a
-    /// device needs to rebuild `version` over `reference` in place.
+    /// device needs to rebuild `version` over `reference` in place, and
+    /// the only way to prepare an update. A streaming install serves
+    /// the payload through
+    /// [`DeltaStream::from_wire`](crate::DeltaStream::from_wire).
     ///
     /// Byte-identical to the free-function pipeline
     /// (`diff` → [`ipr_core::convert_to_in_place`] →
@@ -317,34 +309,6 @@ impl<D: IndexedDiffer> Engine<D> {
             report: outcome.report,
             version_len: version.len() as u64,
         })
-    }
-
-    /// Prepares `version` as a resumable chunk stream: the server side
-    /// of a streaming install. The delta is produced exactly as by
-    /// [`Engine::update`] (same bytes), then exposed through
-    /// [`DeltaStream::chunk_at`](crate::DeltaStream::chunk_at) so a
-    /// device can pull it window by window and — after a power cut —
-    /// re-request from its checkpointed wire offset instead of byte 0.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::update`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len == 0`.
-    pub fn stream_update(
-        &mut self,
-        reference: &[u8],
-        version: &[u8],
-        chunk_len: usize,
-    ) -> Result<crate::DeltaStream, EngineError> {
-        let _span = ipr_trace::span("stream.prepare");
-        let delta = self.update(reference, version)?;
-        let stream = crate::DeltaStream::new(delta.payload, chunk_len, delta.version_len);
-        // The script is not part of the stream; return it to the pool.
-        self.recycle_script(delta.script);
-        Ok(stream)
     }
 
     /// Composes a chain of consecutive deltas into one equivalent

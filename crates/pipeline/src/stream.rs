@@ -4,22 +4,22 @@
 //! A device pulling an update over a lossy link re-requests from its
 //! last durable checkpoint after a power cut — *not* from byte 0 — so
 //! the server's job is to serve `chunk_len`-byte windows at arbitrary
-//! wire offsets. [`DeltaStream`] is that server: build one with
-//! [`Engine::stream_update`](crate::Engine::stream_update) (or wrap
-//! stored wire bytes with [`DeltaStream::from_wire`]) and hand it to
-//! the device simulator's `stream_install`.
+//! wire offsets. [`DeltaStream`] is that server: wrap the payload of
+//! [`Engine::update`](crate::Engine::update) (or wire bytes re-served
+//! from a store) with [`DeltaStream::from_wire`] and hand it to the
+//! device simulator's `stream_install`.
 
 /// A prepared in-place delta served as a chunked, seekable stream.
 #[derive(Clone, Debug)]
 pub struct DeltaStream {
     payload: Vec<u8>,
     chunk_len: usize,
-    version_len: u64,
 }
 
 impl DeltaStream {
-    /// Wraps already-encoded wire bytes (e.g. a delta re-served from a
-    /// store after the client lost power mid-download).
+    /// Wraps encoded wire bytes: an [`Engine::update`](crate::Engine::update)
+    /// payload, or a delta re-served from a store after the client lost
+    /// power mid-download.
     ///
     /// # Panics
     ///
@@ -27,20 +27,7 @@ impl DeltaStream {
     #[must_use]
     pub fn from_wire(payload: Vec<u8>, chunk_len: usize) -> Self {
         assert!(chunk_len > 0, "chunk length must be positive");
-        Self {
-            payload,
-            chunk_len,
-            version_len: 0,
-        }
-    }
-
-    pub(crate) fn new(payload: Vec<u8>, chunk_len: usize, version_len: u64) -> Self {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        Self {
-            payload,
-            chunk_len,
-            version_len,
-        }
+        Self { payload, chunk_len }
     }
 
     /// Total wire bytes of the delta.
@@ -53,13 +40,6 @@ impl DeltaStream {
     #[must_use]
     pub fn chunk_len(&self) -> usize {
         self.chunk_len
-    }
-
-    /// Length of the version image this delta reconstructs, when known
-    /// (zero for [`from_wire`](Self::from_wire) streams).
-    #[must_use]
-    pub fn version_len(&self) -> u64 {
-        self.version_len
     }
 
     /// Serves the chunk starting at wire offset `offset`, or `None` at

@@ -18,49 +18,51 @@ fn corpus_pair(len: usize, rot: usize) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The engine's one-call path must match the legacy free-function
-/// pipeline byte for byte: same commands, same wire bytes.
+/// pipeline byte for byte: same commands, same wire bytes. Checked for
+/// the Engine's default differ, `sampled()`, and for the full index,
+/// `default()`.
 #[test]
 fn update_matches_legacy_pipeline() {
     let (reference, version) = corpus_pair(200_000, 25_000);
-    let legacy_script = GreedyDiffer::sampled().diff(&reference, &version);
-    for policy in [
-        CyclePolicy::ConstantTime,
-        CyclePolicy::LocallyMinimum,
-        CyclePolicy::Exhaustive { limit: 24 },
-    ] {
-        let mut engine = Engine::with_config(EngineConfig {
-            policy,
-            ..EngineConfig::default()
-        });
+    for differ in [GreedyDiffer::sampled(), GreedyDiffer::default()] {
+        let legacy_script = differ.diff(&reference, &version);
+        for policy in [
+            CyclePolicy::ConstantTime,
+            CyclePolicy::LocallyMinimum,
+            CyclePolicy::Exhaustive { limit: 24 },
+        ] {
+            let config = EngineConfig {
+                policy,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::with_differ(differ.clone(), config);
 
-        let legacy = convert_to_in_place(
-            &legacy_script,
-            &reference,
-            &ConversionConfig::with_policy(policy),
-        )
-        .unwrap();
-        let legacy_payload =
-            codec::encode_checked(&legacy.script, Format::InPlace, &version).unwrap();
+            let legacy = convert_to_in_place(
+                &legacy_script,
+                &reference,
+                &ConversionConfig::with_policy(policy),
+            )
+            .unwrap();
+            let legacy_payload =
+                codec::encode_checked(&legacy.script, Format::InPlace, &version).unwrap();
 
-        // Two updates through the same engine: the second runs on a
-        // warm, recycled arena and must still be identical.
-        for round in 0..2 {
-            let delta = engine.update(&reference, &version).unwrap();
-            assert_eq!(
-                delta.script.commands(),
-                legacy.script.commands(),
-                "{policy} round={round}"
-            );
-            assert_eq!(delta.payload, legacy_payload);
-            assert_eq!(delta.report.cycles_broken, legacy.report.cycles_broken);
-            assert_eq!(delta.version_len, version.len() as u64);
+            // Two updates through the same engine: the second runs on a
+            // warm, recycled arena and must still be identical.
+            for round in 0..2 {
+                let delta = engine.update(&reference, &version).unwrap();
+                let tag = format!("{differ:?} {policy} round={round}");
+                assert_eq!(delta.script.commands(), legacy.script.commands(), "{tag}");
+                assert_eq!(delta.payload, legacy_payload, "{tag}");
+                assert_eq!(delta.report.cycles_broken, legacy.report.cycles_broken);
+                assert_eq!(delta.version_len, version.len() as u64);
 
-            let mut buf = reference.clone();
-            buf.resize(buf.len().max(version.len()), 0);
-            engine.apply_in_place(&delta.script, &mut buf).unwrap();
-            buf.truncate(version.len());
-            assert_eq!(buf, version);
-            engine.recycle(delta);
+                let mut buf = reference.clone();
+                buf.resize(buf.len().max(version.len()), 0);
+                engine.apply_in_place(&delta.script, &mut buf).unwrap();
+                buf.truncate(version.len());
+                assert_eq!(buf, version);
+                engine.recycle(delta);
+            }
         }
     }
 }

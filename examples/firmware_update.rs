@@ -9,13 +9,12 @@
 //!
 //! Run: `cargo run --release --example firmware_update`
 
-use ipr::core::ConversionConfig;
-use ipr::delta::codec::Format;
 use ipr::delta::diff::{Differ, GreedyDiffer};
-use ipr::device::update::{install_update, prepare_update};
+use ipr::device::update::install_update;
 use ipr::device::{Channel, Device};
 use ipr::workloads::content::{generate, ContentKind};
 use ipr::workloads::mutate::{mutate, MutationProfile};
+use ipr::{Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,13 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("firmware v1: {} B, v2: {} B", v1.len(), v2.len());
 
     // Server side: diff + in-place conversion + serialization.
-    let update = prepare_update(
-        &GreedyDiffer::default(),
-        &v1,
-        &v2,
-        &ConversionConfig::default(),
-        Format::InPlace,
-    )?;
+    let update =
+        Engine::with_differ(GreedyDiffer::default(), EngineConfig::default()).update(&v1, &v2)?;
     println!(
         "update payload: {} B ({:.1}% of a full image); {} cycles broken, {} copies converted",
         update.payload.len(),

@@ -9,11 +9,11 @@ use ipr::core::{convert_to_in_place, required_capacity, ConversionConfig};
 use ipr::delta::codec::Format;
 use ipr::delta::diff::{CorrectingDiffer, Differ};
 use ipr::device::flash::{FlashStorage, FlashUpdater};
-use ipr::device::update::prepare_update;
 use ipr::device::{stream_install, Channel, Device, LossyChannel, StreamProgress};
 use ipr::pipeline::DeltaStream;
 use ipr::workloads::content::{generate, ContentKind};
 use ipr::workloads::mutate::{mutate, MutationProfile};
+use ipr::{Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,13 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let differ = CorrectingDiffer::default();
 
     // --- 1. Streaming install: apply while the payload arrives. --------
-    let update = prepare_update(
-        &differ,
-        &v1,
-        &v2,
-        &ConversionConfig::default(),
-        Format::Improved,
-    )?;
+    let config = EngineConfig {
+        format: Format::Improved,
+        ..EngineConfig::default()
+    };
+    let update = Engine::with_differ(differ.clone(), config).update(&v1, &v2)?;
     let mut device = Device::new(512 * 1024);
     device.flash(&v1)?;
     // The payload arrives in 1 KiB network chunks; commands are applied

@@ -5,22 +5,22 @@ use ipr::core::ConversionConfig;
 use ipr::delta::codec::Format;
 use ipr::delta::diff::{Differ, GreedyDiffer};
 use ipr::device::flash::{FlashStorage, FlashUpdater};
-use ipr::device::update::{install_update, prepare_update};
+use ipr::device::update::install_update;
 use ipr::device::{stream_install, Channel, Device, LossyChannel, StreamProgress};
 use ipr::pipeline::DeltaStream;
 use ipr::workloads::archive::{distribution_pair, parse_archive};
+use ipr::{Engine, EngineConfig};
 
 #[test]
 fn archive_release_installs_over_every_transport() {
     let pair = distribution_pair(41, 40, 2_000..8_000);
-    let update = prepare_update(
-        &GreedyDiffer::default(),
-        &pair.old,
-        &pair.new,
-        &ConversionConfig::default(),
-        Format::Improved,
-    )
-    .unwrap();
+    let config = EngineConfig {
+        format: Format::Improved,
+        ..EngineConfig::default()
+    };
+    let update = Engine::with_differ(GreedyDiffer::default(), config)
+        .update(&pair.old, &pair.new)
+        .unwrap();
     assert!(
         update.payload.len() * 4 < pair.new.len(),
         "distribution delta should compress at least 4x"

@@ -8,9 +8,10 @@ use ipr::core::{
 };
 use ipr::delta::codec::{decode, encode, encode_checked, Format};
 use ipr::delta::diff::{Differ, GreedyDiffer, OnePassDiffer};
-use ipr::device::update::{install_update, prepare_update};
+use ipr::device::update::install_update;
 use ipr::device::{Channel, Device};
 use ipr::workloads::corpus::CorpusSpec;
+use ipr::{Engine, EngineConfig};
 
 fn corpus() -> Vec<ipr::workloads::FilePair> {
     CorpusSpec {
@@ -98,16 +99,9 @@ fn wire_formats_preserve_safety_and_content() {
 
 #[test]
 fn device_installs_every_pair() {
-    let differ = GreedyDiffer::default();
+    let mut engine = Engine::with_differ(GreedyDiffer::default(), EngineConfig::default());
     for pair in &corpus() {
-        let update = prepare_update(
-            &differ,
-            &pair.reference,
-            &pair.version,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let update = engine.update(&pair.reference, &pair.version).unwrap();
         let capacity = pair.reference.len().max(pair.version.len());
         let mut device = Device::new(capacity);
         device.flash(&pair.reference).unwrap();

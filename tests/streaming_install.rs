@@ -22,9 +22,10 @@ fn pair() -> (Vec<u8>, Vec<u8>) {
 }
 
 fn prepared(reference: &[u8], version: &[u8], chunk: usize) -> DeltaStream {
-    Engine::new()
-        .stream_update(reference, version, chunk)
-        .expect("prepare streaming update")
+    let delta = Engine::new()
+        .update(reference, version)
+        .expect("prepare streaming update");
+    DeltaStream::from_wire(delta.payload, chunk)
 }
 
 fn flashed(reference: &[u8], version: &[u8]) -> Device {

@@ -2,28 +2,21 @@
 //! realistic distribution pattern (a device several releases behind
 //! catches up through consecutive in-place updates).
 
-use ipr::core::ConversionConfig;
-use ipr::delta::codec::Format;
-use ipr::delta::diff::{CorrectingDiffer, Differ, GreedyDiffer};
-use ipr::device::update::{install_update, prepare_update};
+use ipr::delta::diff::{CorrectingDiffer, GreedyDiffer, IndexedDiffer};
+use ipr::device::update::install_update;
 use ipr::device::{Channel, Device};
 use ipr::workloads::chain::{ChainPattern, VersionChain};
 use ipr::workloads::content::ContentKind;
+use ipr::{Engine, EngineConfig};
 
-fn run_chain(chain: &VersionChain, differ: &dyn Differ) {
+fn run_chain<D: IndexedDiffer>(chain: &VersionChain, differ: D) {
     let capacity = chain.releases().iter().map(Vec::len).max().unwrap() + 4096;
     let mut device = Device::new(capacity);
     device.flash(chain.release(0)).unwrap();
+    let mut engine = Engine::with_differ(differ, EngineConfig::default());
     for (hop, (old, new)) in chain.hops().enumerate() {
         assert_eq!(device.image(), old, "device out of sync before hop {hop}");
-        let update = prepare_update(
-            differ,
-            old,
-            new,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let update = engine.update(old, new).unwrap();
         let report = install_update(&mut device, &update.payload, Channel::cellular()).unwrap();
         assert!(report.crc_verified, "hop {hop}");
         assert_eq!(device.image(), new, "hop {hop} corrupted the image");
@@ -39,7 +32,7 @@ fn patch_chain_applies_hop_by_hop() {
         6,
         ChainPattern::Patches,
     );
-    run_chain(&chain, &GreedyDiffer::default());
+    run_chain(&chain, GreedyDiffer::default());
 }
 
 #[test]
@@ -51,7 +44,7 @@ fn escalating_chain_with_correcting_differ() {
         7,
         ChainPattern::Escalating,
     );
-    run_chain(&chain, &CorrectingDiffer::default());
+    run_chain(&chain, CorrectingDiffer::default());
 }
 
 #[test]
@@ -63,7 +56,7 @@ fn major_release_chain() {
         5,
         ChainPattern::MajorEvery(2),
     );
-    run_chain(&chain, &GreedyDiffer::default());
+    run_chain(&chain, GreedyDiffer::default());
 }
 
 #[test]
@@ -77,18 +70,11 @@ fn chain_totals_beat_full_images() {
         8,
         ChainPattern::Patches,
     );
-    let differ = GreedyDiffer::default();
+    let mut engine = Engine::with_differ(GreedyDiffer::default(), EngineConfig::default());
     let mut delta_total = 0usize;
     let mut full_total = 0usize;
     for (old, new) in chain.hops() {
-        let update = prepare_update(
-            &differ,
-            old,
-            new,
-            &ConversionConfig::default(),
-            Format::InPlace,
-        )
-        .unwrap();
+        let update = engine.update(old, new).unwrap();
         delta_total += update.payload.len();
         full_total += new.len();
     }
