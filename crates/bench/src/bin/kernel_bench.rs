@@ -1,5 +1,5 @@
 //! Match-kernel and checksum microbenchmark: wide-word compare kernels
-//! and the slicing-by-16 CRC-32 vs the naive byte loops they replaced.
+//! and the CRC-32 kernels vs the naive byte loops they replaced.
 //!
 //! The differ inner loops were rebuilt on `ipr_delta::diff::kernel`
 //! (forward/backward extension via `u64` XOR + `trailing_zeros`, word-
@@ -13,24 +13,30 @@
 //! * **verify** — 16-byte seed windows, hit and miss (the candidate
 //!   filter in front of every extension).
 //!
-//! The `crc32` rows time `ipr_delta::checksum::crc32` on the long
-//! profile's 4 MiB buffer and on 24-byte messages at every alignment
-//! phase, against a byte-at-a-time table loop. Before timing, both
-//! inputs are also checksummed in two streamed pieces split at every
-//! phase of the 16-byte block, and each result must equal the byte
-//! loop's.
+//! The `crc32` rows time `ipr_delta::checksum::crc32`, the kernel the
+//! host dispatches to (printed first: the carry-less-multiply fold or
+//! the table loop), on the long profile's 4 MiB buffer and on 24-byte
+//! messages at every alignment phase, against a byte-at-a-time table
+//! loop; the `crc32-table` row times the portable table loop
+//! (`crc32_portable`) on the same 4 MiB. Before timing, both inputs are
+//! also checksummed in two streamed pieces split at every phase from 0
+//! to 64 bytes from either end, across the 16-byte block and the fold's
+//! 64-byte floor, and each result must equal the byte loop's.
 //!
 //! Every timed input is first cross-checked against the naive loop and
 //! the run exits non-zero on any disagreement, so the bench doubles as a
 //! smoke-level equivalence gate in CI. Throughput numbers are printed
-//! for humans and are **not** gated — shared-runner noise would make any
-//! absolute or ratio gate flaky; the `diff_throughput` gate covers the
-//! end-to-end effect instead.
+//! for humans and are not gated, with one exception: where `crc32`
+//! folds, its 4 MiB row must run at least [`FOLD_MIN_SPEEDUP`] times the
+//! table loop timed in the same run, or the run exits non-zero. That is
+//! a ratio within one run, and the fold's measured margin (about 9× on
+//! a 2-core x86-64 host) leaves room for shared-runner noise; the
+//! `diff_throughput` gate covers the match kernels' end-to-end effect.
 //!
 //! Run: `cargo run -p ipr-bench --release --bin kernel_bench`
 
 use ipr_bench::{best_of, env_usize, mib_per_s};
-use ipr_delta::checksum::{crc32, Crc32};
+use ipr_delta::checksum::{crc32, crc32_portable, uses_fold, Crc32};
 use ipr_delta::diff::kernel::{common_prefix, common_suffix, windows_eq};
 use std::time::Instant;
 
@@ -55,6 +61,10 @@ fn naive_suffix(a: &[u8], b: &[u8]) -> usize {
 fn naive_eq(a: &[u8], b: &[u8]) -> bool {
     a.len() == b.len() && (0..a.len()).all(|i| a[i] == b[i])
 }
+
+/// Least speed-up of the dispatched `crc32` over the table loop on the
+/// 4 MiB buffer, where the host folds with carry-less multiplies.
+const FOLD_MIN_SPEEDUP: f64 = 4.0;
 
 /// Byte-at-a-time CRC-32 (IEEE, reflected), the loop `crc32` replaced.
 fn naive_crc32(data: &[u8]) -> u32 {
@@ -84,12 +94,12 @@ fn naive_crc32(data: &[u8]) -> u32 {
     !state
 }
 
-/// Counts the split points in `0..=16` (and as far from the end) at
+/// Counts the split points in `0..=64` (and as far from the end) at
 /// which two streamed `Crc32::update` calls disagree with the byte loop.
 fn crc_split_mismatches(data: &[u8], what: &str) -> usize {
     let expected = naive_crc32(data);
     let mut mismatches = 0;
-    for phase in 0..=16.min(data.len()) {
+    for phase in 0..=64.min(data.len()) {
         for split in [phase, data.len() - phase] {
             let mut crc = Crc32::new();
             crc.update(&data[..split]);
@@ -254,23 +264,29 @@ fn main() {
 
     // --- crc32: the long buffer, then 24-byte messages at every phase ---
     mismatches += crc_split_mismatches(&a, "long");
-    let naive_ns = best_of(reps, || {
-        let t = Instant::now();
-        std::hint::black_box(naive_crc32(std::hint::black_box(&a)));
-        t.elapsed().as_nanos()
-    });
-    let wide_ns = best_of(reps, || {
-        let t = Instant::now();
-        std::hint::black_box(crc32(std::hint::black_box(&a)));
-        t.elapsed().as_nanos()
-    });
-    rows.push(Row {
-        profile: "long",
-        kernel: "crc32",
-        bytes: a.len() as u64,
-        naive_ns,
-        wide_ns,
-    });
+    if crc32_portable(&a) != naive_crc32(&a) {
+        eprintln!("MISMATCH: long crc32_portable");
+        mismatches += 1;
+    }
+    let crc_long = |f: fn(&[u8]) -> u32| {
+        best_of(reps, || {
+            let t = Instant::now();
+            std::hint::black_box(f(std::hint::black_box(&a)));
+            t.elapsed().as_nanos()
+        })
+    };
+    let naive_ns = crc_long(naive_crc32);
+    let table_ns = crc_long(crc32_portable);
+    let dispatched_ns = crc_long(crc32);
+    for (kernel, wide_ns) in [("crc32-table", table_ns), ("crc32", dispatched_ns)] {
+        rows.push(Row {
+            profile: "long",
+            kernel,
+            bytes: a.len() as u64,
+            naive_ns,
+            wide_ns,
+        });
+    }
     for off in 0..16 {
         mismatches += crc_split_mismatches(&sa[off..off + short_match], "short");
     }
@@ -292,7 +308,16 @@ fn main() {
         wide_ns,
     });
 
-    println!("Match-kernel microbench: {reps} reps, best-of timing (naive = byte loop)\n");
+    let folds = uses_fold();
+    println!("Match-kernel microbench: {reps} reps, best-of timing (naive = byte loop)");
+    println!(
+        "crc32 dispatches to: {}\n",
+        if folds {
+            "carry-less-multiply fold (PCLMULQDQ)"
+        } else {
+            "table loop (slicing-by-16)"
+        }
+    );
     println!(
         "{:<8} {:<11} {:>12} {:>12} {:>12} {:>9}",
         "profile", "kernel", "bytes", "naive MiB/s", "wide MiB/s", "speedup"
@@ -311,8 +336,21 @@ fn main() {
         );
     }
 
+    let fold_speedup = table_ns as f64 / dispatched_ns as f64;
+    let slow_fold = folds && fold_speedup < FOLD_MIN_SPEEDUP;
+    println!(
+        "\ncrc32 vs table loop on 4 MiB: {fold_speedup:.2}x ({})",
+        match (folds, slow_fold) {
+            (false, _) => "no fold on this host, not gated".to_string(),
+            (true, false) => format!("gate >= {FOLD_MIN_SPEEDUP}x ok"),
+            (true, true) => format!("gate >= {FOLD_MIN_SPEEDUP}x REGRESSED"),
+        }
+    );
+
     if mismatches > 0 {
         eprintln!("\n{mismatches} kernel/naive disagreement(s)");
+    }
+    if mismatches > 0 || slow_fold {
         std::process::exit(1);
     }
 }

@@ -23,6 +23,8 @@
 //! and an [`ipr_pipeline::Engine`] session that owns the pipeline's
 //! scratch state for the duration of the command.
 
+#![forbid(unsafe_code)]
+
 mod engine_cli;
 mod install_cli;
 mod store_cli;

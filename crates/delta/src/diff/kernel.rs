@@ -32,9 +32,9 @@
 /// Length of the common prefix of `a` and `b`, in bytes.
 ///
 /// Equivalent to the naive loop
-/// `while i < min && a[i] == b[i] { i += 1 }` — asserted against it by
-/// `tests/kernel_equiv.rs` on arbitrary slices — but compares eight
-/// bytes per iteration.
+/// `while i < min && a[i] == b[i] { i += 1 }` — asserted against it on
+/// arbitrary slices by this module's `kernels_match_naive_loops`
+/// property test — but compares eight bytes per iteration.
 ///
 /// # Example
 ///
@@ -200,6 +200,7 @@ pub fn prefix_sums(word: u64) -> [u32; 9] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn naive_prefix(a: &[u8], b: &[u8]) -> usize {
         let n = a.len().min(b.len());
@@ -274,6 +275,38 @@ mod tests {
     fn windows_eq_rejects_length_mismatch() {
         assert!(!windows_eq(b"12345678", b"1234567"));
         assert!(windows_eq(b"", b""));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Each kernel equals its naive loop on arbitrary slices. `a` is
+        /// an arbitrary window of a small-alphabet buffer and `b` the
+        /// same window of a copy with one planted difference, shifted
+        /// inward at either end by 0–2 bytes: an unshifted end shares a
+        /// long run with `a`, so matches stop at the edit, at a sub-word
+        /// remainder or at the shorter slice's end, at every word phase.
+        #[test]
+        fn kernels_match_naive_loops(
+            base in proptest::collection::vec(0u8..4, 0..300),
+            edit in any::<usize>(),
+            flip in any::<u8>(),
+            ends in (any::<usize>(), any::<usize>()),
+            shifts in (0usize..3, 0usize..3),
+        ) {
+            let mut other = base.clone();
+            if let Some(byte) = other.get_mut(edit % base.len().max(1)) {
+                *byte ^= flip;
+            }
+            let (x, y) = (ends.0 % (base.len() + 1), ends.1 % (base.len() + 1));
+            let (start, end) = (x.min(y), x.max(y));
+            let b_start = (start + shifts.0).min(end);
+            let b_end = end.saturating_sub(shifts.1).max(b_start);
+            let (a, b) = (&base[start..end], &other[b_start..b_end]);
+            prop_assert_eq!(common_prefix(a, b), naive_prefix(a, b));
+            prop_assert_eq!(common_suffix(a, b), naive_suffix(a, b));
+            prop_assert_eq!(windows_eq(a, b), a == b);
+        }
     }
 
     #[test]

@@ -43,6 +43,8 @@
 //! The on-disk format, the crash-safety argument and a worked `fsck`
 //! example are documented in `docs/STORE.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod fsck;
 pub mod journal;

@@ -2,6 +2,7 @@
 //! doubles as this crate's documentation (its quickstart compiles as a
 //! doctest).
 #![doc = include_str!("../README.md")]
+#![forbid(unsafe_code)]
 
 pub use ipr_core as core;
 pub use ipr_delta as delta;
