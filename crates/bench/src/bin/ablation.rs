@@ -7,23 +7,31 @@
 //! 2. **Codec redesign** — the paper attributes most lost compression to
 //!    codeword inefficiency and suggests a redesign; we compare the
 //!    paper-faithful codewords, the plain varint in-place codewords and
-//!    the chained "improved" format on converted deltas.
+//!    the chained "improved" format on converted deltas, and time every
+//!    format's encode and decode (the write-ordered ones on the diffs).
 //! 3. **Copy buffer granularity** — §4.1's directional copies work with
 //!    "a read/write buffer of any size"; we verify equivalence and time
-//!    the device-style bounce-buffer applier across chunk sizes.
+//!    the device-style bounce-buffer applier across chunk sizes, and the
+//!    journaled (resumable) applier at one chunk size.
 //!
 //! Run: `cargo run -p ipr-bench --release --bin ablation`
 
-use ipr_bench::{bytes, experiment_corpus, pct, quartiles, timed, Table};
+use ipr_bench::{bytes, experiment_corpus, pct, quartiles, Table};
+use ipr_core::resumable::{resume_in_place, Journal, Progress};
 use ipr_core::{
     apply_in_place, apply_in_place_buffered, convert_to_in_place, required_capacity,
     ConversionConfig, CyclePolicy,
 };
-use ipr_delta::codec::{encoded_size, Format};
+use ipr_delta::codec::{decode, encode, encoded_size, Format};
 use ipr_delta::diff::{Differ, GreedyDiffer};
-use ipr_workloads::corpus::CorpusSpec;
+use ipr_delta::DeltaScript;
+use ipr_workloads::corpus::{CorpusSpec, FilePair};
 use std::time::Duration;
 
+/// Timed passes over the corpus per format in ablation 2.
+const CODEC_PASSES: usize = 7;
+/// Timed passes over the prepared scripts per applier in ablation 3.
+const APPLY_PASSES: usize = 7;
 /// Timed passes over the corpus per differ in ablation 4.
 const DIFF_PASSES: usize = 7;
 
@@ -220,35 +228,81 @@ fn policy_gap() {
 }
 
 fn codec_redesign() {
-    println!("== Ablation 2: codeword redesign for in-place deltas ==\n");
+    println!("== Ablation 2: codeword redesign for in-place deltas (codec time: median of {CODEC_PASSES} passes) ==\n");
     let corpus = experiment_corpus();
     let differ = GreedyDiffer::default();
     let config = ConversionConfig::default();
 
     let mut version_total = 0u64;
-    let mut sizes = [0u64; 3]; // paper-in-place, in-place, improved
-    for pair in &corpus {
-        let script = differ.diff(&pair.reference, &pair.version);
-        let out =
-            convert_to_in_place(&script, &pair.reference, &config).expect("conversion cannot fail");
-        version_total += pair.version.len() as u64;
-        for (i, format) in [Format::PaperInPlace, Format::InPlace, Format::Improved]
-            .into_iter()
-            .enumerate()
-        {
-            sizes[i] += encoded_size(&out.script, format).expect("in-place formats encode");
-        }
-    }
-    let mut t = Table::new(vec!["codec", "delta bytes", "compression"]);
-    for (name, s) in [
-        ("paper codewords (4B offsets, 1B add len)", sizes[0]),
-        ("varint in-place codewords", sizes[1]),
-        ("improved (chained write offsets)", sizes[2]),
-    ] {
+    let (diffs, converted): (Vec<_>, Vec<_>) = corpus
+        .iter()
+        .map(|pair| {
+            version_total += pair.version.len() as u64;
+            let script = differ.diff(&pair.reference, &pair.version);
+            let out = convert_to_in_place(&script, &pair.reference, &config)
+                .expect("conversion cannot fail");
+            (script, out.script)
+        })
+        .collect();
+    let mut t = Table::new(vec![
+        "codec",
+        "delta bytes",
+        "compression",
+        "encode",
+        "decode",
+    ]);
+    let ms = |d: Duration| format!("{:.2} ms", d.as_secs_f64() * 1e3);
+    let mut sizes = [0u64; 5];
+    // The in-place formats encode the converted scripts; the write-ordered
+    // ones (what `ipr diff` writes) can only encode the diffs.
+    for (i, (name, format, scripts)) in [
+        (
+            "paper codewords (4B offsets, 1B add len)",
+            Format::PaperInPlace,
+            &converted,
+        ),
+        ("varint in-place codewords", Format::InPlace, &converted),
+        (
+            "improved (chained write offsets)",
+            Format::Improved,
+            &converted,
+        ),
+        (
+            "paper write-ordered (unconverted)",
+            Format::PaperOrdered,
+            &diffs,
+        ),
+        (
+            "varint write-ordered (unconverted)",
+            Format::Ordered,
+            &diffs,
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let encode_all = || {
+            scripts
+                .iter()
+                .map(|script| encode(script, format).expect("every script encodes"))
+                .collect::<Vec<_>>()
+        };
+        let encoded = encode_all();
+        sizes[i] = encoded.iter().map(|bytes| bytes.len() as u64).sum();
+        // Only the codec is timed: each pass's output drops untimed.
+        let [_, encode_time, _] = quartiles(CODEC_PASSES, encode_all);
+        let [_, decode_time, _] = quartiles(CODEC_PASSES, || {
+            encoded
+                .iter()
+                .map(|bytes| decode(bytes).expect("well-formed"))
+                .collect::<Vec<_>>()
+        });
         t.row(vec![
             name.into(),
-            bytes(s),
-            pct(s as f64 / version_total as f64),
+            bytes(sizes[i]),
+            pct(sizes[i] as f64 / version_total as f64),
+            ms(encode_time),
+            ms(decode_time),
         ]);
     }
     t.print();
@@ -264,7 +318,9 @@ fn codec_redesign() {
 }
 
 fn buffer_granularity() {
-    println!("== Ablation 3: bounce-buffer granularity of in-place apply ==\n");
+    println!(
+        "== Ablation 3: bounce-buffer granularity of in-place apply (median of {APPLY_PASSES} passes) ==\n"
+    );
     let corpus = CorpusSpec {
         pairs: 6,
         min_len: 256 * 1024,
@@ -282,41 +338,65 @@ fn buffer_granularity() {
             let script = differ.diff(&pair.reference, &pair.version);
             let out = convert_to_in_place(&script, &pair.reference, &config)
                 .expect("conversion cannot fail");
-            (pair, out.script)
+            (pair, script, out.script)
         })
         .collect();
 
-    let mut t = Table::new(vec!["chunk size", "total apply time", "correct"]);
-    // Baseline: unbuffered memmove-style apply.
-    let (ok, base_time) = timed(|| {
-        prepared.iter().all(|(pair, script)| {
-            let mut buf = pair.reference.clone();
-            buf.resize(required_capacity(script) as usize, 0);
-            apply_in_place(script, &mut buf).expect("capacity checked");
-            buf[..pair.version.len()] == pair.version[..]
+    let mut t = Table::new(vec!["applier", "total apply time", "correct"]);
+    // Each applier rebuilds every version once, checked, then is timed;
+    // each pass's rebuilt files drop untimed.
+    let mut row =
+        |name: String, apply: &dyn Fn(&FilePair, &DeltaScript, &DeltaScript) -> Vec<u8>| {
+            let ok = prepared
+                .iter()
+                .all(|(pair, diff, converted)| apply(pair, diff, converted) == pair.version);
+            assert!(ok, "{name} produced wrong bytes");
+            let [_, time, _] = quartiles(APPLY_PASSES, || {
+                prepared
+                    .iter()
+                    .map(|(pair, diff, converted)| apply(pair, diff, converted))
+                    .collect::<Vec<_>>()
+            });
+            t.row(vec![
+                name,
+                format!("{:.2} ms", time.as_secs_f64() * 1e3),
+                ok.to_string(),
+            ]);
+        };
+    // The in-place appliers rebuild inside the reference's own buffer,
+    // grown to the script's capacity.
+    let in_place = |pair: &FilePair, script: &DeltaScript, apply: &dyn Fn(&mut [u8])| {
+        let mut buf = pair.reference.clone();
+        buf.resize(required_capacity(script) as usize, 0);
+        apply(&mut buf);
+        buf.truncate(pair.version.len());
+        buf
+    };
+    // Reference point: `ipr apply` keeps the reference and writes the
+    // version into a second buffer.
+    row("scratch (second buffer)".into(), &|pair, diff, _| {
+        ipr_delta::apply(diff, &pair.reference).expect("lengths match")
+    });
+    row("memmove (unbuffered)".into(), &|pair, _, script| {
+        in_place(pair, script, &|buf| {
+            apply_in_place(script, buf).expect("capacity checked");
         })
     });
-    t.row(vec![
-        "memmove (unbuffered)".into(),
-        format!("{:.2} ms", base_time.as_secs_f64() * 1e3),
-        ok.to_string(),
-    ]);
     for chunk in [1usize, 16, 256, 4096, 65536] {
-        let (ok, time) = timed(|| {
-            prepared.iter().all(|(pair, script)| {
-                let mut buf = pair.reference.clone();
-                buf.resize(required_capacity(script) as usize, 0);
-                apply_in_place_buffered(script, &mut buf, chunk).expect("capacity checked");
-                buf[..pair.version.len()] == pair.version[..]
+        row(format!("{chunk} B"), &|pair, _, script| {
+            in_place(pair, script, &|buf| {
+                apply_in_place_buffered(script, buf, chunk).expect("capacity checked");
             })
         });
-        assert!(ok, "chunk {chunk} produced wrong bytes");
-        t.row(vec![
-            format!("{chunk} B"),
-            format!("{:.2} ms", time.as_secs_f64() * 1e3),
-            ok.to_string(),
-        ]);
     }
+    // The journaled applier stages every chunk so a power loss can resume.
+    row("resumable, 4096 B chunks".into(), &|pair, _, script| {
+        in_place(pair, script, &|buf| {
+            let progress = resume_in_place(script, buf, &mut Journal::new(), 4096, u64::MAX)
+                .expect("capacity checked");
+            assert_eq!(progress, Progress::Complete);
+        })
+    });
     t.print();
     println!("\n  every granularity reconstructs identical bytes (invariant I8).");
 }

@@ -269,21 +269,21 @@ fn cmd_signature(args: &[String]) -> CliResult {
     // The chunking resolves against the reference length (from the
     // file's metadata — the data itself still streams): `auto` picks the
     // smallest power-of-two block whose signature fits the byte budget.
-    let chunking = cli
+    let layout = cli
         .config()
         .chunking
         .resolve(std::fs::metadata(reference_path)?.len());
     // Stream the reference through the chunker: the signature build
     // never holds more than one block window in memory.
     let reference = BufReader::new(std::fs::File::open(reference_path)?);
-    let signature = Signature::build_streaming(reference, chunking)?;
+    let signature = Signature::build_streaming(reference, layout)?;
     let encoded = signature.encode();
     std::fs::write(sig_path, &encoded)?;
     println!(
         "{}: {} blocks ({}) over {} B -> {} B signature ({:.2}%)",
         reference_path,
         signature.blocks().len(),
-        signature.chunking(),
+        signature.layout(),
         signature.source_len(),
         encoded.len(),
         100.0 * encoded.len() as f64 / (signature.source_len().max(1)) as f64

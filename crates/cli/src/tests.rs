@@ -590,10 +590,7 @@ fn signature_and_remote_diff_round_trip() {
     ]))
     .unwrap();
     let sig_auto = Signature::decode(&std::fs::read(p("sig-auto")).unwrap()).unwrap();
-    assert_eq!(
-        sig_auto.chunking(),
-        ipr_delta::remote::Chunking::Fixed(1024)
-    );
+    assert_eq!(sig_auto.layout(), ipr_delta::remote::Layout::Fixed(1024));
     assert!(std::fs::metadata(p("sig-auto")).unwrap().len() <= 2048);
     run(&s(&[
         "diff",

@@ -22,7 +22,6 @@ use ipr_delta::{Add, Command, Copy, DeltaScript, ScriptPool};
 use ipr_digraph::fvs::ComponentTooLarge;
 use ipr_digraph::{Digraph, NodeId};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Configuration for [`convert_to_in_place`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +98,8 @@ impl From<ComponentTooLarge> for ConvertError {
 }
 
 /// Measurements from one conversion, the raw material of the paper's
-/// Table 1 and timing results.
+/// Table 1. Every field depends only on the inputs; the
+/// `convert.crwi_build` and `convert.toposort` spans time the phases.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConversionReport {
     /// Copy commands in the input script.
@@ -120,19 +120,9 @@ pub struct ConversionReport {
     pub conversion_cost: u64,
     /// Vertices examined while scanning cycles (locally-minimum work).
     pub cycle_nodes_examined: usize,
-    /// Time spent building the CRWI digraph.
-    pub graph_build_time: Duration,
-    /// Time spent sorting and breaking cycles.
-    pub sort_time: Duration,
 }
 
 impl ConversionReport {
-    /// Total conversion time (graph construction + sort).
-    #[must_use]
-    pub fn total_time(&self) -> Duration {
-        self.graph_build_time + self.sort_time
-    }
-
     /// Publishes the report to the installed [`ipr_trace`] recorder (the
     /// `convert.*` counters of `docs/OBSERVABILITY.md`); no-op when
     /// tracing is off.
@@ -161,7 +151,7 @@ impl fmt::Display for ConversionReport {
         write!(
             f,
             "{} copies + {} adds; {} conflict edges; {} cycles broken; \
-             {} copies converted ({} B payload, +{} B encoded) in {:?}",
+             {} copies converted ({} B payload, +{} B encoded)",
             self.input_copies,
             self.input_adds,
             self.edges,
@@ -169,7 +159,6 @@ impl fmt::Display for ConversionReport {
             self.copies_converted,
             self.bytes_converted,
             self.conversion_cost,
-            self.total_time(),
         )
     }
 }
@@ -291,7 +280,6 @@ pub fn convert_in_place_pooled(
 
     // Steps 1-3: partition, sort by write offset, build the digraph.
     let build_span = ipr_trace::span("convert.crwi_build");
-    let build_start = Instant::now();
     let (source_len, target_len, mut commands) = script.into_parts();
     copies.clear();
     adds.clear();
@@ -309,16 +297,13 @@ pub fn convert_in_place_pooled(
     copies.sort_unstable_by_key(|c| c.to);
     graph.reset_with_spare(copies.len(), graph_spare);
     crwi::build_edges_into(copies, graph);
-    let graph_build_time = build_start.elapsed();
     drop(build_span);
 
     // Step 4: cycle-breaking topological sort.
     let sort_span = ipr_trace::span("convert.toposort");
-    let sort_start = Instant::now();
     costs.clear();
     costs.extend(copies.iter().map(|c| config.cost_format.conversion_cost(c)));
     let stats = sort_breaking_cycles_into(graph, costs, config.policy, sort)?;
-    let sort_time = sort_start.elapsed();
     drop(sort_span);
 
     // Steps 5-6: emit copies in topological order, then adds.
@@ -360,8 +345,6 @@ pub fn convert_in_place_pooled(
         bytes_converted,
         conversion_cost,
         cycle_nodes_examined: stats.cycle_nodes_examined,
-        graph_build_time,
-        sort_time,
     };
     report.record();
 
@@ -580,15 +563,7 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(pooled.script, legacy.script, "{policy}");
-                assert_eq!(pooled.report.input_copies, legacy.report.input_copies);
-                assert_eq!(pooled.report.edges, legacy.report.edges);
-                assert_eq!(pooled.report.cycles_broken, legacy.report.cycles_broken);
-                assert_eq!(
-                    pooled.report.copies_converted,
-                    legacy.report.copies_converted
-                );
-                assert_eq!(pooled.report.bytes_converted, legacy.report.bytes_converted);
-                assert_eq!(pooled.report.conversion_cost, legacy.report.conversion_cost);
+                assert_eq!(pooled.report, legacy.report, "{policy}");
                 pool.recycle(pooled.script);
             }
         }
@@ -606,16 +581,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ConvertError::SourceLenMismatch { .. }));
         assert!(pool.spare_commands() > before);
-    }
-
-    #[test]
-    fn report_times_accumulate() {
-        let script = DeltaScript::new(16, 16, vec![Command::copy(0, 0, 16)]).unwrap();
-        let out = convert(&script, &reference16());
-        assert_eq!(
-            out.report.total_time(),
-            out.report.graph_build_time + out.report.sort_time
-        );
     }
 
     #[test]

@@ -57,6 +57,7 @@ use crate::script::{DeltaScript, ScriptError};
 use crate::varint::{self, VarintError};
 use reader::ByteReader;
 use std::fmt;
+use stream::StreamHeader;
 
 /// Magic bytes opening every encoded delta file.
 pub const MAGIC: [u8; 4] = *b"IPR\x01";
@@ -470,22 +471,9 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedDelta, DecodeError> {
     let _span = ipr_trace::span("codec.decode");
     ipr_trace::add("codec.decoded_bytes", bytes.len() as u64);
     let mut r = ByteReader::new(bytes);
-    if r.read_bytes(4).map_err(|_| DecodeError::BadMagic)? != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let format_byte = r.read_u8()?;
-    let format =
-        Format::from_wire_byte(format_byte).ok_or(DecodeError::UnknownFormat(format_byte))?;
-    let flags = r.read_u8()?;
-    let source_len = r.read_varint()?;
-    let target_len = r.read_varint()?;
-    let count = r.read_varint()?;
-    let target_crc = if flags & FLAG_TARGET_CRC != 0 {
-        Some(r.read_u32_le()?)
-    } else {
-        None
-    };
-    let commands = match format {
+    let header = read_header(&mut r)?;
+    let count = header.command_count;
+    let commands = match header.format {
         Format::Ordered => ordered::decode_commands(&mut r, count)?,
         Format::InPlace => inplace::decode_commands(&mut r, count)?,
         Format::PaperOrdered => paper::decode_commands(&mut r, count, false)?,
@@ -497,11 +485,38 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedDelta, DecodeError> {
             remaining: r.remaining(),
         });
     }
-    let script = DeltaScript::new(source_len, target_len, commands)?;
+    let script = DeltaScript::new(header.source_len, header.target_len, commands)?;
     Ok(DecodedDelta {
         script,
+        format: header.format,
+        target_crc: header.target_crc,
+    })
+}
+
+/// Reads the header [`encode`] writes: the magic, the format byte, the
+/// flags, both lengths, the command count and the optional target CRC.
+/// An input too short to hold the magic is [`DecodeError::BadMagic`].
+fn read_header(r: &mut ByteReader<'_>) -> Result<StreamHeader, DecodeError> {
+    let magic = r
+        .read_bytes(MAGIC.len())
+        .map_err(|_| DecodeError::BadMagic)?;
+    if magic != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let format_byte = r.read_u8()?;
+    let format =
+        Format::from_wire_byte(format_byte).ok_or(DecodeError::UnknownFormat(format_byte))?;
+    let flags = r.read_u8()?;
+    Ok(StreamHeader {
         format,
-        target_crc,
+        source_len: r.read_varint()?,
+        target_len: r.read_varint()?,
+        command_count: r.read_varint()?,
+        target_crc: if flags & FLAG_TARGET_CRC != 0 {
+            Some(r.read_u32_le()?)
+        } else {
+            None
+        },
     })
 }
 

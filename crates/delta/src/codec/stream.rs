@@ -30,7 +30,7 @@
 //! ```
 
 use super::reader::ByteReader;
-use super::{improved, inplace, ordered, paper, DecodeError, Format, FLAG_TARGET_CRC, MAGIC};
+use super::{improved, inplace, ordered, paper, read_header, DecodeError, Format, MAGIC};
 use crate::command::Command;
 use crate::varint::VarintError;
 
@@ -331,43 +331,16 @@ impl StreamDecoder {
     /// Tries to parse the header from buffered bytes; `Ok(false)` means
     /// more input is needed.
     fn try_parse_header(&mut self) -> Result<bool, DecodeError> {
-        let mut r = ByteReader::new(&self.buf[self.consumed..]);
-        let magic = match r.read_bytes(4) {
-            Ok(m) => m,
-            Err(_) => {
-                // Reject obviously wrong magic as early as possible.
-                let have = &self.buf[self.consumed..];
-                if !MAGIC.starts_with(have) && !have.is_empty() {
-                    return Err(DecodeError::BadMagic);
-                }
-                return Ok(false);
+        let have = &self.buf[self.consumed..];
+        if have.len() < MAGIC.len() {
+            // Reject obviously wrong magic as early as possible.
+            if !MAGIC.starts_with(have) {
+                return Err(DecodeError::BadMagic);
             }
-        };
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic);
+            return Ok(false);
         }
-        let parse = |r: &mut ByteReader<'_>| -> Result<StreamHeader, DecodeError> {
-            let format_byte = r.read_u8()?;
-            let format = Format::from_wire_byte(format_byte)
-                .ok_or(DecodeError::UnknownFormat(format_byte))?;
-            let flags = r.read_u8()?;
-            let source_len = r.read_varint()?;
-            let target_len = r.read_varint()?;
-            let command_count = r.read_varint()?;
-            let target_crc = if flags & FLAG_TARGET_CRC != 0 {
-                Some(r.read_u32_le()?)
-            } else {
-                None
-            };
-            Ok(StreamHeader {
-                format,
-                source_len,
-                target_len,
-                command_count,
-                target_crc,
-            })
-        };
-        match parse(&mut r) {
+        let mut r = ByteReader::new(have);
+        match read_header(&mut r) {
             Ok(header) => {
                 self.consumed += r.consumed();
                 self.offset += r.consumed() as u64;

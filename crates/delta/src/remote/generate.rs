@@ -11,7 +11,7 @@
 //! [`ScriptBuilder`]), so it feeds the scratch applier, the in-place
 //! converter and the engine unchanged.
 //!
-//! Two match strategies, picked by the signature's [`Chunking`]:
+//! Two match strategies, picked by the signature's [`Layout`]:
 //!
 //! * **Fixed blocks** — the classic two-level rolling match: slide a
 //!   block-sized window one byte at a time, maintain the weak checksum
@@ -31,8 +31,9 @@
 //! [`super::scan`] probes eight positions per word pair so miss-runs
 //! skip in bulk.
 
+use super::cdc::CdcParams;
 use super::scan::{self, WeakFilter, LANES};
-use super::signature::{BlockSignature, Chunking, Signature};
+use super::signature::{BlockSignature, Layout, Signature};
 use super::strong::strong_of;
 use super::weak::{weak_of, RollingWeak};
 use crate::diff::ScriptBuilder;
@@ -255,12 +256,11 @@ fn generate<R: Read>(
     let _span = ipr_trace::span("remote.diff");
     let table = MatchTable::build(signature);
     let mut builder = ScriptBuilder::new();
-    match signature.chunking() {
-        Chunking::Fixed(block_len) => {
+    match signature.layout() {
+        Layout::Fixed(block_len) => {
             generate_fixed(&table, version, block_len, &mut builder, batched)?;
         }
-        Chunking::Cdc(_) => generate_cdc(&table, version, &mut builder)?,
-        Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
+        Layout::Cdc(params) => generate_cdc(&table, version, params, &mut builder)?,
     }
     Ok(builder.finish(signature.source_len()))
 }
@@ -341,11 +341,9 @@ fn generate_fixed<R: Read>(
 fn generate_cdc<R: Read>(
     table: &MatchTable<'_>,
     version: R,
+    params: CdcParams,
     builder: &mut ScriptBuilder,
 ) -> std::io::Result<()> {
-    let Chunking::Cdc(params) = table.signature.chunking() else {
-        unreachable!("caller checked the chunking");
-    };
     let mut chunker = super::cdc::Chunker::new(params);
     let mut window = StreamWindow::new(version, params.max);
     let mut stats = MatchStats::default();
@@ -493,7 +491,7 @@ impl<R: Read> Read for CrcReader<R> {
 mod tests {
     use super::*;
     use crate::apply::apply;
-    use crate::remote::CdcParams;
+    use crate::remote::Chunking;
 
     fn pseudo(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed;
@@ -608,7 +606,7 @@ mod tests {
         version[n - 500..].copy_from_slice(&pseudo(500, 6));
         for chunking in chunkings() {
             let script = check(&reference, &version, chunking);
-            let max_block = chunking.max_block_len() as u64;
+            let max_block = chunking.resolve(reference.len() as u64).max_block_len() as u64;
             // Each of the three edit sites can spoil at most a couple of
             // blocks around it.
             assert!(

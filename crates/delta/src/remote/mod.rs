@@ -73,7 +73,7 @@ pub use generate::{
 };
 pub use scan::{skip_misses, BatchSkip, WeakFilter};
 pub use signature::{
-    fixed_signature_wire_len, BlockSignature, Chunking, Signature, SignatureError,
+    fixed_signature_wire_len, BlockSignature, Chunking, Layout, Signature, SignatureError,
     DEFAULT_BLOCK_LEN, DEFAULT_SIGNATURE_BUDGET, SIGNATURE_MAGIC,
 };
 pub use strong::strong_of;

@@ -78,9 +78,9 @@ impl Chunking {
     /// Coarsest block length [`Chunking::Auto`] will pick.
     pub const MAX_AUTO: usize = 1 << 20;
 
-    /// The chunking a `source_len`-byte reference is signed with:
+    /// The layout a `source_len`-byte reference is signed with:
     /// [`Chunking::Auto`] becomes the fixed block length it picks, and
-    /// every other chunking is returned as it is.
+    /// every other chunking keeps its parameters.
     ///
     /// Small blocks give high match resolution (less literal spill
     /// around each edit) but cost ~22 wire bytes per block; `Auto`
@@ -92,28 +92,65 @@ impl Chunking {
     /// # Example
     ///
     /// ```
-    /// use ipr_delta::remote::Chunking;
+    /// use ipr_delta::remote::{Chunking, Layout};
     ///
     /// let auto = Chunking::Auto { budget: 64 * 1024 };
     /// // A small reference affords the finest block.
-    /// assert_eq!(auto.resolve(100_000), Chunking::Fixed(256));
+    /// assert_eq!(auto.resolve(100_000), Layout::Fixed(256));
     /// // A large one is coarsened until the signature fits 64 KiB.
-    /// assert_eq!(auto.resolve(100_000_000), Chunking::Fixed(65_536));
+    /// assert_eq!(auto.resolve(100_000_000), Layout::Fixed(65_536));
     /// ```
     #[must_use]
-    pub fn resolve(self, source_len: u64) -> Chunking {
-        let Chunking::Auto { budget } = self else {
-            return self;
-        };
-        let mut len = Self::MIN_AUTO;
-        while len < Self::MAX_AUTO
-            && fixed_signature_wire_len(source_len, len as u64) > budget as u64
-        {
-            len *= 2;
+    pub fn resolve(self, source_len: u64) -> Layout {
+        match self {
+            Chunking::Fixed(len) => Layout::Fixed(len),
+            Chunking::Cdc(params) => Layout::Cdc(params),
+            Chunking::Auto { budget } => {
+                let mut len = Self::MIN_AUTO;
+                while len < Self::MAX_AUTO
+                    && fixed_signature_wire_len(source_len, len as u64) > budget as u64
+                {
+                    len *= 2;
+                }
+                Layout::Fixed(len)
+            }
         }
-        Chunking::Fixed(len)
     }
 
+    /// Validates the parameters (positive block length, CDC bounds);
+    /// [`Chunking::Auto`] always resolves to a valid length.
+    ///
+    /// # Errors
+    ///
+    /// [`SignatureError::BadChunking`] describing the violation.
+    pub fn validate(&self) -> Result<(), SignatureError> {
+        self.resolve(0).validate()
+    }
+}
+
+impl fmt::Display for Chunking {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Chunking::Fixed(len) => Layout::Fixed(*len).fmt(f),
+            Chunking::Auto { budget } => write!(f, "auto:{budget}"),
+            Chunking::Cdc(params) => Layout::Cdc(*params).fmt(f),
+        }
+    }
+}
+
+/// How a signature's blocks are cut: a [`Chunking`] resolved against
+/// the reference's length ([`Chunking::resolve`]), so never `Auto`.
+/// This is what a signature records and what its wire form carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layout {
+    /// Fixed-size blocks of the given length (the final block may be
+    /// shorter).
+    Fixed(usize),
+    /// Content-defined (Gear) chunks within [`CdcParams`] bounds.
+    Cdc(CdcParams),
+}
+
+impl Layout {
     /// Validates the parameters (positive block length, CDC bounds).
     ///
     /// # Errors
@@ -121,35 +158,33 @@ impl Chunking {
     /// [`SignatureError::BadChunking`] describing the violation.
     pub fn validate(&self) -> Result<(), SignatureError> {
         match self {
-            Chunking::Fixed(0) => Err(SignatureError::BadChunking(
+            Layout::Fixed(0) => Err(SignatureError::BadChunking(
                 "fixed block length must be positive".into(),
             )),
-            Chunking::Fixed(len) if *len as u64 > u64::from(u32::MAX) => Err(
+            Layout::Fixed(len) if *len as u64 > u64::from(u32::MAX) => Err(
                 SignatureError::BadChunking(format!("fixed block length {len} exceeds u32")),
             ),
-            Chunking::Fixed(_) | Chunking::Auto { .. } => Ok(()),
-            Chunking::Cdc(params) => params.validate().map_err(SignatureError::BadChunking),
+            Layout::Fixed(_) => Ok(()),
+            Layout::Cdc(params) => params.validate().map_err(SignatureError::BadChunking),
         }
     }
 
-    /// The longest block this chunking can produce — the streaming
+    /// The longest block this layout produces — the streaming
     /// generator's window size (its memory bound).
     #[must_use]
     pub fn max_block_len(&self) -> usize {
         match self {
-            Chunking::Fixed(len) => *len,
-            Chunking::Auto { .. } => Self::MAX_AUTO,
-            Chunking::Cdc(params) => params.max,
+            Layout::Fixed(len) => *len,
+            Layout::Cdc(params) => params.max,
         }
     }
 }
 
-impl fmt::Display for Chunking {
+impl fmt::Display for Layout {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Chunking::Fixed(len) => write!(f, "fixed/{len}"),
-            Chunking::Auto { budget } => write!(f, "auto:{budget}"),
-            Chunking::Cdc(p) => write!(f, "cdc/{}:{}:{}", p.min, p.avg, p.max),
+            Layout::Fixed(len) => write!(f, "fixed/{len}"),
+            Layout::Cdc(p) => write!(f, "cdc/{}:{}:{}", p.min, p.avg, p.max),
         }
     }
 }
@@ -198,7 +233,7 @@ pub struct BlockSignature {
 /// A reference's complete signature set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signature {
-    chunking: Chunking,
+    layout: Layout,
     source_len: u64,
     blocks: Vec<BlockSignature>,
 }
@@ -206,7 +241,7 @@ pub struct Signature {
 impl Signature {
     /// Builds the signature of `reference` under `chunking`, resolved
     /// against the reference's length ([`Chunking::resolve`]); the
-    /// signature records the resolved chunking.
+    /// signature records the resolved [`Layout`].
     ///
     /// Emits a `remote.sign` span and a `remote.blocks` counter through
     /// [`ipr_trace`].
@@ -225,8 +260,8 @@ impl Signature {
     /// assert_eq!(sig.source_len(), 10_000);
     /// ```
     pub fn build(reference: &[u8], chunking: Chunking) -> Result<Self, SignatureError> {
-        let chunking = chunking.resolve(reference.len() as u64);
-        chunking.validate()?;
+        let layout = chunking.resolve(reference.len() as u64);
+        layout.validate()?;
         let _span = ipr_trace::span("remote.sign");
         let mut blocks = Vec::new();
         let mut push = |offset: usize, end: usize| {
@@ -238,8 +273,8 @@ impl Signature {
                 strong: strong_of(data),
             });
         };
-        match chunking {
-            Chunking::Fixed(len) => {
+        match layout {
+            Layout::Fixed(len) => {
                 let mut offset = 0;
                 while offset < reference.len() {
                     let end = (offset + len).min(reference.len());
@@ -247,18 +282,17 @@ impl Signature {
                     offset = end;
                 }
             }
-            Chunking::Cdc(params) => {
+            Layout::Cdc(params) => {
                 let mut offset = 0;
                 for end in cut_points(reference, params) {
                     push(offset, end);
                     offset = end;
                 }
             }
-            Chunking::Auto { .. } => unreachable!("resolved above"),
         }
         ipr_trace::add("remote.blocks", blocks.len() as u64);
         Ok(Self {
-            chunking,
+            layout,
             source_len: reference.len() as u64,
             blocks,
         })
@@ -266,20 +300,19 @@ impl Signature {
 
     /// Builds the signature from a reader without ever holding the
     /// reference in memory: resident state is one block-sized buffer
-    /// (`chunking.max_block_len()` bytes) plus the growing block table.
+    /// (`layout.max_block_len()` bytes) plus the growing block table.
     ///
     /// Produces exactly the same signature as [`Signature::build`] on
-    /// the same bytes. The reader's length is not known up front, so a
-    /// [`Chunking::Auto`] must be resolved by the caller first.
+    /// the same bytes. The reader's length is not known up front, so
+    /// the caller resolves its [`Chunking`] first.
     ///
     /// # Errors
     ///
-    /// Invalid chunking parameters and an unresolved
-    /// [`Chunking::Auto`] surface as
+    /// Invalid layout parameters surface as
     /// [`std::io::ErrorKind::InvalidInput`]; reader errors pass
     /// through.
-    pub fn build_streaming<R: Read>(mut reference: R, chunking: Chunking) -> std::io::Result<Self> {
-        chunking
+    pub fn build_streaming<R: Read>(mut reference: R, layout: Layout) -> std::io::Result<Self> {
+        layout
             .validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let _span = ipr_trace::span("remote.sign");
@@ -294,8 +327,8 @@ impl Signature {
             });
             *offset += data.len() as u64;
         };
-        match chunking {
-            Chunking::Fixed(len) => {
+        match layout {
+            Layout::Fixed(len) => {
                 let mut block = vec![0u8; len];
                 loop {
                     let filled = fill(&mut reference, &mut block)?;
@@ -308,7 +341,7 @@ impl Signature {
                     }
                 }
             }
-            Chunking::Cdc(params) => {
+            Layout::Cdc(params) => {
                 let mut buf = vec![0u8; params.max.clamp(1, 1 << 20)];
                 let mut chunker = Chunker::new(params);
                 let mut chunk = Vec::with_capacity(params.max);
@@ -329,25 +362,19 @@ impl Signature {
                     push(&mut offset, &chunk);
                 }
             }
-            Chunking::Auto { .. } => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "auto chunking needs the reference length: resolve it first",
-                ));
-            }
         }
         ipr_trace::add("remote.blocks", blocks.len() as u64);
         Ok(Self {
-            chunking,
+            layout,
             source_len: offset,
             blocks,
         })
     }
 
-    /// The chunking the signature was built with.
+    /// The layout the signature's blocks were cut by.
     #[must_use]
-    pub fn chunking(&self) -> Chunking {
-        self.chunking
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 
     /// Reference length in bytes (the delta scripts' `source_len`).
@@ -373,14 +400,13 @@ impl Signature {
     /// Serialized size in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let header = match self.chunking {
-            Chunking::Fixed(len) => varint::encoded_len(len as u64),
-            Chunking::Cdc(p) => {
+        let header = match self.layout {
+            Layout::Fixed(len) => varint::encoded_len(len as u64),
+            Layout::Cdc(p) => {
                 varint::encoded_len(p.min as u64)
                     + varint::encoded_len(p.avg as u64)
                     + varint::encoded_len(p.max as u64)
             }
-            Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
         };
         let blocks: usize = self
             .blocks
@@ -413,20 +439,19 @@ impl Signature {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&SIGNATURE_MAGIC);
-        match self.chunking {
-            Chunking::Fixed(len) => {
+        match self.layout {
+            Layout::Fixed(len) => {
                 out.push(CHUNKING_FIXED);
                 varint::encode(self.source_len, &mut out);
                 varint::encode(len as u64, &mut out);
             }
-            Chunking::Cdc(p) => {
+            Layout::Cdc(p) => {
                 out.push(CHUNKING_CDC);
                 varint::encode(self.source_len, &mut out);
                 varint::encode(p.min as u64, &mut out);
                 varint::encode(p.avg as u64, &mut out);
                 varint::encode(p.max as u64, &mut out);
             }
-            Chunking::Auto { .. } => unreachable!("a signature records a resolved chunking"),
         }
         varint::encode(self.blocks.len() as u64, &mut out);
         for block in &self.blocks {
@@ -463,16 +488,16 @@ impl Signature {
         }
         let chunking_byte = cursor.take(1)?[0];
         let source_len = cursor.varint()?;
-        let chunking = match chunking_byte {
-            CHUNKING_FIXED => Chunking::Fixed(cursor.varint()? as usize),
-            CHUNKING_CDC => Chunking::Cdc(CdcParams {
+        let layout = match chunking_byte {
+            CHUNKING_FIXED => Layout::Fixed(cursor.varint()? as usize),
+            CHUNKING_CDC => Layout::Cdc(CdcParams {
                 min: cursor.varint()? as usize,
                 avg: cursor.varint()? as usize,
                 max: cursor.varint()? as usize,
             }),
             other => return Err(SignatureError::BadChunkingByte(other)),
         };
-        chunking.validate()?;
+        layout.validate()?;
         let count = cursor.varint()?;
         if count > body.len() as u64 {
             // Each block costs ≥ 21 wire bytes; a count beyond the
@@ -483,10 +508,10 @@ impl Signature {
         let mut offset = 0u64;
         for _ in 0..count {
             let len = cursor.varint()?;
-            if len == 0 || len > chunking.max_block_len() as u64 {
+            if len == 0 || len > layout.max_block_len() as u64 {
                 return Err(SignatureError::BadBlockLen {
                     len,
-                    max: chunking.max_block_len() as u64,
+                    max: layout.max_block_len() as u64,
                 });
             }
             let weak = u32::from_le_bytes(cursor.take(4)?.try_into().expect("4-byte slice"));
@@ -509,7 +534,7 @@ impl Signature {
             return Err(SignatureError::TrailingBytes(body.len() - cursor.pos));
         }
         Ok(Self {
-            chunking,
+            layout,
             source_len,
             blocks,
         })
@@ -715,7 +740,8 @@ mod tests {
                     Ok(n)
                 }
             }
-            let streamed = Signature::build_streaming(Trickle(&data), chunking).unwrap();
+            let layout = chunking.resolve(data.len() as u64);
+            let streamed = Signature::build_streaming(Trickle(&data), layout).unwrap();
             assert_eq!(streamed, slice, "{chunking}");
         }
     }
@@ -779,7 +805,7 @@ mod tests {
     fn auto_block_size_fits_the_budget() {
         let auto = Chunking::Auto { budget: 4096 };
         for source_len in [0u64, 1, 1000, 100_000, 1 << 24, 1 << 32] {
-            let Chunking::Fixed(block) = auto.resolve(source_len) else {
+            let Layout::Fixed(block) = auto.resolve(source_len) else {
                 panic!("auto resolves to fixed blocks");
             };
             assert!(block.is_power_of_two());
@@ -794,27 +820,19 @@ mod tests {
             }
         }
         // Fixed ignores the source length entirely.
-        assert_eq!(
-            Chunking::Fixed(1234).resolve(u64::MAX),
-            Chunking::Fixed(1234)
-        );
+        assert_eq!(Chunking::Fixed(1234).resolve(u64::MAX), Layout::Fixed(1234));
         assert_eq!(
             Chunking::default().resolve(0),
-            Chunking::Fixed(DEFAULT_BLOCK_LEN)
+            Layout::Fixed(DEFAULT_BLOCK_LEN)
         );
         // Impossible budget: clamps to the coarsest rung.
         let starved = Chunking::Auto { budget: 0 };
-        assert_eq!(
-            starved.resolve(u64::MAX),
-            Chunking::Fixed(Chunking::MAX_AUTO)
-        );
+        assert_eq!(starved.resolve(u64::MAX), Layout::Fixed(Chunking::MAX_AUTO));
         assert_eq!(format!("{starved}"), "auto:0");
-        // A signature records the length the budget resolved to; a
-        // streamed build, which cannot know the length, refuses `Auto`.
+        // A signature records the length the budget resolved to.
         let data = pseudo(100_000, 7);
         let sig = Signature::build(&data, auto).unwrap();
-        assert_eq!(sig.chunking(), auto.resolve(100_000));
-        assert!(Signature::build_streaming(&data[..], auto).is_err());
+        assert_eq!(sig.layout(), auto.resolve(100_000));
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl FlashStorage {
         self.block_size
     }
 
-    /// Number of erase blocks.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.erase_counts.len()
-    }
-
     /// Reads `len` bytes at `offset` (reads are unrestricted).
     ///
     /// # Errors

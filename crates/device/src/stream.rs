@@ -437,7 +437,7 @@ impl<'a> StreamingInstall<'a> {
 }
 
 /// Accounting for one [`stream_install`] power cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Wire bytes received this power cycle.
     pub received_bytes: u64,
@@ -465,6 +465,26 @@ pub struct StreamReport {
     pub stats: Option<UpdateStats>,
     /// Whether a CRC was present and verified (completion only).
     pub crc_verified: bool,
+}
+
+impl StreamReport {
+    /// Counts one `len`-byte chunk sent from wire offset `offset`.
+    fn transfer(&mut self, channel: &LossyChannel, offset: u64, len: usize, mtu: usize) {
+        let frames = channel.simulate_transfer(offset, len as u64, mtu);
+        self.transfer_time += frames.time;
+        self.retransmissions += frames.retransmissions;
+        self.chunks += 1;
+        self.received_bytes += len as u64;
+    }
+
+    /// Publishes this cycle's `stream.*` counters and gauge.
+    fn record(&self) {
+        ipr_trace::with(|r| {
+            r.add("stream.chunks", self.chunks);
+            r.add("stream.commands_pre_eof", self.commands_pre_eof);
+            r.gauge("stream.buffered_high_water", self.buffered_high_water);
+        });
+    }
 }
 
 /// Outcome of one [`stream_install`] power cycle.
@@ -516,34 +536,7 @@ pub fn stream_install(
     kill_after_chunks: Option<u64>,
 ) -> Result<StreamProgress, InstallError> {
     let _span = ipr_trace::span("stream.install");
-    let mut time = Duration::ZERO;
-    let mut retransmissions = 0u64;
-    let mut chunks = 0u64;
-    let mut received = 0u64;
-    let mut time_to_first_byte = None;
-    let mut commands_pre_eof = 0u64;
-
-    let report = |time: Duration,
-                  retransmissions: u64,
-                  chunks: u64,
-                  received: u64,
-                  ttfb: Option<Duration>,
-                  pre_eof: u64,
-                  commands: u64,
-                  resumes: u64,
-                  high_water: u64| StreamReport {
-        received_bytes: received,
-        transfer_time: time,
-        time_to_first_byte: ttfb,
-        retransmissions,
-        chunks,
-        commands_applied: commands,
-        commands_pre_eof: pre_eof,
-        resumes,
-        buffered_high_water: high_water,
-        stats: None,
-        crc_verified: false,
-    };
+    let mut report = StreamReport::default();
 
     let mut install = match resume_from {
         Some(checkpoint) => StreamingInstall::resume(device, checkpoint)?,
@@ -558,30 +551,17 @@ pub fn stream_install(
                 let Some(chunk) = stream.chunk_at(offset) else {
                     return Err(InstallError::Decode(DecodeError::Truncated));
                 };
-                let frames = channel.simulate_transfer(offset, chunk.len() as u64, mtu);
-                time += frames.time;
-                retransmissions += frames.retransmissions;
-                chunks += 1;
-                received += chunk.len() as u64;
+                report.transfer(&channel, offset, chunk.len(), mtu);
                 decoder.push(chunk);
                 if decoder.poll_header()?.is_some() {
                     break;
                 }
-                if kill_after_chunks.is_some_and(|k| chunks >= k) {
-                    ipr_trace::add("stream.chunks", chunks);
+                if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
+                    ipr_trace::add("stream.chunks", report.chunks);
+                    report.buffered_high_water = decoder.buffered_high_water() as u64;
                     return Ok(StreamProgress::Killed {
                         checkpoint: None,
-                        report: report(
-                            time,
-                            retransmissions,
-                            chunks,
-                            received,
-                            None,
-                            0,
-                            0,
-                            0,
-                            decoder.buffered_high_water() as u64,
-                        ),
+                        report,
                     });
                 }
             }
@@ -595,36 +575,25 @@ pub fn stream_install(
     let wire_len = stream.wire_len();
     loop {
         if install.commands_applied() > 0 {
-            if time_to_first_byte.is_none() {
-                time_to_first_byte = Some(time);
-            }
+            report
+                .time_to_first_byte
+                .get_or_insert(report.transfer_time);
             if install.wire_offset() < wire_len {
-                commands_pre_eof = install.commands_applied() as u64;
+                report.commands_pre_eof = install.commands_applied() as u64;
             }
         }
+        // The device's counts, current at every exit below.
+        report.commands_applied = install.commands_applied() as u64;
+        report.resumes = install.resumes();
+        report.buffered_high_water = install.buffered_high_water();
         if install.is_complete() {
             break;
         }
-        if kill_after_chunks.is_some_and(|k| chunks >= k) {
-            let checkpoint = install.checkpoint();
-            ipr_trace::with(|r| {
-                r.add("stream.chunks", chunks);
-                r.add("stream.commands_pre_eof", commands_pre_eof);
-                r.gauge("stream.buffered_high_water", install.buffered_high_water());
-            });
+        if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
+            report.record();
             return Ok(StreamProgress::Killed {
-                report: report(
-                    time,
-                    retransmissions,
-                    chunks,
-                    received,
-                    time_to_first_byte,
-                    commands_pre_eof,
-                    install.commands_applied() as u64,
-                    install.resumes(),
-                    install.buffered_high_water(),
-                ),
-                checkpoint: Some(checkpoint),
+                checkpoint: Some(install.checkpoint()),
+                report,
             });
         }
         let offset = install.wire_offset();
@@ -633,38 +602,15 @@ pub fn stream_install(
             // commit report the truncation.
             break;
         };
-        let frames = channel.simulate_transfer(offset, chunk.len() as u64, mtu);
-        time += frames.time;
-        retransmissions += frames.retransmissions;
-        chunks += 1;
-        received += chunk.len() as u64;
+        report.transfer(&channel, offset, chunk.len(), mtu);
         install.feed(chunk)?;
     }
 
-    let commands = install.commands_applied() as u64;
-    let resumes = install.resumes();
-    let high_water = install.buffered_high_water();
     let (header, stats) = install.commit()?;
-    let crc_verified = verify_image_crc(device, header.target_crc)?;
-    ipr_trace::with(|r| {
-        r.add("stream.chunks", chunks);
-        r.add("stream.commands_pre_eof", commands_pre_eof);
-        r.gauge("stream.buffered_high_water", high_water);
-    });
-    let mut done = report(
-        time,
-        retransmissions,
-        chunks,
-        received,
-        time_to_first_byte,
-        commands_pre_eof,
-        commands,
-        resumes,
-        high_water,
-    );
-    done.stats = Some(stats);
-    done.crc_verified = crc_verified;
-    Ok(StreamProgress::Complete(done))
+    report.crc_verified = verify_image_crc(device, header.target_crc)?;
+    report.stats = Some(stats);
+    report.record();
+    Ok(StreamProgress::Complete(report))
 }
 
 #[cfg(test)]

@@ -175,18 +175,6 @@ fn is_acyclic_after_removal(adj: &[Vec<usize>], k: usize, removed: u64) -> bool 
     seen == kept
 }
 
-/// Total cost of a node set under `cost`.
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(ipr_digraph::fvs::set_cost(&[0, 2], &[5, 6, 7]), 12);
-/// ```
-#[must_use]
-pub fn set_cost(set: &[NodeId], cost: &[u64]) -> u64 {
-    set.iter().map(|&v| cost[v as usize]).sum()
-}
-
 /// Verifies that removing `set` from `g` leaves an acyclic graph.
 ///
 /// # Example
@@ -295,10 +283,5 @@ mod tests {
         let g = Digraph::from_edges(2, [(0, 1), (1, 0)]);
         let set = minimum_feedback_vertex_set(&g, &[1, 1], 10).unwrap();
         assert_eq!(set, vec![0]); // smallest mask wins ties
-    }
-
-    #[test]
-    fn set_cost_sums() {
-        assert_eq!(set_cost(&[0, 2], &[5, 6, 7]), 12);
     }
 }

@@ -144,27 +144,6 @@ impl Digraph {
         self.adj[u as usize].len()
     }
 
-    /// In-degrees of every node, computed in `O(V + E)`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use ipr_digraph::Digraph;
-    ///
-    /// let g = Digraph::from_edges(3, [(0, 2), (1, 2)]);
-    /// assert_eq!(g.in_degrees(), vec![0, 0, 2]);
-    /// ```
-    #[must_use]
-    pub fn in_degrees(&self) -> Vec<usize> {
-        let mut deg = vec![0usize; self.adj.len()];
-        for succs in &self.adj {
-            for &v in succs {
-                deg[v as usize] += 1;
-            }
-        }
-        deg
-    }
-
     /// Whether the edge `u -> v` exists (linear in `out_degree(u)`).
     ///
     /// # Panics
@@ -334,7 +313,6 @@ mod tests {
         assert_eq!(g.out_degree(1), 0);
         assert!(g.has_edge(2, 0));
         assert!(!g.has_edge(1, 0));
-        assert_eq!(g.in_degrees(), vec![1, 1, 1]);
     }
 
     #[test]
@@ -379,7 +357,6 @@ mod tests {
         let mut g = Digraph::new(1);
         g.add_edge(0, 0);
         assert!(g.has_edge(0, 0));
-        assert_eq!(g.in_degrees(), vec![1]);
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl Interval {
         self.start <= byte && byte < self.end
     }
 
-    /// Whether `other` is entirely inside `self`.
-    #[must_use]
-    pub fn contains_interval(self, other: Interval) -> bool {
-        other.is_empty() || (self.start <= other.start && other.end <= self.end)
-    }
-
     /// Whether the two intervals share at least one byte.
     ///
     /// Empty intervals intersect nothing, matching the paper's convention
@@ -479,16 +473,6 @@ mod tests {
         let e = Interval::new(5, 5);
         assert!(!e.intersects(Interval::new(0, 10)));
         assert!(!Interval::new(0, 10).intersects(e));
-    }
-
-    #[test]
-    fn contains_interval_cases() {
-        let a = Interval::new(10, 20);
-        assert!(a.contains_interval(Interval::new(10, 20)));
-        assert!(a.contains_interval(Interval::new(12, 18)));
-        assert!(a.contains_interval(Interval::new(0, 0))); // empty fits anywhere
-        assert!(!a.contains_interval(Interval::new(9, 12)));
-        assert!(!a.contains_interval(Interval::new(18, 21)));
     }
 
     #[test]

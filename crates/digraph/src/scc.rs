@@ -43,14 +43,6 @@ impl Sccs {
         &self.members[c as usize]
     }
 
-    /// Iterates the components, largest first.
-    #[must_use]
-    pub fn by_size_desc(&self) -> Vec<&[NodeId]> {
-        let mut v: Vec<&[NodeId]> = self.members.iter().map(Vec::as_slice).collect();
-        v.sort_by_key(|m| std::cmp::Reverse(m.len()));
-        v
-    }
-
     /// Components that can contain a cycle: size > 1, or a single node with a
     /// self-loop in `g`.
     #[must_use]
@@ -290,14 +282,6 @@ mod tests {
                 assert!(cu > cv, "edge {u}->{v} violates condensation order");
             }
         }
-    }
-
-    #[test]
-    fn by_size_desc_sorted() {
-        let g = Digraph::from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]);
-        let s = tarjan(&g);
-        let sizes: Vec<usize> = s.by_size_desc().iter().map(|m| m.len()).collect();
-        assert_eq!(sizes, vec![3, 2]);
     }
 
     #[test]

@@ -771,19 +771,8 @@ pub fn check_engine_case(case: &FuzzCase, salt: u64) -> CheckResult {
                 legacy_wire.len()
             ));
         }
-        // Timings aside, the conversion measurements must agree too.
-        let counters = |r: &ipr_core::ConversionReport| {
-            (
-                r.input_copies,
-                r.input_adds,
-                r.edges,
-                r.cycles_broken,
-                r.copies_converted,
-                r.bytes_converted,
-                r.conversion_cost,
-            )
-        };
-        if counters(&delta.report) != counters(&legacy.report) {
+        // The conversion measurements must agree too.
+        if delta.report != legacy.report {
             return fail(format!(
                 "{tag} round {round}: conversion reports differ: {:?} vs {:?}",
                 delta.report, legacy.report
@@ -949,7 +938,7 @@ pub fn check_remote_case(case: &FuzzCase, salt: u64) -> CheckResult {
             pos: 0,
             step: trickle,
         },
-        chunking,
+        chunking.resolve(case.reference.len() as u64),
     )
     .map_err(|e| format!("{tag}: streaming signature build failed: {e}"))?;
     if streamed != signature {

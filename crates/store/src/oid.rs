@@ -34,12 +34,6 @@ impl Oid {
         Oid(ipr_delta::remote::strong_of(bytes))
     }
 
-    /// The raw 128-bit value.
-    #[must_use]
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// Whether this id's hex rendering starts with `prefix`.
     ///
     /// Used by the CLI so `ipr store get` accepts any unambiguous

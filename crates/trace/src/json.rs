@@ -74,15 +74,6 @@ impl Value {
         }
     }
 
-    /// The object's map, if it is an object.
-    #[must_use]
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(map) => Some(map),
-            _ => None,
-        }
-    }
-
     /// The array's elements, if it is an array.
     #[must_use]
     pub fn as_array(&self) -> Option<&[Value]> {
@@ -395,7 +386,7 @@ mod tests {
                 .as_str(),
             Some("c")
         );
-        assert_eq!(v.get("d").unwrap().as_object().unwrap().len(), 0);
+        assert_eq!(v.get("d"), Some(&Value::Object(BTreeMap::new())));
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
     }
 
