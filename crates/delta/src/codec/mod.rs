@@ -52,7 +52,7 @@ mod reader;
 pub mod stream;
 
 use crate::checksum::crc32;
-use crate::command::Copy;
+use crate::command::{Command, Copy};
 use crate::script::{DeltaScript, ScriptError};
 use crate::varint::{self, VarintError};
 use reader::ByteReader;
@@ -473,13 +473,17 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedDelta, DecodeError> {
     let mut r = ByteReader::new(bytes);
     let header = read_header(&mut r)?;
     let count = header.command_count;
-    let commands = match header.format {
-        Format::Ordered => ordered::decode_commands(&mut r, count)?,
-        Format::InPlace => inplace::decode_commands(&mut r, count)?,
-        Format::PaperOrdered => paper::decode_commands(&mut r, count, false)?,
-        Format::PaperInPlace => paper::decode_commands(&mut r, count, true)?,
-        Format::Improved => improved::decode_commands(&mut r, count)?,
-    };
+    // Every wire command occupies at least one byte, so a declared count
+    // beyond the remaining input is hostile: reject it up front instead
+    // of reserving an attacker-controlled allocation.
+    if count > r.remaining() as u64 {
+        return Err(DecodeError::Truncated);
+    }
+    let mut commands = Vec::with_capacity(count as usize);
+    let mut next_write = 0u64;
+    for _ in 0..count {
+        commands.push(decode_command(header.format, &mut r, &mut next_write)?);
+    }
     if !r.is_exhausted() {
         return Err(DecodeError::TrailingBytes {
             remaining: r.remaining(),
@@ -491,6 +495,25 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedDelta, DecodeError> {
         format: header.format,
         target_crc: header.target_crc,
     })
+}
+
+/// Decodes one command of `format`, the one dispatch both [`decode`]
+/// and [`StreamDecoder::next_command`](stream::StreamDecoder::next_command)
+/// run. `next_write` carries the format's state between commands (the
+/// implicit write cursor, or [`Format::Improved`]'s chain end; `0`
+/// before the first command), which a stream checkpoint saves.
+fn decode_command(
+    format: Format,
+    r: &mut ByteReader<'_>,
+    next_write: &mut u64,
+) -> Result<Command, DecodeError> {
+    match format {
+        Format::Ordered => ordered::decode_one(r, next_write),
+        Format::InPlace => inplace::decode_one(r),
+        Format::PaperOrdered => paper::decode_one(r, false, next_write),
+        Format::PaperInPlace => paper::decode_one(r, true, next_write),
+        Format::Improved => improved::decode_one(r, next_write),
+    }
 }
 
 /// Reads the header [`encode`] writes: the magic, the format byte, the

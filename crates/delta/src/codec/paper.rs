@@ -122,25 +122,6 @@ pub(super) fn decode_one(
     Ok(cmd)
 }
 
-pub(super) fn decode_commands(
-    r: &mut ByteReader<'_>,
-    count: u64,
-    explicit_to: bool,
-) -> Result<Vec<Command>, DecodeError> {
-    // Every wire command occupies at least one byte, so a declared count
-    // beyond the remaining input is hostile: reject it up front instead
-    // of reserving an attacker-controlled allocation.
-    if count > r.remaining() as u64 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut commands = Vec::with_capacity(count as usize);
-    let mut implicit_to = 0u64;
-    for _ in 0..count {
-        commands.push(decode_one(r, explicit_to, &mut implicit_to)?);
-    }
-    Ok(commands)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{decode, encode, EncodeError, Format};

@@ -30,7 +30,7 @@
 //! ```
 
 use super::reader::ByteReader;
-use super::{improved, inplace, ordered, paper, read_header, DecodeError, Format, MAGIC};
+use super::{decode_command, read_header, DecodeError, Format, MAGIC};
 use crate::command::Command;
 use crate::varint::VarintError;
 
@@ -285,14 +285,7 @@ impl StreamDecoder {
         }
         let mut r = ByteReader::new(&self.buf[self.consumed..]);
         let mut next_write = self.next_write;
-        let result = match header.format {
-            Format::Ordered => ordered::decode_one(&mut r, &mut next_write),
-            Format::InPlace => inplace::decode_one(&mut r),
-            Format::PaperOrdered => paper::decode_one(&mut r, false, &mut next_write),
-            Format::PaperInPlace => paper::decode_one(&mut r, true, &mut next_write),
-            Format::Improved => improved::decode_one(&mut r, &mut next_write),
-        };
-        match result {
+        match decode_command(header.format, &mut r, &mut next_write) {
             Ok(cmd) => {
                 self.consumed += r.consumed();
                 self.offset += r.consumed() as u64;

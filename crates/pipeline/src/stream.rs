@@ -51,7 +51,8 @@ impl DeltaStream {
         if start >= self.payload.len() {
             return None;
         }
-        let end = (start + self.chunk_len).min(self.payload.len());
+        // `start < len`, so this cannot overflow for any chunk length.
+        let end = start + self.chunk_len.min(self.payload.len() - start);
         Some(&self.payload[start..end])
     }
 
@@ -87,6 +88,11 @@ mod tests {
         assert_eq!(s.chunk_at(96).unwrap(), &[96, 97, 98, 99]);
         assert_eq!(s.chunk_at(100), None);
         assert_eq!(s.chunk_at(u64::MAX), None);
+        // A chunk length near usize::MAX serves the tail, not an
+        // overflowed window.
+        let whole = DeltaStream::from_wire((0u8..100).collect(), usize::MAX);
+        let tail: Vec<u8> = (33..100).collect();
+        assert_eq!(whole.chunk_at(33), Some(&tail[..]));
     }
 
     #[test]

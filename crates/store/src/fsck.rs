@@ -4,16 +4,18 @@
 //! classifies everything it finds into two severities:
 //!
 //! * [`Severity::Repairable`] — the benign residue of a crash mid-
-//!   transaction: a torn journal tail, an unresolved `begin`, a stale
-//!   `manifest.tmp`, leftover `stage/` files, object files the manifest
-//!   never adopted. The commit protocol guarantees this debris is
-//!   disjoint from committed state, so `--repair` removes or resolves
-//!   it without risk.
+//!   transaction: a stale `manifest.tmp`, leftover `stage/` files,
+//!   object files the manifest never adopted. The commit protocol
+//!   guarantees this debris is disjoint from committed state, so
+//!   `--repair` removes it without risk.
 //! * [`Severity::Corrupt`] — damage no crash of a correct writer can
 //!   produce: a bad marker, a manifest failing its CRC or invariants,
-//!   interior journal damage, or a *referenced* object whose bytes no
-//!   longer match their recorded length, CRC and content address. These
-//!   are reported, never auto-repaired.
+//!   or a *referenced* object whose bytes no longer match their
+//!   recorded length, CRC and content address. These are reported,
+//!   never auto-repaired.
+//!
+//! Debris is found from the directory listing alone: the manifest is
+//! the only record of what committed.
 //!
 //! After the structural checks, a clean store gets a full
 //! reconstruction sweep: every version is rebuilt through
@@ -25,7 +27,6 @@
 //! directory listings), so two sweeps of the same store — or the same
 //! crash replayed — produce byte-identical reports.
 
-use crate::journal::Record;
 use crate::manifest::{Manifest, ObjectKind};
 use crate::oid::Oid;
 use crate::store::Store;
@@ -58,7 +59,7 @@ impl fmt::Display for Severity {
 pub struct Finding {
     /// Repairable debris or real corruption.
     pub severity: Severity,
-    /// Stable machine-readable code (e.g. `journal-open-txn`).
+    /// Stable machine-readable code (e.g. `stale-manifest-tmp`).
     pub code: &'static str,
     /// Human-readable specifics.
     pub detail: String,
@@ -172,45 +173,7 @@ pub fn fsck(root: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         }
     };
 
-    // 3. Journal: interior damage is corruption; a torn tail and an
-    // unresolved begin are the expected shapes of a crash.
-    match txn::journal_scan(root) {
-        Ok(scan) => {
-            report.bytes_checked += scan.intact_len;
-            if scan.torn_tail {
-                report.repairable(
-                    "journal-torn-tail",
-                    format!("intact prefix ends at byte {}", scan.intact_len),
-                    repair,
-                    || txn::journal_truncate(root, scan.intact_len),
-                );
-            }
-            if let (Some(gen), Some(m)) = (scan.open_transaction(), manifest.as_ref()) {
-                // The manifest decides: if the swap reached this
-                // generation the transaction committed, else it died
-                // before the commit point.
-                let committed = m.gen >= gen;
-                let resolution = if committed {
-                    Record::Commit(gen)
-                } else {
-                    Record::Abort(gen)
-                };
-                report.repairable(
-                    "journal-open-txn",
-                    format!(
-                        "begin {gen} unresolved (manifest at gen {} → {})",
-                        m.gen,
-                        if committed { "commit" } else { "abort" }
-                    ),
-                    repair,
-                    || txn::journal_resolve(root, resolution),
-                );
-            }
-        }
-        Err(e) => report.found(Severity::Corrupt, "bad-journal", e.to_string()),
-    }
-
-    // 4. A manifest.tmp can only be a crashed transaction's leftover:
+    // 3. A manifest.tmp can only be a crashed transaction's leftover:
     // the commit point renames it away.
     if txn::manifest_tmp_exists(root) {
         report.repairable(
@@ -221,7 +184,7 @@ pub fn fsck(root: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         );
     }
 
-    // 5. Stage files are invisible to readers by construction.
+    // 4. Stage files are invisible to readers by construction.
     match txn::list_stage_files(root) {
         Ok(names) => {
             for name in names {
@@ -245,7 +208,7 @@ pub fn fsck(root: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         return Ok(report);
     };
 
-    // 6. Object sweep: every recorded object must exist with matching
+    // 5. Object sweep: every recorded object must exist with matching
     // length, CRC and content address; every file on disk must be
     // recorded. The reverse direction catches objects a crashed
     // transaction renamed in before dying short of the commit point.
@@ -292,7 +255,7 @@ pub fn fsck(root: &Path, repair: bool) -> Result<FsckReport, StoreError> {
         Err(e) => report.found(Severity::Corrupt, "bad-objects-dir", e.to_string()),
     }
 
-    // 7. Reconstruction sweep: only meaningful once the structure is
+    // 6. Reconstruction sweep: only meaningful once the structure is
     // sound. Rebuild every version and check it against its record.
     if !report.has_corruption() {
         match Store::open(root) {
@@ -371,8 +334,8 @@ mod tests {
         let store = fresh_store("fsck-debris");
         let root = store.root().to_path_buf();
         drop(store);
-        // Simulate a crash's debris: stage file, manifest.tmp, torn
-        // journal tail, dangling object.
+        // Simulate a crash's debris: stage file, manifest.tmp, dangling
+        // object.
         std::fs::write(
             txn::stage_dir(&root).join(format!("{}.full", Oid::of(b"x"))),
             b"x",
@@ -385,13 +348,6 @@ mod tests {
             b"dangling",
         )
         .unwrap();
-        use std::io::Write;
-        let mut j = std::fs::OpenOptions::new()
-            .append(true)
-            .open(txn::journal_path(&root))
-            .unwrap();
-        j.write_all(&[9, 0, 0]).unwrap(); // half a frame
-        drop(j);
 
         let report = fsck(&root, false).unwrap();
         assert!(!report.is_clean());

@@ -10,19 +10,20 @@
 //!   ([`Oid`]), so identical content deduplicates and damage is
 //!   detectable by rehashing.
 //! * **Crash-safe transactions** — all mutations stage into temp files
-//!   and become visible through one atomic manifest rename, bracketed
-//!   by a CRC-framed journal. A crash at *any* instruction leaves the
-//!   previous or the next committed state, never a blend; the CI
-//!   `store-smoke` job proves this by killing a child process at every
-//!   fsync/rename boundary and checking the reopened store.
+//!   and become visible through one atomic rename of the CRC-sealed
+//!   manifest, whose generation is the only record of what committed.
+//!   A crash at *any* instruction leaves the previous or the next
+//!   committed state, never a blend; the CI `store-smoke` job proves
+//!   this by killing a child process at every fsync/rename boundary and
+//!   checking the reopened store.
 //! * **Bounded chains** — [`Store::compact`] collapses reconstruction
 //!   chains deeper than the configured cap into single composed deltas
 //!   ([`ipr_pipeline::Engine::compose`]), trading bytes for bounded
 //!   read cost, with byte-identical reconstruction before and after.
-//! * **fsck** — [`fsck`](fsck()) sweeps marker, manifest, journal,
-//!   staging area and every object, classifies findings as repairable
-//!   crash debris vs. real corruption, optionally repairs the former,
-//!   and finishes with a full reconstruction check of every version.
+//! * **fsck** — [`fsck`](fsck()) sweeps marker, manifest, staging area
+//!   and every object, classifies findings as repairable crash debris
+//!   vs. real corruption, optionally repairs the former, and finishes
+//!   with a full reconstruction check of every version.
 //!
 //! ```
 //! use ipr_store::Store;
@@ -47,7 +48,6 @@
 
 pub mod fault;
 pub mod fsck;
-pub mod journal;
 pub mod manifest;
 pub mod oid;
 pub mod store;

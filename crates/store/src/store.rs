@@ -90,10 +90,11 @@ impl Store {
     }
 
     /// Opens the store at `root`, loading and validating its committed
-    /// manifest. Benign crash debris (stage files, `manifest.tmp`, an
-    /// open journal `begin`, a torn journal tail) does not prevent
-    /// opening — the manifest is the single source of truth and `fsck
-    /// --repair` clears the debris.
+    /// manifest. Benign crash debris (stage files, `manifest.tmp`,
+    /// objects no manifest references) does not prevent opening — the
+    /// manifest is the single source of truth and `fsck --repair` clears
+    /// the debris. Nothing else is read: a `journal` file left by an
+    /// older version of the store is ignored.
     ///
     /// # Errors
     ///
@@ -231,13 +232,13 @@ impl Store {
             len: bytes.len() as u64,
             crc,
         });
-        let mut txn = Transaction::begin(&self.root, next.gen)?;
+        let mut txn = Transaction::begin(&self.root);
         let staged = self.stage_put(&mut txn, &mut next, oid, delta.as_ref(), bytes);
         let (kind, stored_bytes) = match staged {
             Ok(v) => v,
             Err(e) => {
                 // Best-effort unwind; anything it misses is fsck fodder.
-                let _ = txn.abort();
+                txn.abort();
                 return Err(e);
             }
         };
@@ -409,7 +410,7 @@ impl Store {
         next.gen += 1;
         debug_assert!(next.validate().is_ok());
 
-        let mut txn = Transaction::begin(&self.root, next.gen)?;
+        let mut txn = Transaction::begin(&self.root);
         let mut stage_err = None;
         for (oid, bytes) in &staged {
             if before_live.contains(oid) {
@@ -421,7 +422,7 @@ impl Store {
             }
         }
         if let Some(e) = stage_err {
-            let _ = txn.abort();
+            txn.abort();
             return Err(e.into());
         }
         self.commit(txn, next)?;
@@ -508,10 +509,9 @@ impl Store {
     }
 
     /// Commits `txn` with `next` as the new manifest; on success the
-    /// session adopts it. On failure the transaction is aborted
-    /// (best-effort) and the session keeps the old committed state.
+    /// session adopts it. On failure the session keeps the old committed
+    /// state.
     fn commit(&mut self, txn: Transaction, next: Manifest) -> Result<(), StoreError> {
-        debug_assert_eq!(txn.gen(), next.gen);
         match txn.commit(&next) {
             Ok(()) => {
                 self.manifest = next;
@@ -683,6 +683,79 @@ mod tests {
             assert_eq!(&reopened.get(*oid).unwrap(), want);
         }
         destroy(store);
+    }
+
+    /// The manifest is the store's only commit record: after init, puts
+    /// and a compaction the root holds the marker, the manifest and the
+    /// two object directories, and nothing else.
+    #[test]
+    fn root_holds_only_marker_manifest_and_object_dirs() {
+        let mut store = temp_store("layout", 2);
+        put_all(&mut store, &versions(5));
+        assert!(store.compact().unwrap().collapsed > 0);
+        let mut names: Vec<String> = std::fs::read_dir(store.root())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["STORE", "manifest", "objects", "stage"]);
+        destroy(store);
+    }
+
+    /// A put that stages one object crosses the commit protocol's six
+    /// durability points (stage fsync, object rename, `objects/` fsync,
+    /// `manifest.tmp` fsync, manifest rename, root fsync), each
+    /// bracketed by two boundaries.
+    #[test]
+    fn put_of_one_object_crosses_twelve_boundaries() {
+        let mut store = temp_store("boundaries", 8);
+        let history = versions(2);
+        store.put(&history[0], None).unwrap();
+        let before = crate::fault::crossed();
+        assert!(store.put(&history[1], None).unwrap().created);
+        assert_eq!(crate::fault::crossed() - before, 12);
+        destroy(store);
+    }
+
+    /// A `journal` file left in the root by an older version of the
+    /// store is never read or written, whatever its bytes — even a
+    /// damaged interior frame: the store opens, reads every version,
+    /// compacts and fscks clean around it.
+    #[test]
+    fn leftover_journal_is_ignored() {
+        fn frame(payload: &[u8], crc: u32) -> Vec<u8> {
+            let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(payload);
+            out.extend_from_slice(&crc.to_le_bytes());
+            out
+        }
+        let crc32 = ipr_delta::checksum::crc32;
+        // A `begin` frame failing its CRC ahead of an intact `commit`.
+        let mut damaged = frame(b"begin 2", crc32(b"begin 2") ^ 1);
+        damaged.extend(frame(b"commit 2", crc32(b"commit 2")));
+        let history = versions(5);
+        for journal in [Vec::new(), b"not a journal".to_vec(), damaged] {
+            let mut store = temp_store("oldjournal", 2);
+            let oids = put_all(&mut store, &history);
+            let root = store.root().to_path_buf();
+            drop(store);
+            let path = root.join("journal");
+            std::fs::write(&path, &journal).unwrap();
+
+            let mut store = Store::open(&root).unwrap();
+            for (oid, want) in oids.iter().zip(&history) {
+                assert_eq!(&store.get(*oid).unwrap(), want);
+            }
+            assert!(store.compact().unwrap().collapsed > 0);
+            for (oid, want) in oids.iter().zip(&history) {
+                assert_eq!(&store.get(*oid).unwrap(), want, "post-compaction bytes");
+            }
+            let report = crate::fsck(&root, false).unwrap();
+            assert!(report.is_clean(), "findings: {:?}", report.findings);
+            assert_eq!(report.versions_checked, history.len());
+            assert_eq!(std::fs::read(&path).unwrap(), journal);
+            destroy(store);
+        }
     }
 
     /// Reads rebuild out of place: no get converts, and each get of a

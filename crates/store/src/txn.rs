@@ -1,36 +1,34 @@
-//! Crash-safe transactions: stage, swap, journal.
+//! Crash-safe transactions: stage, then swap.
 //!
 //! Every mutation of the store — `put`, `compact`, `init` itself —
 //! funnels through one protocol whose single atomic step is a rename:
 //!
-//! 1. journal `begin <gen>` (fsynced) — declares intent;
-//! 2. write each new object to `stage/` and fsync it — content exists
+//! 1. write each new object to `stage/` and fsync it — content exists
 //!    but is invisible;
-//! 3. rename staged objects into `objects/` — content-addressed names,
+//! 2. rename staged objects into `objects/` — content-addressed names,
 //!    so a half-finished batch only adds files the old manifest never
 //!    references;
-//! 4. fsync `objects/` so the new names are durable;
-//! 5. write the new manifest to `manifest.tmp`, fsync it;
-//! 6. **rename `manifest.tmp` → `manifest` — the commit point.** Before
+//! 3. fsync `objects/` so the new names are durable;
+//! 4. write the new manifest to `manifest.tmp`, fsync it;
+//! 5. **rename `manifest.tmp` → `manifest` — the commit point.** Before
 //!    this instant a reopen sees the old state; after it, the new one;
-//! 7. fsync the store root so the swap itself is durable;
-//! 8. journal `commit <gen>` (fsynced).
+//! 6. fsync the store root so the swap itself is durable.
 //!
-//! A crash strictly before step 6 leaves the old manifest authoritative
-//! and at worst some stage files, a `manifest.tmp`, unreferenced
-//! objects, and an open `begin` in the journal — all of which `fsck
-//! --repair` sweeps away without touching committed data. A crash at or
-//! after step 6 leaves the new manifest fully in force, missing only
-//! its journal `commit`, which repair appends. There is no interleaving
-//! in which a reader observes a blend, because the only mutation of a
-//! *referenced* name is the one atomic rename.
+//! A crash strictly before step 5 leaves the old manifest authoritative
+//! and at worst some stage files, a `manifest.tmp` and unreferenced
+//! objects — all of which `fsck --repair` sweeps away without touching
+//! committed data. A crash at or after step 5 leaves the new manifest
+//! fully in force. The manifest's `gen` is the only record of which
+//! transaction committed, so nothing else needs resolving after a
+//! crash. There is no interleaving in which a reader observes a blend,
+//! because the only mutation of a *referenced* name is the one atomic
+//! rename.
 //!
 //! All fsyncs and renames go through [`fault`], so the crash sweep in
 //! `tests/store_crash.rs` can kill the process at every numbered
 //! boundary of this protocol and CI can prove the claim above.
 
 use crate::fault;
-use crate::journal::{self, Record};
 use crate::manifest::{Manifest, ObjectKind};
 use crate::oid::Oid;
 use std::fs::{File, OpenOptions};
@@ -53,10 +51,6 @@ pub(crate) fn manifest_path(root: &Path) -> PathBuf {
 
 pub(crate) fn manifest_tmp_path(root: &Path) -> PathBuf {
     root.join("manifest.tmp")
-}
-
-pub(crate) fn journal_path(root: &Path) -> PathBuf {
-    root.join("journal")
 }
 
 pub(crate) fn objects_dir(root: &Path) -> PathBuf {
@@ -85,25 +79,17 @@ pub(crate) fn stage_path(root: &Path, oid: Oid, kind: ObjectKind) -> PathBuf {
 /// — exactly what a crash would do.
 pub(crate) struct Transaction {
     root: PathBuf,
-    gen: u64,
     staged: Vec<(Oid, ObjectKind)>,
 }
 
 impl Transaction {
-    /// Opens a transaction targeting generation `gen`: journals `begin`
-    /// durably before anything else may touch disk.
-    pub(crate) fn begin(root: &Path, gen: u64) -> io::Result<Transaction> {
-        journal::append(&journal_path(root), Record::Begin(gen))?;
-        Ok(Transaction {
+    /// Opens a transaction on the store at `root`. Nothing touches disk
+    /// until the first [`stage_object`](Self::stage_object).
+    pub(crate) fn begin(root: &Path) -> Transaction {
+        Transaction {
             root: root.to_path_buf(),
-            gen,
             staged: Vec::new(),
-        })
-    }
-
-    /// The generation this transaction will commit.
-    pub(crate) fn gen(&self) -> u64 {
-        self.gen
+        }
     }
 
     /// Writes one object's bytes into `stage/` and fsyncs them. The
@@ -122,11 +108,9 @@ impl Transaction {
         Ok(())
     }
 
-    /// Runs the commit protocol for `manifest` (which must already carry
-    /// this transaction's generation). On return the new state is
-    /// durable and journaled.
+    /// Runs the commit protocol for `manifest`. On return the new state
+    /// is durable.
     pub(crate) fn commit(self, manifest: &Manifest) -> io::Result<()> {
-        assert_eq!(manifest.gen, self.gen, "manifest generation mismatch");
         let objects = objects_dir(&self.root);
         for &(oid, kind) in &self.staged {
             fault::rename(
@@ -144,18 +128,16 @@ impl Transaction {
         drop(file);
         // The commit point: atomically replace the manifest.
         fault::rename(&tmp, &manifest_path(&self.root))?;
-        fault::fsync_dir(&self.root)?;
-        journal::append(&journal_path(&self.root), Record::Commit(self.gen))
+        fault::fsync_dir(&self.root)
     }
 
-    /// Unwinds the transaction: deletes its staged files and journals
-    /// `abort`. Cleanup is best-effort — anything left behind is the
-    /// same debris a crash leaves, and `fsck --repair` removes it.
-    pub(crate) fn abort(self) -> io::Result<()> {
+    /// Unwinds the transaction by deleting its staged files. Cleanup is
+    /// best-effort — anything left behind is the same debris a crash
+    /// leaves, and `fsck --repair` removes it.
+    pub(crate) fn abort(self) {
         for &(oid, kind) in &self.staged {
             let _ = std::fs::remove_file(stage_path(&self.root, oid, kind));
         }
-        journal::append(&journal_path(&self.root), Record::Abort(self.gen))
     }
 }
 
@@ -182,8 +164,7 @@ pub(crate) fn init(root: &Path, depth_cap: u32) -> io::Result<()> {
     fault::fsync_file(&marker, MARKER_FILE)?;
     let mut manifest = Manifest::new(depth_cap);
     manifest.gen = 1;
-    let txn = Transaction::begin(root, 1)?;
-    txn.commit(&manifest)
+    Transaction::begin(root).commit(&manifest)
 }
 
 /// Reads and verifies the marker file.
@@ -220,22 +201,6 @@ pub(crate) fn read_object(
         ));
     }
     Ok(bytes)
-}
-
-/// Appends a journal record without a surrounding transaction — used by
-/// `fsck --repair` to resolve an open `begin`.
-pub(crate) fn journal_resolve(root: &Path, record: Record) -> io::Result<()> {
-    journal::append(&journal_path(root), record)
-}
-
-/// Truncates a torn journal tail — used by `fsck --repair`.
-pub(crate) fn journal_truncate(root: &Path, intact_len: u64) -> io::Result<()> {
-    journal::truncate_to(&journal_path(root), intact_len)
-}
-
-/// Opens the journal for reading. Missing file reads as empty.
-pub(crate) fn journal_scan(root: &Path) -> io::Result<journal::Scan> {
-    journal::scan_file(&journal_path(root))
 }
 
 /// Reads the committed manifest text.

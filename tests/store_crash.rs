@@ -213,9 +213,9 @@ fn put_survives_a_kill_at_every_boundary() {
             .map(|v| (store.put(v, None).expect("prepare put").oid, v.clone()))
             .collect()
     });
-    // Sanity floor: a put commits through a journal write, object
-    // stage + publish, manifest swap and directory syncs — if the
-    // sweep saw almost no boundaries, the instrumentation is broken.
+    // Sanity floor: a put commits through object stage + publish, a
+    // manifest swap and directory syncs — if the sweep saw almost no
+    // boundaries, the instrumentation is broken.
     assert!(swept >= 10, "put crossed only {swept} boundaries");
 }
 
