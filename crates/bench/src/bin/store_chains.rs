@@ -11,7 +11,9 @@
 //!   version (the write path, including all durability barriers);
 //! * **get** — reconstruction of every version, bucketed by chain
 //!   depth, before and after compaction (the paper's access-time /
-//!   storage trade-off, here as delta-chain depth vs read latency);
+//!   storage trade-off, here as delta-chain depth vs read latency).
+//!   Each version is read five times and counts at its median read,
+//!   so a bucket's `total_ns` sums per-version medians;
 //! * **fsck** — the full CRC + reachability sweep over the compacted
 //!   store, reported as bytes verified per second.
 //!
@@ -47,6 +49,10 @@ struct DepthBucket {
     bytes: u64,
 }
 
+/// Timed reads of each version; its latency is their median, so one
+/// slow read does not move a depth's row.
+const READS_PER_VERSION: usize = 5;
+
 /// Reads back every version, bucketing latency by chain depth.
 /// Returns buckets indexed by depth (index 0 = full images).
 fn read_sweep(store: &mut Store) -> Vec<DepthBucket> {
@@ -60,13 +66,17 @@ fn read_sweep(store: &mut Store) -> Vec<DepthBucket> {
         if buckets.len() <= depth {
             buckets.resize(depth + 1, DepthBucket::default());
         }
-        let t = Instant::now();
-        let bytes = store.get(record.oid).expect("version reconstructs");
-        let elapsed = t.elapsed().as_nanos();
-        assert_eq!(bytes.len() as u64, record.len, "length drift");
+        let mut samples = [0u128; READS_PER_VERSION];
+        for sample in &mut samples {
+            let t = Instant::now();
+            let bytes = store.get(record.oid).expect("version reconstructs");
+            *sample = t.elapsed().as_nanos();
+            assert_eq!(bytes.len() as u64, record.len, "length drift");
+        }
+        samples.sort_unstable();
         let bucket = &mut buckets[depth];
         bucket.versions += 1;
-        bucket.total_ns += elapsed;
+        bucket.total_ns += samples[READS_PER_VERSION / 2];
         bucket.bytes += record.len;
     }
     buckets

@@ -324,6 +324,69 @@ fn error_paths_reported_not_panicked() {
 }
 
 #[test]
+fn streamed_install_refuses_previous_checkpoint_format() {
+    let dir = std::env::temp_dir().join(format!("ipr-cli-ipc1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+
+    let reference: Vec<u8> = (0..8192u32).map(|i| (i * 13 % 251) as u8).collect();
+    let mut version = reference.clone();
+    version.rotate_left(1000);
+    std::fs::write(p("old"), &reference).unwrap();
+    std::fs::write(p("new"), &version).unwrap();
+    run(&s(&["diff", &p("old"), &p("new"), &p("d")])).unwrap();
+    run(&s(&[
+        "convert",
+        &p("old"),
+        &p("d"),
+        &p("d.ip"),
+        "--format",
+        "in-place",
+    ]))
+    .unwrap();
+    std::fs::write(p("dev"), &reference).unwrap();
+    let install = |extra: &[&str]| {
+        let mut args = s(&[
+            "install",
+            &p("dev"),
+            &p("d.ip"),
+            "--stream",
+            "--chunk",
+            "64",
+        ]);
+        args.extend(s(extra));
+        run(&args)
+    };
+    install(&["--kill-at", "3"]).unwrap();
+
+    // The state file is `IPRS`, the checkpoint's length (u64) and the
+    // checkpoint. Rewrite the checkpoint under the previous magic and
+    // reseal its CRC, so that only the magic is wrong.
+    let state = std::fs::read(p("dev.state")).unwrap();
+    let len = u64::from_le_bytes(state[4..12].try_into().unwrap()) as usize;
+    let mut old_format = state.clone();
+    let checkpoint = &mut old_format[12..12 + len];
+    assert_eq!(&checkpoint[..4], b"IPC2");
+    checkpoint[..4].copy_from_slice(b"IPC1");
+    let crc = ipr_delta::checksum::crc32(&checkpoint[..len - 4]);
+    checkpoint[len - 4..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(p("dev.state"), &old_format).unwrap();
+
+    let image = std::fs::read(p("dev")).unwrap();
+    let err = install(&[]).unwrap_err().to_string();
+    assert!(err.contains("not an install checkpoint"), "{err}");
+    assert_eq!(std::fs::read(p("dev")).unwrap(), image);
+
+    // The same state under the current magic resumes to the version.
+    std::fs::write(p("dev.state"), &state).unwrap();
+    install(&[]).unwrap();
+    assert_eq!(std::fs::read(p("dev")).unwrap(), version);
+    assert!(!dir.join("dev.state").exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_flags_are_stripped_and_validated() {
     let (opts, rest) = StatsOptions::extract(&s(&["convert", "--stats", "a", "b"])).unwrap();
     assert!(opts.enabled && !opts.json && opts.out.is_none());

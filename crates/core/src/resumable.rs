@@ -21,8 +21,12 @@
 //!   is always safe and idempotent.
 //!
 //! The journal is plain data; a device would persist it (and the buffer
-//! region it describes) to stable storage between steps. The simulation
-//! in `ipr-device` drives exactly that protocol with crash injection.
+//! region it describes) to stable storage at every durable point that
+//! [`resume_in_place_observed`] reports. `tests/power_failure.rs` and
+//! the `convert` fuzz oracle snapshot it (a `clone`) at each of those
+//! points and restart from every snapshot. The streaming install in
+//! `ipr-device` applies whole commands and checkpoints its own decoder
+//! and written spans instead.
 
 use crate::apply::{required_capacity, InPlaceApplyError};
 use ipr_delta::{Command, DeltaScript};
@@ -43,12 +47,6 @@ pub struct Journal {
     /// write offset and the exact bytes. Present iff a chunk was staged
     /// but its completion was not yet recorded.
     redo: Option<(u64, Vec<u8>)>,
-    /// Wire bytes of the delta stream durably consumed when this
-    /// journal was last recorded. Zero for a purely local apply; a
-    /// streaming install records it so that power loss during a
-    /// partially-downloaded delta resumes the transfer from here
-    /// instead of byte 0.
-    stream_offset: u64,
 }
 
 impl Journal {
@@ -85,135 +83,7 @@ impl Journal {
     pub fn pending_chunk(&self) -> Option<(u64, &[u8])> {
         self.redo.as_ref().map(|(to, data)| (*to, data.as_slice()))
     }
-
-    /// Wire bytes of the delta stream durably consumed at this journal.
-    #[must_use]
-    pub fn stream_offset(&self) -> u64 {
-        self.stream_offset
-    }
-
-    /// Records streaming-install progress: `commands` commands fully
-    /// applied to the buffer and `stream_offset` wire bytes durably
-    /// consumed. Streaming installs apply whole commands per checkpoint,
-    /// so intra-command state (`done`/`redo`) is cleared.
-    pub fn record_stream_progress(&mut self, commands: usize, stream_offset: u64) {
-        self.command = commands;
-        self.done = 0;
-        self.redo = None;
-        self.stream_offset = stream_offset;
-    }
-
-    /// Serializes the journal for stable storage (fixed-width
-    /// little-endian fields, CRC-32 sealed).
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&JOURNAL_MAGIC);
-        out.extend_from_slice(&(self.command as u64).to_le_bytes());
-        out.extend_from_slice(&self.done.to_le_bytes());
-        out.extend_from_slice(&self.stream_offset.to_le_bytes());
-        match &self.redo {
-            None => out.push(0),
-            Some((to, data)) => {
-                out.push(1);
-                out.extend_from_slice(&to.to_le_bytes());
-                out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                out.extend_from_slice(data);
-            }
-        }
-        let crc = ipr_delta::checksum::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Deserializes a journal written by [`encode`](Self::encode).
-    ///
-    /// # Errors
-    ///
-    /// [`JournalDecodeError`] if the bytes are truncated, carry the
-    /// wrong magic, or fail the CRC (torn journal write).
-    pub fn decode(bytes: &[u8]) -> Result<Self, JournalDecodeError> {
-        if bytes.len() < JOURNAL_MAGIC.len() + 4 {
-            return Err(JournalDecodeError::Truncated);
-        }
-        if bytes[..4] != JOURNAL_MAGIC {
-            return Err(JournalDecodeError::BadMagic);
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let expected = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let actual = ipr_delta::checksum::crc32(body);
-        if expected != actual {
-            return Err(JournalDecodeError::Checksum { expected, actual });
-        }
-        let mut at = 4usize;
-        let read_u64 = |at: &mut usize| -> Result<u64, JournalDecodeError> {
-            let end = at.checked_add(8).ok_or(JournalDecodeError::Truncated)?;
-            let raw = body.get(*at..end).ok_or(JournalDecodeError::Truncated)?;
-            *at = end;
-            Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-        };
-        let command = read_u64(&mut at)? as usize;
-        let done = read_u64(&mut at)?;
-        let stream_offset = read_u64(&mut at)?;
-        let flag = *body.get(at).ok_or(JournalDecodeError::Truncated)?;
-        at += 1;
-        let redo = if flag == 0 {
-            None
-        } else {
-            let to = read_u64(&mut at)?;
-            let len = read_u64(&mut at)? as usize;
-            let end = at.checked_add(len).ok_or(JournalDecodeError::Truncated)?;
-            let data = body.get(at..end).ok_or(JournalDecodeError::Truncated)?;
-            at = end;
-            Some((to, data.to_vec()))
-        };
-        if at != body.len() {
-            return Err(JournalDecodeError::Truncated);
-        }
-        Ok(Self {
-            command,
-            done,
-            redo,
-            stream_offset,
-        })
-    }
 }
-
-/// Magic prefix of a serialized [`Journal`].
-const JOURNAL_MAGIC: [u8; 4] = *b"IPJ1";
-
-/// Error deserializing a [`Journal`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JournalDecodeError {
-    /// The bytes end before the journal record does.
-    Truncated,
-    /// The bytes do not start with the journal magic.
-    BadMagic,
-    /// The CRC-32 seal does not match (torn or corrupted write).
-    Checksum {
-        /// CRC recorded in the journal.
-        expected: u32,
-        /// CRC of the bytes actually read.
-        actual: u32,
-    },
-}
-
-impl fmt::Display for JournalDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournalDecodeError::Truncated => write!(f, "journal record truncated"),
-            JournalDecodeError::BadMagic => write!(f, "not a journal record"),
-            JournalDecodeError::Checksum { expected, actual } => {
-                write!(
-                    f,
-                    "journal CRC mismatch: {expected:#010x} != {actual:#010x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalDecodeError {}
 
 /// Outcome of [`resume_in_place`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -316,8 +186,8 @@ pub fn resume_in_place(
 /// and the staged redo record fully describes it, so a crash anywhere in
 /// that window (including a torn, partially written chunk) is recovered
 /// by replaying the redo record on resume. The fault-injection tests in
-/// `ipr-device` snapshot state at every `persist` call and restart from
-/// each of them.
+/// `tests/power_failure.rs` snapshot state at every `persist` call and
+/// restart from each of them.
 ///
 /// # Errors
 ///
@@ -574,72 +444,5 @@ mod tests {
         assert_eq!(j.command_index(), 0);
         assert_eq!(j.bytes_done_in_command(), 0);
         assert!(!j.has_pending_chunk());
-        assert_eq!(j.stream_offset(), 0);
-    }
-
-    #[test]
-    fn journal_round_trips_through_serialization() {
-        // Plain, streaming, and torn-write (redo staged) journals all
-        // survive encode/decode byte-exactly.
-        let mut plain = Journal::new();
-        plain.command = 7;
-        plain.done = 123;
-        let mut streaming = Journal::new();
-        streaming.record_stream_progress(42, 9_876_543);
-        let torn = Journal {
-            command: 3,
-            done: 64,
-            redo: Some((1024, vec![0xAB; 33])),
-            stream_offset: 555,
-        };
-        for j in [plain, streaming, torn] {
-            assert_eq!(Journal::decode(&j.encode()), Ok(j));
-        }
-    }
-
-    #[test]
-    fn journal_decode_rejects_corruption() {
-        let mut j = Journal::new();
-        j.record_stream_progress(9, 1000);
-        let bytes = j.encode();
-        // Cutting the tail lands in the CRC seal: detected as a
-        // checksum failure (the seal covers the length implicitly).
-        assert!(matches!(
-            Journal::decode(&bytes[..bytes.len() - 1]),
-            Err(JournalDecodeError::Checksum { .. })
-        ));
-        assert_eq!(Journal::decode(b"xx"), Err(JournalDecodeError::Truncated));
-        let mut wrong_magic = bytes.clone();
-        wrong_magic[0] = b'X';
-        assert_eq!(
-            Journal::decode(&wrong_magic),
-            Err(JournalDecodeError::BadMagic)
-        );
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x01;
-        assert!(matches!(
-            Journal::decode(&flipped),
-            Err(JournalDecodeError::Checksum { .. })
-        ));
-        assert!(!Journal::decode(&flipped)
-            .unwrap_err()
-            .to_string()
-            .is_empty());
-    }
-
-    #[test]
-    fn record_stream_progress_clears_intra_command_state() {
-        let mut j = Journal {
-            command: 2,
-            done: 10,
-            redo: Some((5, vec![1, 2, 3])),
-            stream_offset: 0,
-        };
-        j.record_stream_progress(4, 200);
-        assert_eq!(j.command_index(), 4);
-        assert_eq!(j.bytes_done_in_command(), 0);
-        assert!(!j.has_pending_chunk());
-        assert_eq!(j.stream_offset(), 200);
     }
 }

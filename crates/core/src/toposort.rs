@@ -4,7 +4,7 @@
 
 use crate::policy::CyclePolicy;
 use ipr_digraph::fvs::{self, ComponentTooLarge};
-use ipr_digraph::scc::{tarjan_into, SccScratch};
+use ipr_digraph::scc::{tarjan_into, Sccs};
 use ipr_digraph::{topo, Digraph, NodeId};
 
 /// Result of the cycle-breaking topological sort.
@@ -62,7 +62,7 @@ struct DfsScratch {
 /// allocations in steady state.
 #[derive(Debug, Default)]
 pub struct SortScratch {
-    scc: SccScratch,
+    scc: Sccs,
     /// Current component's members, sorted ascending (local id `i` is
     /// `comp_members[i]`).
     comp_members: Vec<NodeId>,
@@ -246,7 +246,7 @@ fn dfs_sort_into(
     }
     let mut stats = SortStats::default();
     for cid in (0..scc.count() as u32).rev() {
-        let members = scc.members_of(cid);
+        let members = scc.members(cid);
         if members.len() == 1 && !graph.has_edge(members[0], members[0]) {
             order.push(members[0]);
             continue;

@@ -14,8 +14,9 @@
 //! later read.
 
 use ipr_delta::DeltaScript;
-use ipr_digraph::{Interval, IntervalSet};
+use ipr_digraph::{Interval, IntervalIndex, IntervalSet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Evidence of a write-before-read conflict in a script's command order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -204,40 +205,15 @@ impl fmt::Display for Conflict {
 /// ```
 #[must_use]
 pub fn list_wr_conflicts(script: &DeltaScript, limit: usize) -> Vec<Conflict> {
-    use ipr_digraph::IntervalIndex;
-    let commands = script.commands();
-    let mut by_write: Vec<usize> = (0..commands.len()).collect();
-    by_write.sort_by_key(|&i| commands[i].to());
-    let index = IntervalIndex::new(
-        by_write
-            .iter()
-            .map(|&i| commands[i].write_interval())
-            .collect(),
-    )
-    .expect("script write intervals are disjoint and non-empty");
     let mut conflicts = Vec::new();
-    for (reader, cmd) in commands.iter().enumerate() {
-        let Some(read) = cmd.read_interval() else {
-            continue;
-        };
-        for k in index.overlapping(read) {
-            let writer = by_write[k];
-            if writer < reader {
-                let overlap = commands[writer]
-                    .write_interval()
-                    .intersection(read)
-                    .expect("index returned an overlapping interval");
-                conflicts.push(Conflict {
-                    writer,
-                    reader,
-                    overlap,
-                });
-                if conflicts.len() == limit {
-                    return conflicts;
-                }
-            }
+    walk_wr_conflicts(script, |conflict| {
+        conflicts.push(conflict);
+        if conflicts.len() == limit {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-    }
+    });
     conflicts
 }
 
@@ -246,10 +222,21 @@ pub fn list_wr_conflicts(script: &DeltaScript, limit: usize) -> Vec<Conflict> {
 /// intersects command `j`'s read interval (the paper's Equation 1, over
 /// all commands).
 ///
-/// Runs in `O(n log n + conflicts)`.
+/// Runs in `O(n log n + conflicts)` and allocates nothing per conflict.
 #[must_use]
 pub fn count_wr_conflicts(script: &DeltaScript) -> usize {
-    use ipr_digraph::IntervalIndex;
+    let mut conflicts = 0;
+    walk_wr_conflicts(script, |_| {
+        conflicts += 1;
+        ControlFlow::Continue(())
+    });
+    conflicts
+}
+
+/// Visits every write-before-read conflict in the script's current
+/// command order, by reader index and then by write offset, until
+/// `visit` breaks.
+fn walk_wr_conflicts(script: &DeltaScript, mut visit: impl FnMut(Conflict) -> ControlFlow<()>) {
     let commands = script.commands();
     // Sort write intervals (disjoint by construction) for range queries,
     // remembering each command's application position.
@@ -262,19 +249,28 @@ pub fn count_wr_conflicts(script: &DeltaScript) -> usize {
             .collect(),
     )
     .expect("script write intervals are disjoint and non-empty");
-    let mut conflicts = 0;
-    for (j, cmd) in commands.iter().enumerate() {
+    for (reader, cmd) in commands.iter().enumerate() {
         let Some(read) = cmd.read_interval() else {
             continue;
         };
         for k in index.overlapping(read) {
-            let i = by_write[k];
-            if i < j {
-                conflicts += 1;
+            let writer = by_write[k];
+            if writer < reader {
+                let overlap = commands[writer]
+                    .write_interval()
+                    .intersection(read)
+                    .expect("index returned an overlapping interval");
+                let conflict = Conflict {
+                    writer,
+                    reader,
+                    overlap,
+                };
+                if visit(conflict).is_break() {
+                    return;
+                }
             }
         }
     }
-    conflicts
 }
 
 #[cfg(test)]

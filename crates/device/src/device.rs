@@ -582,7 +582,7 @@ mod tests {
             Ok(())
         }
 
-        /// Maximal runs of written bytes, as the IPC1 checkpoint
+        /// Maximal runs of written bytes, as the IPC2 checkpoint
         /// serializes them.
         fn runs(&self) -> Vec<(u64, u64)> {
             let mut runs = Vec::new();

@@ -47,5 +47,4 @@ pub use channel::{Channel, LossyChannel, TransferReport};
 pub use device::{Device, DeviceError, UpdateSession, UpdateStats};
 pub use stream::{
     stream_install, CheckpointError, InstallCheckpoint, StreamProgress, StreamReport,
-    StreamingInstall,
 };

@@ -1,23 +1,23 @@
-//! Resumable streaming install sessions: one path from lossy channel
-//! to committed flash.
+//! Resumable streaming installs: one path from lossy channel to
+//! committed flash.
 //!
 //! The paper's device cannot hold two images — and on a slow, lossy
-//! link it should not have to hold two *downloads* either. This module
-//! ties the pieces built in earlier layers into a single session:
+//! link it should not have to hold two *downloads* either.
+//! [`stream_install`] ties the pieces built in earlier layers into one
+//! install:
 //!
 //! * the incremental [`StreamDecoder`] pulls commands out of wire
 //!   chunks with memory bounded by one command frame;
 //! * each complete command is applied immediately through the
-//!   [`UpdateSession`](crate::UpdateSession) write-before-read
-//!   discipline, so reconstruction overlaps the transfer;
+//!   [`UpdateSession`] write-before-read discipline, so
+//!   reconstruction overlaps the transfer;
 //! * every chunk boundary is a durable checkpoint: the decoder's
-//!   [`StreamCheckpoint`], the [`Journal`]'s flash progress *and*
-//!   stream offset, and the session's written spans serialize into
-//!   one [`InstallCheckpoint`]. Power loss at any chunk boundary
-//!   resumes from the checkpoint — re-requesting the wire from the
-//!   checkpointed offset, not from byte 0.
+//!   [`StreamCheckpoint`] and the session's written spans and running
+//!   statistics serialize into one [`InstallCheckpoint`]. Power loss
+//!   at any chunk boundary resumes from the checkpoint — re-requesting
+//!   the wire from the checkpointed offset, not from byte 0.
 //!
-//! The session state machine:
+//! The install state machine:
 //!
 //! ```text
 //!            chunks              header parsed
@@ -29,27 +29,27 @@
 //! fresh start                                   checkpointed ──► Committed
 //! ```
 //!
-//! Drive it with [`stream_install`], which pulls chunks from an
-//! [`DeltaStream`] through [`LossyChannel::simulate_transfer`] and can
-//! simulate a power cut after any number of chunks.
+//! [`stream_install`] pulls chunks from a [`DeltaStream`] through
+//! [`LossyChannel::simulate_transfer`] and can simulate a power cut
+//! after any number of chunks.
 
 use crate::channel::LossyChannel;
-use crate::device::{Device, UpdateStats};
+use crate::device::{Device, UpdateSession, UpdateStats};
 use crate::update::{verify_image_crc, InstallError};
-use ipr_core::resumable::Journal;
 use ipr_delta::checksum::crc32;
-use ipr_delta::codec::stream::{StreamCheckpoint, StreamDecoder, StreamHeader};
+use ipr_delta::codec::stream::{StreamCheckpoint, StreamDecoder};
 use ipr_delta::codec::DecodeError;
 use ipr_pipeline::DeltaStream;
 use std::fmt;
 use std::time::Duration;
 
-/// Error deserializing or validating an [`InstallCheckpoint`].
+/// Error deserializing an [`InstallCheckpoint`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// The bytes end before the checkpoint record does.
     Truncated,
-    /// The bytes do not start with the checkpoint magic.
+    /// The bytes do not start with the checkpoint magic (including a
+    /// checkpoint written in an older format).
     BadMagic,
     /// The CRC-32 seal does not match (torn or corrupted write).
     Checksum {
@@ -60,8 +60,6 @@ pub enum CheckpointError {
     },
     /// The embedded decoder checkpoint is malformed.
     Decoder(DecodeError),
-    /// The embedded journal is malformed.
-    Journal(ipr_core::resumable::JournalDecodeError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -76,7 +74,6 @@ impl fmt::Display for CheckpointError {
                 )
             }
             CheckpointError::Decoder(e) => write!(f, "embedded decoder checkpoint: {e}"),
-            CheckpointError::Journal(e) => write!(f, "embedded journal: {e}"),
         }
     }
 }
@@ -84,26 +81,21 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Magic prefix of a serialized [`InstallCheckpoint`].
-const INSTALL_CHECKPOINT_MAGIC: [u8; 4] = *b"IPC1";
+const INSTALL_CHECKPOINT_MAGIC: [u8; 4] = *b"IPC2";
 
-/// Durable snapshot of a [`StreamingInstall`] at a chunk boundary.
+/// Durable snapshot of a streaming install at a chunk boundary.
 ///
-/// Composes the three progress records a mid-stream power cut needs:
-/// the decoder's wire position ([`StreamCheckpoint`]), the journal's
-/// flash progress and stream offset ([`Journal`]), and the update
-/// session's write-before-read state (covered bytes plus the written
-/// spans as coalesced intervals). A device persists this (a few dozen
-/// bytes plus the interval list) alongside its storage; resuming
-/// validates the records against each other before touching flash and
-/// rebuilds the session's span set from the intervals.
+/// Holds the two progress records a mid-stream power cut needs, each
+/// kept once: the decoder's wire position ([`StreamCheckpoint`]) and
+/// the update session's write-before-read state (the written spans as
+/// coalesced intervals, with the running statistics). A device
+/// persists this (a few dozen bytes plus the interval list) alongside
+/// its storage; resuming cross-checks the two records before touching
+/// flash and rebuilds the session's span set from the intervals.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InstallCheckpoint {
     /// Decoder state at the last command boundary.
     pub decoder: StreamCheckpoint,
-    /// Flash progress + stream offset (the durable authority).
-    pub journal: Journal,
-    /// Target bytes covered by the applied commands.
-    pub covered: u64,
     /// Written regions as coalesced `[start, end)` intervals, all
     /// within the target.
     pub written: Vec<(u64, u64)>,
@@ -123,11 +115,7 @@ impl InstallCheckpoint {
         let decoder = self.decoder.encode();
         out.extend_from_slice(&(decoder.len() as u64).to_le_bytes());
         out.extend_from_slice(&decoder);
-        let journal = self.journal.encode();
-        out.extend_from_slice(&(journal.len() as u64).to_le_bytes());
-        out.extend_from_slice(&journal);
         for v in [
-            self.covered,
             self.stats.commands as u64,
             self.stats.bytes_written,
             self.stats.bytes_read,
@@ -151,7 +139,7 @@ impl InstallCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError`] on truncation, bad magic, CRC mismatch, or a
-    /// malformed embedded record.
+    /// malformed decoder record.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         if bytes.len() < INSTALL_CHECKPOINT_MAGIC.len() + 4 {
             return Err(CheckpointError::Truncated);
@@ -181,8 +169,6 @@ impl InstallCheckpoint {
         };
         let decoder =
             StreamCheckpoint::decode(read_block(&mut at)?).map_err(CheckpointError::Decoder)?;
-        let journal = Journal::decode(read_block(&mut at)?).map_err(CheckpointError::Journal)?;
-        let covered = read_u64(&mut at)?;
         let stats = UpdateStats {
             commands: read_u64(&mut at)? as usize,
             bytes_written: read_u64(&mut at)?,
@@ -202,8 +188,6 @@ impl InstallCheckpoint {
         }
         Ok(Self {
             decoder,
-            journal,
-            covered,
             written,
             stats,
             resumes,
@@ -216,25 +200,16 @@ impl InstallCheckpoint {
         self.decoder.byte_offset
     }
 
-    /// Cross-checks the three progress records against each other;
+    /// Cross-checks the decoder's record against the session's;
     /// returns a human-readable reason if they disagree (corrupted or
-    /// hand-forged checkpoint).
+    /// hand-forged checkpoint). Every decoded command was applied, and
+    /// the session's writes are disjoint, so the spans sum to the
+    /// bytes written.
     fn validate(&self) -> Result<(), String> {
-        if self.journal.has_pending_chunk() {
-            return Err("streaming journal carries a staged chunk".into());
-        }
-        if self.journal.command_index() as u64 != self.decoder.commands_decoded {
+        if self.stats.commands as u64 != self.decoder.commands_decoded {
             return Err(format!(
-                "journal has {} commands, decoder checkpoint {}",
-                self.journal.command_index(),
-                self.decoder.commands_decoded
-            ));
-        }
-        if self.journal.stream_offset() != self.decoder.byte_offset {
-            return Err(format!(
-                "journal stream offset {} != decoder byte offset {}",
-                self.journal.stream_offset(),
-                self.decoder.byte_offset
+                "session applied {} commands, decoder checkpoint decoded {}",
+                self.stats.commands, self.decoder.commands_decoded
             ));
         }
         let target_len = self.decoder.header.target_len;
@@ -247,192 +222,13 @@ impl InstallCheckpoint {
             previous_end = end;
             total += end - start;
         }
-        if total != self.covered {
+        if total != self.stats.bytes_written {
             return Err(format!(
-                "written intervals cover {total} bytes, checkpoint claims {}",
-                self.covered
+                "written intervals cover {total} bytes, session wrote {}",
+                self.stats.bytes_written
             ));
         }
         Ok(())
-    }
-}
-
-/// An open streaming install: commands are applied to flash as soon as
-/// they decode, and every state transition is checkpointable.
-///
-/// Created by [`start`](Self::start) (fresh, once the header has been
-/// received) or [`resume`](Self::resume) (after a power cut). The
-/// session exclusively borrows the device — the same borrow discipline
-/// as [`Device::begin_update`] — so nothing else can touch storage
-/// while an install is in flight.
-#[derive(Debug)]
-pub struct StreamingInstall<'a> {
-    session: crate::device::UpdateSession<'a>,
-    decoder: StreamDecoder,
-    journal: Journal,
-    resumes: u64,
-    buffered_high_water: u64,
-}
-
-impl<'a> StreamingInstall<'a> {
-    /// Opens a fresh session over `decoder`, whose header must already
-    /// have been parsed (feed it bytes until
-    /// [`StreamDecoder::poll_header`] returns the header). Any commands
-    /// already buffered in the decoder are applied immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`InstallError::Decode`] with [`DecodeError::Truncated`] if the
-    /// header has not been parsed yet, plus any device or wire error
-    /// from applying buffered commands.
-    pub fn start(device: &'a mut Device, decoder: StreamDecoder) -> Result<Self, InstallError> {
-        let Some(header) = decoder.header().copied() else {
-            return Err(InstallError::Decode(DecodeError::Truncated));
-        };
-        let session = device.begin_update(header.source_len, header.target_len)?;
-        let mut journal = Journal::new();
-        journal
-            .record_stream_progress(decoder.commands_decoded() as usize, decoder.stream_offset());
-        let mut install = Self {
-            session,
-            decoder,
-            journal,
-            resumes: 0,
-            buffered_high_water: 0,
-        };
-        install.drain()?;
-        Ok(install)
-    }
-
-    /// Reopens a session from a checkpoint after a power cut. The
-    /// device storage must hold the partially reconstructed image the
-    /// checkpoint describes (on real hardware it does — flash is the
-    /// durable medium the checkpoint was taken against).
-    ///
-    /// # Errors
-    ///
-    /// [`InstallError::Checkpoint`] if the checkpoint's records
-    /// disagree with each other, or a device error if the declared
-    /// dimensions no longer fit.
-    pub fn resume(
-        device: &'a mut Device,
-        checkpoint: &InstallCheckpoint,
-    ) -> Result<Self, InstallError> {
-        checkpoint.validate().map_err(InstallError::Checkpoint)?;
-        let header = checkpoint.decoder.header;
-        let session = device.resume_session(
-            header.source_len,
-            header.target_len,
-            &checkpoint.written,
-            checkpoint.stats,
-        )?;
-        ipr_trace::add("stream.resumes", 1);
-        Ok(Self {
-            session,
-            decoder: StreamDecoder::resume(checkpoint.decoder),
-            journal: checkpoint.journal.clone(),
-            resumes: checkpoint.resumes + 1,
-            buffered_high_water: 0,
-        })
-    }
-
-    /// Feeds one wire chunk and applies every command that completes,
-    /// returning how many were applied.
-    ///
-    /// # Errors
-    ///
-    /// Wire errors ([`InstallError::Decode`]) or device faults
-    /// ([`InstallError::Device`] — e.g. a write-before-read violation).
-    /// On error the session should be dropped; storage may hold a
-    /// partial image, as on real interrupted hardware.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<u64, InstallError> {
-        self.decoder.push(chunk);
-        self.drain()
-    }
-
-    fn drain(&mut self) -> Result<u64, InstallError> {
-        let mut applied = 0u64;
-        while let Some(cmd) = self.decoder.next_command()? {
-            self.session.apply_command(&cmd)?;
-            applied += 1;
-        }
-        // Chunk boundary: align the journal with the decoder. Whole
-        // commands only — the decoder checkpoints at command edges.
-        self.journal.record_stream_progress(
-            self.decoder.commands_decoded() as usize,
-            self.decoder.stream_offset(),
-        );
-        self.buffered_high_water = self
-            .buffered_high_water
-            .max(self.decoder.buffered_high_water() as u64);
-        Ok(applied)
-    }
-
-    /// The next wire byte the session needs (all received bytes,
-    /// including buffered partial-command residue).
-    #[must_use]
-    pub fn wire_offset(&self) -> u64 {
-        self.decoder.stream_offset() + self.decoder.buffered_bytes() as u64
-    }
-
-    /// Commands applied to flash so far (across all power cycles).
-    #[must_use]
-    pub fn commands_applied(&self) -> usize {
-        self.session.commands_applied()
-    }
-
-    /// Power cycles this install has survived.
-    #[must_use]
-    pub fn resumes(&self) -> u64 {
-        self.resumes
-    }
-
-    /// High-water mark of the decoder's resident buffer this power
-    /// cycle — the bound asserted by the streaming bench.
-    #[must_use]
-    pub fn buffered_high_water(&self) -> u64 {
-        self.buffered_high_water
-    }
-
-    /// Whether every declared command has been decoded and applied.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.decoder.is_complete()
-    }
-
-    /// Snapshots the session for durable storage. Call at chunk
-    /// boundaries; partial-command bytes are deliberately excluded (the
-    /// resumed session re-requests them).
-    #[must_use]
-    pub fn checkpoint(&self) -> InstallCheckpoint {
-        InstallCheckpoint {
-            decoder: self
-                .decoder
-                .checkpoint()
-                .expect("sessions exist only after the header"),
-            journal: self.journal.clone(),
-            covered: self.session.covered(),
-            written: self.session.written_intervals(),
-            stats: self.session.stats_so_far(),
-            resumes: self.resumes,
-        }
-    }
-
-    /// Commits the install: the stream must be complete (no missing or
-    /// trailing bytes) and the commands must cover the declared target
-    /// exactly. Returns the header and the final statistics; the caller
-    /// verifies the header CRC against the device image (the device
-    /// borrow is released by this call).
-    ///
-    /// # Errors
-    ///
-    /// [`InstallError::Decode`] (truncated / trailing wire bytes) or
-    /// [`InstallError::Device`] (incomplete target coverage). The
-    /// device image length is only updated on success.
-    pub fn commit(self) -> Result<(StreamHeader, UpdateStats), InstallError> {
-        let header = self.decoder.finish()?;
-        let stats = self.session.commit()?;
-        Ok((header, stats))
     }
 }
 
@@ -521,8 +317,10 @@ pub enum StreamProgress {
 ///
 /// # Errors
 ///
-/// See [`InstallError`]. On error the device image may be partially
-/// updated, exactly as on real interrupted hardware.
+/// See [`InstallError`]; a resume checkpoint whose two records disagree
+/// is [`InstallError::Checkpoint`], refused before flash is touched. On
+/// any other error the device image may be partially updated, exactly
+/// as on real interrupted hardware.
 ///
 /// # Panics
 ///
@@ -538,23 +336,35 @@ pub fn stream_install(
     let _span = ipr_trace::span("stream.install");
     let mut report = StreamReport::default();
 
-    let mut install = match resume_from {
-        Some(checkpoint) => StreamingInstall::resume(device, checkpoint)?,
+    let (mut session, mut decoder) = match resume_from {
+        Some(checkpoint) => {
+            checkpoint.validate().map_err(InstallError::Checkpoint)?;
+            let header = checkpoint.decoder.header;
+            let session = device.resume_session(
+                header.source_len,
+                header.target_len,
+                &checkpoint.written,
+                checkpoint.stats,
+            )?;
+            ipr_trace::add("stream.resumes", 1);
+            report.resumes = checkpoint.resumes + 1;
+            (session, StreamDecoder::resume(checkpoint.decoder))
+        }
         None => {
             // Waiting state: pull chunks until the header parses. No
             // checkpoint exists yet — a power cut here restarts from
             // byte 0 (the header is a handful of bytes; nothing of
             // value is lost).
             let mut decoder = StreamDecoder::new();
-            loop {
-                let offset = decoder.stream_offset() + decoder.buffered_bytes() as u64;
+            let header = loop {
+                let offset = next_wire_byte(&decoder);
                 let Some(chunk) = stream.chunk_at(offset) else {
                     return Err(InstallError::Decode(DecodeError::Truncated));
                 };
                 report.transfer(&channel, offset, chunk.len(), mtu);
                 decoder.push(chunk);
-                if decoder.poll_header()?.is_some() {
-                    break;
+                if let Some(header) = decoder.poll_header()? {
+                    break *header;
                 }
                 if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
                     ipr_trace::add("stream.chunks", report.chunks);
@@ -564,53 +374,84 @@ pub fn stream_install(
                         report,
                     });
                 }
-            }
-            StreamingInstall::start(device, decoder)?
+            };
+            let mut session = device.begin_update(header.source_len, header.target_len)?;
+            drain(&mut session, &mut decoder)?;
+            (session, decoder)
         }
     };
 
     // Installing state: the loop invariant is that every iteration
-    // boundary is a durable checkpoint (whole commands applied, journal
-    // aligned with the decoder).
+    // boundary is a durable checkpoint (whole commands applied, any
+    // partial command only buffered).
     let wire_len = stream.wire_len();
     loop {
-        if install.commands_applied() > 0 {
+        let applied = session.commands_applied() as u64;
+        if applied > 0 {
             report
                 .time_to_first_byte
                 .get_or_insert(report.transfer_time);
-            if install.wire_offset() < wire_len {
-                report.commands_pre_eof = install.commands_applied() as u64;
+            if next_wire_byte(&decoder) < wire_len {
+                report.commands_pre_eof = applied;
             }
         }
         // The device's counts, current at every exit below.
-        report.commands_applied = install.commands_applied() as u64;
-        report.resumes = install.resumes();
-        report.buffered_high_water = install.buffered_high_water();
-        if install.is_complete() {
+        report.commands_applied = applied;
+        report.buffered_high_water = decoder.buffered_high_water() as u64;
+        if decoder.is_complete() {
             break;
         }
         if kill_after_chunks.is_some_and(|k| report.chunks >= k) {
             report.record();
+            let checkpoint = InstallCheckpoint {
+                decoder: decoder
+                    .checkpoint()
+                    .expect("installing starts after the header"),
+                written: session.written_intervals(),
+                stats: session.stats_so_far(),
+                resumes: report.resumes,
+            };
             return Ok(StreamProgress::Killed {
-                checkpoint: Some(install.checkpoint()),
+                checkpoint: Some(checkpoint),
                 report,
             });
         }
-        let offset = install.wire_offset();
+        let offset = next_wire_byte(&decoder);
         let Some(chunk) = stream.chunk_at(offset) else {
             // Wire exhausted before the declared command count: let
-            // commit report the truncation.
+            // the decoder's finish report the truncation.
             break;
         };
         report.transfer(&channel, offset, chunk.len(), mtu);
-        install.feed(chunk)?;
+        decoder.push(chunk);
+        drain(&mut session, &mut decoder)?;
     }
 
-    let (header, stats) = install.commit()?;
+    // Commit: the stream must be complete (no missing or trailing
+    // bytes) and the commands must cover the declared target exactly;
+    // only then does the device's image length change.
+    let header = decoder.finish()?;
+    let stats = session.commit()?;
     report.crc_verified = verify_image_crc(device, header.target_crc)?;
     report.stats = Some(stats);
     report.record();
     Ok(StreamProgress::Complete(report))
+}
+
+/// The next wire byte the install needs: everything received so far,
+/// including buffered partial-command residue.
+fn next_wire_byte(decoder: &StreamDecoder) -> u64 {
+    decoder.stream_offset() + decoder.buffered_bytes() as u64
+}
+
+/// Applies every command the decoder holds in full. A partial
+/// command's bytes stay buffered (the decoder checkpoints only at
+/// command edges), so each return is a checkpointable boundary.
+fn drain(session: &mut UpdateSession<'_>, decoder: &mut StreamDecoder) -> Result<(), InstallError> {
+    while let Some(cmd) = decoder.next_command()? {
+        session.apply_command(&cmd)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -739,15 +580,15 @@ mod tests {
         let mut wrong_count = good.clone();
         wrong_count.decoder.commands_decoded += 1;
         let mut wrong_cover = good.clone();
-        wrong_cover.covered += 1;
+        wrong_cover.stats.bytes_written += 1;
         for bad in [wrong_count, wrong_cover] {
             let err = stream_install(&mut dev, &stream, lossy(0.0, 1), 576, Some(&bad), None)
                 .unwrap_err();
             assert!(matches!(err, InstallError::Checkpoint(_)), "{err}");
         }
         // A shrinking install whose last written interval is moved past
-        // the new end but stays inside the old image: `covered` still
-        // adds up, and only the target bound catches it.
+        // the new end but stays inside the old image: the spans still
+        // sum to the bytes written, and only the target bound catches it.
         let short = &v2[..12_000];
         let shrinking = served(&v1, short, 64);
         let mut dev = Device::new(v1.len());
@@ -780,6 +621,29 @@ mod tests {
             InstallCheckpoint::decode(&bytes),
             Err(CheckpointError::Checksum { .. })
         ));
+    }
+
+    #[test]
+    fn previous_format_checkpoint_refused_by_magic() {
+        let (v1, v2) = pair();
+        let stream = served(&v1, &v2, 64);
+        let mut dev = Device::new(v1.len().max(v2.len()));
+        dev.flash(&v1).unwrap();
+        let StreamProgress::Killed { checkpoint, .. } =
+            stream_install(&mut dev, &stream, lossy(0.0, 1), 576, None, Some(4)).unwrap()
+        else {
+            panic!("killed at chunk 4");
+        };
+        // A record under the previous magic, resealed so that only the
+        // magic is wrong.
+        let mut bytes = checkpoint.expect("header arrived").encode();
+        bytes[..4].copy_from_slice(b"IPC1");
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        let err = InstallCheckpoint::decode(&bytes).unwrap_err();
+        assert_eq!(err, CheckpointError::BadMagic);
+        assert_eq!(err.to_string(), "not an install checkpoint");
     }
 
     #[test]

@@ -7,20 +7,39 @@
 
 use crate::{Digraph, NodeId};
 
-/// The strongly connected components of a digraph.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The strongly connected components of a digraph, with the working
+/// storage that computed them.
+///
+/// [`tarjan`] returns a fresh one; [`tarjan_into`] refills one in place.
+/// Members of every component live back-to-back in one flat array, so a
+/// value reused across runs grows to the high-water graph size and then
+/// performs no heap allocation at all.
+#[derive(Clone, Debug, Default)]
 pub struct Sccs {
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<NodeId>,
+    call: Vec<(NodeId, usize)>,
     /// `component[v]` is the id of the SCC containing node `v`.
     component: Vec<u32>,
-    /// Members of each component, in discovery order.
-    members: Vec<Vec<NodeId>>,
+    /// Flat member storage; component `c` occupies
+    /// `offsets[c]..offsets[c + 1]`, in Tarjan stack pop order.
+    members: Vec<NodeId>,
+    offsets: Vec<u32>,
 }
 
 impl Sccs {
+    /// Creates an empty value; storage is grown on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Number of components.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.members.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// The component id of node `v`.
@@ -33,82 +52,26 @@ impl Sccs {
         self.component[v as usize]
     }
 
-    /// The members of component `c`.
+    /// The members of component `c`, in discovery order.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of bounds.
     #[must_use]
     pub fn members(&self, c: u32) -> &[NodeId] {
-        &self.members[c as usize]
+        let lo = self.offsets[c as usize] as usize;
+        let hi = self.offsets[c as usize + 1] as usize;
+        &self.members[lo..hi]
     }
 
     /// Components that can contain a cycle: size > 1, or a single node with a
     /// self-loop in `g`.
     #[must_use]
     pub fn cyclic_components<'a>(&'a self, g: &'a Digraph) -> Vec<&'a [NodeId]> {
-        self.members
-            .iter()
-            .map(Vec::as_slice)
+        (0..self.count() as u32)
+            .map(|c| self.members(c))
             .filter(|m| m.len() > 1 || (m.len() == 1 && g.has_edge(m[0], m[0])))
             .collect()
-    }
-}
-
-/// Reusable working storage for [`tarjan_into`].
-///
-/// Holds the DFS bookkeeping plus the result in compressed (CSR) form:
-/// members of every component live back-to-back in one flat array. A
-/// scratch reused across runs grows to the high-water graph size and then
-/// performs no heap allocation at all.
-#[derive(Debug, Default)]
-pub struct SccScratch {
-    index: Vec<u32>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
-    stack: Vec<NodeId>,
-    call: Vec<(NodeId, usize)>,
-    component: Vec<u32>,
-    /// Flat member storage; component `c` occupies
-    /// `offsets[c]..offsets[c + 1]`, in Tarjan stack pop order.
-    members: Vec<NodeId>,
-    offsets: Vec<u32>,
-}
-
-impl SccScratch {
-    /// Creates an empty scratch; storage is grown on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of components found by the last [`tarjan_into`] run.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The component id of node `v` (from the last run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of bounds.
-    #[must_use]
-    pub fn component_of(&self, v: NodeId) -> u32 {
-        self.component[v as usize]
-    }
-
-    /// The members of component `c` (from the last run), in discovery
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    #[must_use]
-    pub fn members_of(&self, c: u32) -> &[NodeId] {
-        let lo = self.offsets[c as usize] as usize;
-        let hi = self.offsets[c as usize + 1] as usize;
-        &self.members[lo..hi]
     }
 }
 
@@ -131,26 +94,20 @@ impl SccScratch {
 /// ```
 #[must_use]
 pub fn tarjan(g: &Digraph) -> Sccs {
-    let mut scratch = SccScratch::new();
-    tarjan_into(g, &mut scratch);
-    let members = (0..scratch.count() as u32)
-        .map(|c| scratch.members_of(c).to_vec())
-        .collect();
-    Sccs {
-        component: scratch.component,
-        members,
-    }
+    let mut sccs = Sccs::new();
+    tarjan_into(g, &mut sccs);
+    sccs
 }
 
 /// Allocation-free variant of [`tarjan`]: runs the same algorithm with all
-/// working storage and results held in `scratch`.
+/// working storage and results held in `scratch`, which it overwrites.
 ///
 /// Component ids and per-component member order are identical to
 /// [`tarjan`] (which is a thin wrapper over this function).
-pub fn tarjan_into(g: &Digraph, scratch: &mut SccScratch) {
+pub fn tarjan_into(g: &Digraph, scratch: &mut Sccs) {
     let n = g.node_count();
     const UNVISITED: u32 = u32::MAX;
-    let SccScratch {
+    let Sccs {
         index,
         lowlink,
         on_stack,
@@ -302,7 +259,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_on_random_graphs() {
-        let mut scratch = SccScratch::new();
+        let mut scratch = Sccs::new();
         let mut state = 0x1234_5678u64;
         for case in 0..50 {
             let n = (splitmix64(&mut state) % 40) as usize;
@@ -322,7 +279,7 @@ mod tests {
                 assert_eq!(fresh.component_of(v), scratch.component_of(v));
             }
             for c in 0..fresh.count() as u32 {
-                assert_eq!(fresh.members(c), scratch.members_of(c));
+                assert_eq!(fresh.members(c), scratch.members(c));
             }
         }
     }

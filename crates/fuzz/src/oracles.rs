@@ -1146,7 +1146,7 @@ const STREAMING_LOSS: [f64; 4] = [0.0, 0.01, 0.05, 0.3];
 ///    bytes;
 /// 3. **idempotent replay** — resuming the *same* checkpoint against
 ///    two copies of the same mid-update flash yields identical images
-///    (the journal contract: replaying a checkpoint is harmless).
+///    (the checkpoint contract: replaying a checkpoint is harmless).
 pub fn check_streaming_case(case: &FuzzCase, salt: u64) -> CheckResult {
     use ipr_device::{stream_install, Channel, Device, InstallCheckpoint, StreamProgress};
 

@@ -216,7 +216,7 @@ proptest! {
                 let restored = checkpoint.map(|c| {
                     InstallCheckpoint::decode(&c.encode()).expect("round trip")
                 });
-                // Journal/checkpoint replay is idempotent: the same
+                // Checkpoint replay is idempotent: the same
                 // checkpoint driven over two copies of the same flash
                 // converges to identical images.
                 let mut replica = device.clone();
